@@ -10,7 +10,6 @@
 #include <iostream>
 
 #include "bench/bench_common.h"
-#include "src/common/deterministic_reduce.h"
 #include "src/common/parallel_for.h"
 #include "src/hifi/hifi_simulation.h"
 

@@ -8,7 +8,6 @@
 #include <iostream>
 
 #include "bench/bench_common.h"
-#include "src/common/deterministic_reduce.h"
 #include "src/common/parallel_for.h"
 #include "src/common/stats.h"
 #include "src/mapreduce/mr_scheduler.h"

@@ -52,22 +52,12 @@ struct Row {
 
 std::vector<Row> RunMegaSweep(Duration horizon, int trials,
                               SweepRunner& runner) {
-  // Intra-trial parallelism: bit-identical rows at any thread count (the CI
-  // smoke check re-runs at 2 to prove it); recorded in the report plus a
-  // metric so the 1/2/4/8-thread scaling curve reconstructs from
-  // BENCH_fig_mega.json artifacts alone (per-trial wall-clock is already in
-  // trial_wall_seconds).
-  const uint32_t intra_threads = BenchIntraTrialThreads();
-  runner.report().intra_trial_threads = intra_threads;
   runner.report().AddMetric("sim_days", horizon.ToDays());
   runner.report().AddMetric("num_machines", 100000.0);
-  runner.report().AddMetric("intra_trial_threads",
-                            static_cast<double>(intra_threads));
   return runner.Run(trials, [&](const TrialContext& ctx) {
     SimOptions opts;
     opts.horizon = horizon;
     opts.seed = ctx.seed;
-    opts.intra_trial_threads = intra_threads;
     OmegaSimulation sim(ClusterMega(), opts, DefaultSchedulerConfig("batch"),
                         DefaultSchedulerConfig("service"));
     sim.Run();
@@ -86,21 +76,17 @@ std::vector<Row> RunMegaSweep(Duration horizon, int trials,
 }
 
 // --------------------------------------------------------------------------
-// Placement-stress probe: the intra-trial scaling target (DESIGN.md §12).
+// Placement-stress probe: the worst case of the sequential constrained scan.
 //
 // The day-long trials above are not scan-bound — the two-level summaries
-// (§11) prune their no-fit sweeps to near-nothing, so their wall-clock is
-// insensitive to intra_trial_threads. The regime where the sharded sweep
-// pays is a constraint-picky scan over a cell where raw fits pass everywhere
+// (§11) prune their no-fit sweeps to near-nothing. The expensive regime is a
+// constraint-picky scan over a cell where raw fits pass everywhere
 // (summaries cannot prune) but only a sparse subset of machines satisfies
 // the job's attribute constraint: first-fit then walks thousands of futile
 // raw-fit hits per placement. This probe measures exactly that — 100k empty
 // machines, one matching machine per ~16k — and records its wall-clock in
-// BENCH_fig_mega.json (stress_wall_seconds), so running the binary once per
-// OMEGA_INTRA_TRIAL_THREADS value on a multicore host yields the scaling
-// curve. The placement checksum is thread-count-invariant (the FirstMatch
-// contract) and is pinned in the smoke golden, which CI re-checks at 2
-// threads.
+// BENCH_fig_mega.json (stress_wall_seconds). The placement checksum is
+// pinned in the smoke golden.
 // --------------------------------------------------------------------------
 
 constexpr uint32_t kStressMachines = 100000;
@@ -114,9 +100,8 @@ struct StressResult {
   double wall_seconds = 0.0;
 };
 
-StressResult RunPlacementStress(uint32_t intra_threads, int placements) {
+StressResult RunPlacementStress(int placements) {
   CellState cell(kStressMachines, Resources{16.0, 64.0});
-  cell.SetIntraTrialParallelism(intra_threads);
   for (MachineId m = 0; m < kStressMachines; ++m) {
     cell.mutable_machine(m).attributes = {m % kStressMatchStride == 7 ? 1 : 0};
   }
@@ -183,11 +168,7 @@ std::vector<std::string> RunSmoke() {
   for (const Row& r : rows) {
     lines.push_back(FormatTrial(r));
   }
-  // The stress checksum is thread-count-invariant; checking it in CI at
-  // OMEGA_INTRA_TRIAL_THREADS=2 diffs the sharded constraint sweep against
-  // the sequential golden bit-for-bit.
-  const StressResult stress =
-      RunPlacementStress(BenchIntraTrialThreads(), kStressSmokePlacements);
+  const StressResult stress = RunPlacementStress(kStressSmokePlacements);
   lines.push_back(FormatStress(stress));
   std::cout << "fig_mega smoke: " << runner.report().trials << " trials on "
             << runner.report().threads << " thread(s) in "
@@ -286,17 +267,14 @@ int FullRun() {
   runner.report().AddMetric("batch_busy_mean", batch_busy.mean());
   runner.report().AddMetric("service_conflict_fraction_mean", conflict.mean());
 
-  const uint32_t intra_threads = BenchIntraTrialThreads();
-  const StressResult stress =
-      RunPlacementStress(intra_threads, kStressFullPlacements);
+  const StressResult stress = RunPlacementStress(kStressFullPlacements);
   RecordStressMetrics(runner, stress);
   char stress_line[256];
   std::snprintf(stress_line, sizeof(stress_line),
                 "stress probe: %lld constraint-sweep placements over %u "
-                "machines at intra_trial_threads=%u in %.3f s "
-                "(checksum %016llx)\n",
+                "machines in %.3f s (checksum %016llx)\n",
                 static_cast<long long>(stress.placed), kStressMachines,
-                intra_threads, stress.wall_seconds,
+                stress.wall_seconds,
                 static_cast<unsigned long long>(stress.checksum));
   std::cout << stress_line;
   FinishSweep(runner);

@@ -5,7 +5,6 @@
 #include <benchmark/benchmark.h>
 
 #include "src/cluster/cell_state.h"
-#include "src/common/deterministic_reduce.h"
 #include "src/common/parallel_for.h"
 #include "src/hifi/scoring_placer.h"
 #include "src/scheduler/placement.h"
@@ -339,35 +338,6 @@ void BM_NoFitScanAoS(benchmark::State& state) {
   NoFitScanBenchmark(state, /*soa=*/false);
 }
 BENCHMARK(BM_NoFitScanAoS)->Arg(50)->Arg(85)->Arg(95)->Arg(99)->Arg(100);
-
-// The SoA no-fit scan sharded over an intra-trial worker pool (DESIGN.md
-// §12): the fully saturated cell makes every placement a full-cell no-fit
-// proof, the worst case the parallel sweep targets. Arg is
-// SimOptions::intra_trial_threads; Arg 1 is the sequential baseline (no pool)
-// for the scaling curve. Decisions are bit-identical at every Arg.
-void BM_NoFitScanSoAParallel(benchmark::State& state) {
-  constexpr uint32_t kMachines = 100000;
-  CellState cell(kMachines, kMachine);
-  cell.SetIntraTrialParallelism(static_cast<uint32_t>(state.range(0)));
-  for (MachineId m = 0; m < kMachines; ++m) {
-    while (cell.CanFit(m, kTask)) {
-      cell.Allocate(m, kTask);
-    }
-  }
-  Job job;
-  job.num_tasks = 10;
-  job.task_resources = kTask;
-  RandomizedFirstFitPlacer placer(/*max_random_probes=*/0);
-  Rng rng(BenchSeed(13));
-  std::vector<TaskClaim> claims;
-  for (auto _ : state) {
-    claims.clear();
-    const uint32_t placed = placer.PlaceTasks(cell, job, 10, rng, &claims);
-    benchmark::DoNotOptimize(placed);
-  }
-  state.SetItemsProcessed(state.iterations() * 10);
-}
-BENCHMARK(BM_NoFitScanSoAParallel)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
 // Parallel-for dispatch overhead: per-index (one type-erased call per
 // element) vs. chunked ranges (one call per grain-sized chunk). The body is

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "src/common/deterministic_reduce.h"
 #include "src/common/logging.h"
 
 namespace omega {
@@ -145,65 +144,6 @@ MachineId CellState::ScanFit(MachineId from, MachineId to,
     if (acpu[i] + rc <= fcpu[i] && amem[i] + rm <= fmem[i]) {
       return i;
     }
-  }
-  return kInvalidMachineId;
-}
-
-void CellState::SetIntraTrialParallelism(uint32_t threads) {
-  if (threads == 1) {
-    pool_.reset();
-    return;
-  }
-  pool_ = std::make_shared<WorkerPool>(threads);
-}
-
-void CellState::RefreshSummaries() const {
-  // Recomputing a dirty superblock refreshes its dirty constituent blocks
-  // too, and a block shrink always marks its superblock (BlockAfterShrink),
-  // so the superblock loop covers everything; the block loop is a safety net
-  // for the (currently impossible) dirty-block/clean-super combination.
-  for (size_t s = 0; s < super_dirty_.size(); ++s) {
-    if (super_dirty_[s] != 0) {
-      RecomputeSuper(s);
-    }
-  }
-  for (size_t b = 0; b < block_dirty_.size(); ++b) {
-    if (block_dirty_[b] != 0) {
-      RecomputeBlock(b);
-    }
-  }
-}
-
-MachineId CellState::FindFirstFitNoRefresh(MachineId begin, MachineId end,
-                                           const Resources& request) const {
-  // FindFirstFit with the refresh-on-consult prunes replaced by reads of the
-  // stored summary values. A dirty summary is stale-high (a sound upper
-  // bound), so the prune never skips a feasible machine — it only prunes
-  // less. No mutable member is written, so concurrent calls are safe.
-  const auto num = static_cast<MachineId>(machines_.size());
-  MachineId id = begin;
-  const MachineId limit = std::min(end, num);
-  constexpr uint32_t kSuperMachines = kBlockSize * kSuperSize;
-  while (id < limit) {
-    const size_t super = id / kSuperMachines;
-    if (!(request.cpus <= super_max_cpu_[super] + kResourceEpsilon &&
-          request.mem_gb <= super_max_mem_[super] + kResourceEpsilon)) {
-      id = (id / kSuperMachines + 1) * kSuperMachines;
-      continue;
-    }
-    const size_t block = id / kBlockSize;
-    if (!(request.cpus <= block_max_cpu_[block] + kResourceEpsilon &&
-          request.mem_gb <= block_max_mem_[block] + kResourceEpsilon)) {
-      id = NextBlockStart(id);
-      continue;
-    }
-    const MachineId block_end =
-        std::min(limit, static_cast<MachineId>(NextBlockStart(id)));
-    const MachineId hit = ScanFit(id, block_end, request);
-    if (hit != kInvalidMachineId) {
-      return hit;
-    }
-    id = block_end;
   }
   return kInvalidMachineId;
 }
@@ -501,100 +441,41 @@ CommitResult CellState::Commit(std::span<const TaskClaim> claims,
         uniform_resources && claims[i].resources == claims[0].resources;
   }
 
-  if (pool_ != nullptr && claims.size() >= parallel_commit_min_claims_) {
-    // Parallel pre-check (DESIGN.md §12): a claim's verdict depends only on
-    // its machine's current state and on earlier *same-machine* claims of
-    // this transaction (nothing is allocated until phase 3), so group the
-    // claim indices by machine — stable sort, preserving claim order within
-    // a machine — and give each machine-run to one worker, which replays the
-    // run's pending accumulation in claim order exactly as the sequential
-    // loop would. Workers write disjoint accept[] slots; the merge back to
-    // claim order is the accept array itself.
-    commit_order_.resize(claims.size());
-    for (uint32_t i = 0; i < commit_order_.size(); ++i) {
-      commit_order_[i] = i;
-    }
-    std::stable_sort(commit_order_.begin(), commit_order_.end(),
-                     [&claims](uint32_t a, uint32_t b) {
-                       return claims[a].machine < claims[b].machine;
-                     });
-    commit_runs_.clear();
-    for (uint32_t i = 0; i < commit_order_.size(); ++i) {
-      if (i == 0 || claims[commit_order_[i]].machine !=
-                        claims[commit_order_[i - 1]].machine) {
-        commit_runs_.push_back(i);
+  for (size_t i = 0; i < claims.size(); ++i) {
+    const TaskClaim& claim = claims[i];
+    const Machine& m = machines_[claim.machine];
+    bool ok = false;
+    switch (conflict_mode) {
+      case ConflictMode::kFineGrained: {
+        // Conflict only if the claim no longer fits given what has been
+        // committed since placement (plus pending claims from this txn).
+        ok = CanFitWithPending(claim.machine, claim.resources,
+                               pending_on(claim.machine));
+        break;
       }
-    }
-    commit_runs_.push_back(static_cast<uint32_t>(commit_order_.size()));
-    const size_t num_runs = commit_runs_.size() - 1;
-    const size_t grain = ReduceGrain(num_runs, pool_->concurrency(),
-                                     /*min_grain=*/1);
-    const size_t num_shards = (num_runs + grain - 1) / grain;
-    ShardSlots<char> accept_slots(accept);
-    pool_->Run(num_shards, [&](size_t shard) {
-      const size_t run_begin = shard * grain;
-      const size_t run_end = std::min(num_runs, run_begin + grain);
-      for (size_t r = run_begin; r < run_end; ++r) {
-        Resources pending = Resources::Zero();
-        for (uint32_t k = commit_runs_[r]; k < commit_runs_[r + 1]; ++k) {
-          const uint32_t idx = commit_order_[k];
-          const TaskClaim& claim = claims[idx];
-          bool ok = false;
-          switch (conflict_mode) {
-            case ConflictMode::kFineGrained:
-              ok = CanFitWithPending(claim.machine, claim.resources, pending);
-              break;
-            case ConflictMode::kCoarseGrained:
-              ok = machines_[claim.machine].seqnum == claim.seqnum_at_placement;
-              if (ok) {
-                ok = CanFitWithPending(claim.machine, claim.resources, pending);
-              }
-              break;
-          }
-          accept_slots[idx] = ok ? 1 : 0;
-          if (ok) {
-            pending += claim.resources;
-          }
-        }
-      }
-    });
-  } else {
-    for (size_t i = 0; i < claims.size(); ++i) {
-      const TaskClaim& claim = claims[i];
-      const Machine& m = machines_[claim.machine];
-      bool ok = false;
-      switch (conflict_mode) {
-        case ConflictMode::kFineGrained: {
-          // Conflict only if the claim no longer fits given what has been
-          // committed since placement (plus pending claims from this txn).
+      case ConflictMode::kCoarseGrained: {
+        // Conflict if the machine changed at all since the scheduler's local
+        // copy was synced — even if the change was a *free* that still
+        // leaves room (a spurious conflict, §5.2).
+        ok = m.seqnum == claim.seqnum_at_placement;
+        if (ok) {
+          // Unchanged machine: the placement was computed against exactly
+          // this state, so the claim must still fit (pending claims
+          // included, since the scheduler placed them against its local
+          // copy too).
           ok = CanFitWithPending(claim.machine, claim.resources,
                                  pending_on(claim.machine));
-          break;
         }
-        case ConflictMode::kCoarseGrained: {
-          // Conflict if the machine changed at all since the scheduler's local
-          // copy was synced — even if the change was a *free* that still
-          // leaves room (a spurious conflict, §5.2).
-          ok = m.seqnum == claim.seqnum_at_placement;
-          if (ok) {
-            // Unchanged machine: the placement was computed against exactly
-            // this state, so the claim must still fit (pending claims
-            // included, since the scheduler placed them against its local
-            // copy too).
-            ok = CanFitWithPending(claim.machine, claim.resources,
-                                   pending_on(claim.machine));
-          }
-          break;
-        }
+        break;
       }
-      accept[i] = ok ? 1 : 0;
-      if (ok) {
-        if (pending_stamp_[claim.machine] != epoch) {
-          pending_stamp_[claim.machine] = epoch;
-          pending_amount_[claim.machine] = Resources::Zero();
-        }
-        pending_amount_[claim.machine] += claim.resources;
+    }
+    accept[i] = ok ? 1 : 0;
+    if (ok) {
+      if (pending_stamp_[claim.machine] != epoch) {
+        pending_stamp_[claim.machine] = epoch;
+        pending_amount_[claim.machine] = Resources::Zero();
       }
+      pending_amount_[claim.machine] += claim.resources;
     }
   }
 

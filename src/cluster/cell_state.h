@@ -10,13 +10,11 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <span>
 #include <vector>
 
 #include "src/cluster/machine.h"
 #include "src/cluster/resources.h"
-#include "src/common/worker_pool.h"
 
 namespace omega {
 
@@ -257,46 +255,6 @@ class CellState {
   void SetSoAScan(bool on) { soa_scan_ = on; }
   bool soa_scan() const { return soa_scan_; }
 
-  // --- intra-trial parallelism (DESIGN.md §12) ---
-  //
-  // The cell owns the worker pool that placers and Commit use to shard their
-  // scans; results are bit-identical at every thread count (deterministic
-  // ordered reductions — see deterministic_reduce.h). `threads` follows
-  // SimOptions::intra_trial_threads: 1 (default) keeps every path strictly
-  // sequential with no pool allocated; 0 means hardware concurrency.
-  void SetIntraTrialParallelism(uint32_t threads);
-  // Null when sequential (threads == 1). Placers branch on this.
-  WorkerPool* intra_trial_pool() const { return pool_.get(); }
-  uint32_t intra_trial_threads() const {
-    return pool_ == nullptr ? 1u : static_cast<uint32_t>(pool_->concurrency());
-  }
-
-  // Transactions with fewer claims than this pre-check sequentially even when
-  // a pool is attached: a pool dispatch costs a few microseconds of wakeup
-  // latency, and the per-claim verdict is ~0.1 µs, so small transactions are
-  // cheaper inline. The default targets the large gang/cohort commits the
-  // knob exists for; tests lower it to force the parallel branch. Either
-  // branch produces bitwise-identical verdicts, so this is a pure perf knob.
-  void SetParallelCommitMinClaims(size_t n) { parallel_commit_min_claims_ = n; }
-  size_t parallel_commit_min_claims() const {
-    return parallel_commit_min_claims_;
-  }
-
-  // As FindFirstFit, but never refreshes dirty summaries: prunes consult the
-  // stored (possibly stale-high) values without writing any mutable state, so
-  // concurrent calls from pool workers are safe. Stale-high bounds are sound
-  // upper bounds, so this returns exactly the same machine as FindFirstFit —
-  // it just prunes less until the summaries are refreshed. Callers that shard
-  // a scan should RefreshSummaries() once on the event-loop thread first to
-  // recover full pruning.
-  MachineId FindFirstFitNoRefresh(MachineId begin, MachineId end,
-                                  const Resources& request) const;
-
-  // Recomputes every dirty block/superblock summary now, on the calling
-  // thread, so a subsequent sharded FindFirstFitNoRefresh scan sees fully
-  // tight summaries without ever writing from a worker.
-  void RefreshSummaries() const;
-
   // --- availability index ---
   //
   // An optional bucketed index of machines by *effective* availability — the
@@ -398,16 +356,6 @@ class CellState {
   std::vector<Resources> pending_amount_;
   std::vector<uint32_t> pending_stamp_;
   uint32_t pending_epoch_ = 0;
-
-  // Intra-trial worker pool (null when intra_trial_threads == 1), plus the
-  // parallel Commit pre-check scratch: claim indices grouped by machine
-  // (stable sort, so claim order is preserved within a machine) and the run
-  // boundaries of that grouping. shared_ptr so copied cells (schedulers'
-  // local copies, if any) share one pool instead of spawning threads per copy.
-  std::shared_ptr<WorkerPool> pool_;
-  size_t parallel_commit_min_claims_ = 256;
-  std::vector<uint32_t> commit_order_;
-  std::vector<uint32_t> commit_runs_;
 
   // Availability index state (empty when disabled).
   std::vector<std::vector<MachineId>> buckets_;

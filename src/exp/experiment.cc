@@ -1,6 +1,7 @@
 #include "src/exp/experiment.h"
 
 #include <algorithm>
+#include <cerrno>
 #include <cmath>
 #include <cstdlib>
 #include <iomanip>
@@ -105,26 +106,45 @@ void PrintCdf(std::ostream& os, const Cdf& cdf, const std::string& label,
   table.Print(os);
 }
 
+namespace {
+
+// The value of environment variable `name`, or nullptr when it is unset or
+// empty (both mean "use the default").
+const char* BenchEnv(const char* name) {
+  const char* env = std::getenv(name);
+  return env != nullptr && env[0] != '\0' ? env : nullptr;
+}
+
+}  // namespace
+
 Duration BenchHorizon(double default_days) {
-  const char* env = std::getenv("OMEGA_BENCH_DAYS");
-  if (env != nullptr) {
-    const double days = std::atof(env);
-    if (days > 0.0) {
-      return Duration::FromDays(days);
-    }
+  const char* env = BenchEnv("OMEGA_BENCH_DAYS");
+  if (env == nullptr) {
+    return Duration::FromDays(default_days);
   }
-  return Duration::FromDays(default_days);
+  char* end = nullptr;
+  errno = 0;
+  const double days = std::strtod(env, &end);
+  OMEGA_CHECK(end != env && *end == '\0' && errno == 0 &&
+              std::isfinite(days) && days > 0.0)
+      << "OMEGA_BENCH_DAYS must be a positive number of days, got \"" << env
+      << "\"";
+  return Duration::FromDays(days);
 }
 
 size_t BenchThreads() {
-  const char* env = std::getenv("OMEGA_BENCH_THREADS");
-  if (env != nullptr) {
-    const long threads = std::atol(env);
-    if (threads > 0) {
-      return static_cast<size_t>(threads);
-    }
+  const char* env = BenchEnv("OMEGA_BENCH_THREADS");
+  if (env == nullptr) {
+    return 0;  // ParallelFor default: hardware concurrency
   }
-  return 0;  // ParallelFor default: hardware concurrency
+  char* end = nullptr;
+  errno = 0;
+  const long long threads = std::strtoll(env, &end, 10);
+  OMEGA_CHECK(end != env && *end == '\0' && errno == 0 && threads >= 0)
+      << "OMEGA_BENCH_THREADS must be an integer >= 0 (0 = hardware "
+         "concurrency), got \""
+      << env << "\"";
+  return static_cast<size_t>(threads);
 }
 
 }  // namespace omega

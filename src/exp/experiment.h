@@ -43,10 +43,14 @@ void PrintCdf(std::ostream& os, const Cdf& cdf, const std::string& label,
 // Simulation horizon used by the figure benches. The paper simulates 7 days
 // (1 day for Mesos); full-length runs are expensive across sweeps, so benches
 // default to a shorter window and honor OMEGA_BENCH_DAYS to reproduce the
-// paper's exact durations.
+// paper's exact durations. Unset or empty means `default_days`; any other
+// value must be a positive number, or the call CHECK-fails naming the
+// variable (a bench must never misstate its own horizon).
 Duration BenchHorizon(double default_days);
 
 // Number of worker threads for sweep parallelism (OMEGA_BENCH_THREADS).
+// Unset or empty means 0 (hardware concurrency); any other value must be an
+// integer >= 0, or the call CHECK-fails naming the variable.
 size_t BenchThreads();
 
 }  // namespace omega

@@ -17,7 +17,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/common/deterministic_reduce.h"
 #include "src/common/parallel_for.h"
 #include "src/common/random.h"
 #include "src/common/stats.h"
@@ -47,14 +46,6 @@ struct SweepReport {
   std::string build_type = "unknown";
   uint64_t base_seed = 0;
   size_t threads = 0;                 // worker threads actually used
-  // SimOptions::intra_trial_threads the bench ran its trials with (1 =
-  // sequential trials). Recorded so a scaling curve is reconstructable from
-  // BENCH_*.json artifacts alone; results are bit-identical at any value.
-  size_t intra_trial_threads = 1;
-  // FederationOptions::window_parallelism the federation benches ran with
-  // (0 = shared queue). Provenance like intra_trial_threads: a wall-clock
-  // knob, never a result axis — metrics are bit-identical at any value.
-  size_t fed_window_threads = 0;
   size_t trials = 0;
   double wall_seconds = 0.0;          // elapsed wall-clock for the whole sweep
   std::vector<double> trial_wall_seconds;  // per trial, trial-index order

@@ -17,18 +17,17 @@ uint32_t ScoringPlacer::PlaceTasks(const CellState& cell, const Job& job,
   pending.Reset(cell.NumMachines());
   EpochFlagSet& domains_used = domains_scratch_;
   domains_used.Reset();
-  WorkerPool* pool = cell.intra_trial_pool();
   uint32_t placed = 0;
 
   for (uint32_t t = 0; t < count; ++t) {
     MachineId best = kInvalidMachineId;
     double best_score = -1.0;
 
-    // Feasibility + score of one candidate, side-effect-free: every input it
-    // reads (machine state, pending claims, domains used) is only mutated on
-    // this thread between scans, so pool workers may evaluate it concurrently
-    // for distinct machines.
-    auto score_of = [&](MachineId m, double* score) -> bool {
+    // Sample candidates; fall back to a full scan if sampling finds nothing
+    // (constrained jobs on a nearly full cell). consider() scores one
+    // candidate and keeps it if it beats the running best; it returns false
+    // (touching nothing) when the machine is infeasible.
+    auto consider = [&](MachineId m) -> bool {
       const Machine& machine = cell.machine(m);
       if (!MachineSatisfiesConstraints(machine, job)) {
         return false;
@@ -48,17 +47,8 @@ uint32_t ScoringPlacer::PlaceTasks(const CellState& cell, const Job& job,
       // Spreading term: reward failure domains this job does not occupy yet.
       const double spread =
           domains_used.Contains(machine.failure_domain) ? 0.0 : 1.0;
-      *score =
+      const double score =
           options_.best_fit_weight * fit + options_.spreading_weight * spread;
-      return true;
-    };
-    // Sample candidates; fall back to a full scan if sampling finds nothing
-    // (constrained jobs on a nearly full cell).
-    auto consider = [&](MachineId m) -> bool {
-      double score = 0.0;
-      if (!score_of(m, &score)) {
-        return false;
-      }
       if (score > best_score) {
         best_score = score;
         best = m;
@@ -71,7 +61,6 @@ uint32_t ScoringPlacer::PlaceTasks(const CellState& cell, const Job& job,
       // tightest feasible bucket upward; the first feasible candidates are the
       // globally best-packing choices, which is exactly why careful placement
       // algorithms concentrate onto the same machines and conflict (§5).
-      // Bucket order is meaningful, so this path stays sequential.
       uint32_t feasible = 0;
       uint32_t visited = 0;
       const uint32_t max_feasible = std::max(1u, options_.candidate_sample / 8);
@@ -91,95 +80,12 @@ uint32_t ScoringPlacer::PlaceTasks(const CellState& cell, const Job& job,
       });
     } else {
       const uint32_t samples = std::min(options_.candidate_sample, num_machines);
-      if (pool != nullptr) {
-        // Sharded sampling (DESIGN.md §12): draw the sample ids up front —
-        // the same draws, in the same order, as the sequential loop — then
-        // reduce with a deterministic ArgBest over sample positions. Shard
-        // scans apply the sequential update rule exactly (strictly greater
-        // than a running best initialized to -1.0, so a hypothetical score
-        // <= -1.0 never wins in either path), and the ordered merge resolves
-        // ties to the lowest sample position, which is the candidate the
-        // sequential loop would have kept.
-        sample_scratch_.clear();
-        for (uint32_t i = 0; i < samples; ++i) {
-          sample_scratch_.push_back(
-              static_cast<MachineId>(rng.NextBounded(num_machines)));
-        }
-        const auto sampled_best = reducer_.ArgBest(
-            pool, samples, ReduceGrain(samples, pool->concurrency()),
-            [&](size_t b, size_t e) {
-              DeterministicReducer::Best local;
-              double local_score = -1.0;
-              for (size_t i = b; i < e; ++i) {
-                double score = 0.0;
-                if (!score_of(sample_scratch_[i], &score)) {
-                  continue;
-                }
-                if (score > local_score) {
-                  local_score = score;
-                  local.index = i;
-                  local.score = score;
-                }
-              }
-              return local;
-            });
-        if (sampled_best.index != kReduceNotFound) {
-          best = sample_scratch_[sampled_best.index];
-          best_score = sampled_best.score;
-        }
-      } else {
-        for (uint32_t i = 0; i < samples; ++i) {
-          consider(static_cast<MachineId>(rng.NextBounded(num_machines)));
-        }
+      for (uint32_t i = 0; i < samples; ++i) {
+        consider(static_cast<MachineId>(rng.NextBounded(num_machines)));
       }
       if (best == kInvalidMachineId) {
         const auto start = static_cast<MachineId>(rng.NextBounded(num_machines));
-        if (pool != nullptr && cell.soa_scan()) {
-          // Sharded full scan (DESIGN.md §12): the sequential SoA sweep below
-          // is a *first-fit* search (its loop stops at the first machine
-          // consider() scores), so the parallel form is a FirstMatch over the
-          // feasibility predicate in the same wrapped order, followed by one
-          // sequential consider() on the winner to compute its score on this
-          // thread (weights are non-negative, so a feasible machine always
-          // scores >= 0 > -1.0 and is selected, exactly like the reference).
-          // Summaries are refreshed up front so workers scan with full
-          // pruning without writing anything.
-          cell.RefreshSummaries();
-          auto scan_span = [&](MachineId from, MachineId to) -> size_t {
-            while (from < to) {
-              const MachineId hit =
-                  cell.FindFirstFitNoRefresh(from, to, job.task_resources);
-              if (hit == kInvalidMachineId) {
-                return kReduceNotFound;
-              }
-              double score = 0.0;
-              if (score_of(hit, &score)) {
-                return hit;
-              }
-              from = hit + 1;
-            }
-            return kReduceNotFound;
-          };
-          auto sweep = [&](MachineId seg_begin, MachineId seg_end) -> size_t {
-            const size_t seg_n = seg_end - seg_begin;
-            if (seg_n == 0) {
-              return kReduceNotFound;
-            }
-            const size_t grain = ReduceGrain(seg_n, pool->concurrency());
-            return reducer_.FirstMatch(
-                pool, seg_n, grain, [&](size_t b, size_t e) {
-                  return scan_span(seg_begin + static_cast<MachineId>(b),
-                                   seg_begin + static_cast<MachineId>(e));
-                });
-          };
-          size_t hit = sweep(start, num_machines);
-          if (hit == kReduceNotFound) {
-            hit = sweep(0, start);
-          }
-          if (hit != kReduceNotFound) {
-            consider(static_cast<MachineId>(hit));
-          }
-        } else if (cell.soa_scan()) {
+        if (cell.soa_scan()) {
           // The reference loop below stops at the first machine consider()
           // scores (its loop condition), so this is a first-fit search: sweep
           // each ascending segment with the SoA core, re-checking candidates

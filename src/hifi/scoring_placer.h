@@ -41,10 +41,6 @@ class ScoringPlacer final : public TaskPlacer {
   // scratch (domains are small dense ints), replacing the former
   // unordered_set so the scoring hot path does no hashing.
   EpochFlagSet domains_scratch_;
-  // Sharded sampling/full-scan scratch, engaged when the cell carries an
-  // intra-trial worker pool (DESIGN.md §12).
-  DeterministicReducer reducer_;
-  std::vector<MachineId> sample_scratch_;
 };
 
 }  // namespace omega

@@ -221,35 +221,20 @@ double MesosAllocator::DominantShare(const MesosFramework* framework) const {
 }
 
 MesosFramework* MesosAllocator::PickFramework() {
-  const size_t n = frameworks_.size();
   const Resources capacity = sim_.cell().TotalCapacity();
-  // Reference scan restricted to [begin, end): negated dominant share as the
-  // score turns the DRF minimum into ArgBest's "strictly greater wins" shape,
-  // with ties breaking to the earliest registered framework either way. Each
-  // index reads only its own framework's queue state and allocated_ slot, so
-  // shards may evaluate concurrently.
-  auto scan = [&](size_t begin, size_t end) {
-    DeterministicReducer::Best local;
-    for (size_t i = begin; i < end; ++i) {
-      if (!frameworks_[i]->IsPending()) {
-        continue;
-      }
-      const double score = -allocated_[i].DominantShare(capacity);
-      if (local.index == kReduceNotFound || score > local.score) {
-        local.index = i;
-        local.score = score;
-      }
+  MesosFramework* best = nullptr;
+  double best_share = 0.0;
+  for (size_t i = 0; i < frameworks_.size(); ++i) {
+    if (!frameworks_[i]->IsPending()) {
+      continue;
     }
-    return local;
-  };
-  WorkerPool* pool = sim_.cell().intra_trial_pool();
-  const DeterministicReducer::Best best =
-      pool == nullptr
-          ? scan(0, n)
-          : reducer_.ArgBest(
-                pool, n, ReduceGrain(n, pool->concurrency(), /*min_grain=*/1),
-                scan);
-  return best.index == kReduceNotFound ? nullptr : frameworks_[best.index];
+    const double share = allocated_[i].DominantShare(capacity);
+    if (best == nullptr || share < best_share) {
+      best = frameworks_[i];
+      best_share = share;
+    }
+  }
+  return best;
 }
 
 void MesosAllocator::Trigger() {

@@ -15,7 +15,6 @@
 #include <map>
 #include <vector>
 
-#include "src/common/deterministic_reduce.h"
 #include "src/mesos/offer.h"
 #include "src/scheduler/cluster_simulation.h"
 #include "src/scheduler/config.h"
@@ -111,10 +110,7 @@ class MesosAllocator {
  private:
   void RunAllocationRound();
   // DRF argmin: the pending framework with the lowest dominant share,
-  // earliest registration order on ties. Scans sequentially without an
-  // intra-trial pool; with one, shards across it via DeterministicReducer
-  // (negated-share scores, so the ordered strictly-greater merge reproduces
-  // the sequential scan bit for bit — diffed in parallel_reduce_test).
+  // earliest registration order on ties.
   MesosFramework* PickFramework();
 
   MesosSimulation& sim_;
@@ -123,7 +119,6 @@ class MesosAllocator {
   std::vector<MesosFramework*> frameworks_;
   std::vector<Resources> allocated_;  // per framework, for DRF
   std::vector<Resources> offered_;    // per machine, locked in offers
-  DeterministicReducer reducer_;
   bool round_scheduled_ = false;
   SimTime last_round_;
 };

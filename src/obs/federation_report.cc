@@ -41,13 +41,6 @@ void AppendFleetJson(std::ostream& os, const FederationFleetReport& f) {
   json::AppendNumber(os, f.cpu_utilization_stddev);
   os << ",\"fleet_conflict_fraction\":";
   json::AppendNumber(os, f.fleet_conflict_fraction);
-  os << ",\"window_parallelism\":" << f.window_parallelism
-     << ",\"windowed\":" << (f.windowed ? "true" : "false")
-     << ",\"windows\":" << f.windows;
-  os << ",\"mean_window_width_secs\":";
-  json::AppendNumber(os, f.mean_window_width_secs);
-  os << ",\"barrier_stall_fraction\":";
-  json::AppendNumber(os, f.barrier_stall_fraction);
   os << ",\"routed_per_cell\":[";
   for (size_t i = 0; i < f.routed_per_cell.size(); ++i) {
     if (i > 0) {
@@ -100,11 +93,6 @@ FederationReport BuildFederationReport(FederationSim& sim,
   f.cpu_utilization_skew = sim.CpuUtilizationSkew();
   f.cpu_utilization_stddev = sim.CpuUtilizationStddev();
   f.fleet_conflict_fraction = sim.FleetConflictFraction();
-  f.window_parallelism = sim.fed_options().window_parallelism;
-  f.windowed = sim.windowed_active();
-  f.windows = sim.WindowCount();
-  f.mean_window_width_secs = sim.MeanWindowWidthSecs();
-  f.barrier_stall_fraction = sim.BarrierStallFraction();
   f.routed_per_cell = m.routed_per_cell;
 
   report.cells.reserve(sim.num_cells());

@@ -46,17 +46,6 @@ struct FederationFleetReport {
   double cpu_utilization_stddev = 0.0;
   double fleet_conflict_fraction = 0.0;
 
-  // Windowed execution (DESIGN.md §15). `window_parallelism` echoes the
-  // option; `windowed` says whether it actually engaged (unsupported
-  // configurations fall back to the shared queue). The remaining fields are
-  // wall-clock/engagement diagnostics, never simulation results — they vary
-  // run to run while every field above stays bit-identical.
-  uint32_t window_parallelism = 0;
-  bool windowed = false;
-  int64_t windows = 0;
-  double mean_window_width_secs = 0.0;   // simulated seconds per window
-  double barrier_stall_fraction = 0.0;   // wall time outside parallel sections
-
   std::vector<int64_t> routed_per_cell;
 };
 

@@ -29,8 +29,6 @@ ClusterSimulation::ClusterSimulation(const ClusterConfig& config,
   // application in the cell and the shared-end-event lifecycle here.
   cell_.SetBatchedCommit(options.cohort_batching);
   cell_.SetSoAScan(options.soa_cell);
-  cell_.SetIntraTrialParallelism(options.intra_trial_threads);
-  cell_.SetParallelCommitMinClaims(options.parallel_commit_min_claims);
   if (generator_options.generate_constraints) {
     MachineAttributeAssignment assignment;
     assignment.num_attribute_keys = generator_options.num_attribute_keys;
@@ -160,9 +158,7 @@ void ClusterSimulation::PrepareRun() {
 }
 
 void ClusterSimulation::UseSharedSimulator(Simulator* sim) {
-  if (sim == nullptr) {
-    return;  // keep the owned per-cell simulator (windowed federation)
-  }
+  OMEGA_CHECK(sim != nullptr) << "UseSharedSimulator needs a simulator";
   OMEGA_CHECK(owned_sim_ == nullptr || owned_sim_->PendingEvents() == 0)
       << "UseSharedSimulator must be called before any event is scheduled";
   sim_ = sim;

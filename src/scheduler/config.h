@@ -98,20 +98,6 @@ struct SimOptions {
   // the differential tests can compare against the per-Machine reference.
   bool soa_cell = true;
 
-  // Intra-trial parallelism (DESIGN.md §12): worker threads the placement
-  // scans and Commit conflict pre-checks may use inside one trial. 1
-  // (default) keeps every path strictly sequential with no pool; 0 means
-  // hardware concurrency; >1 spawns that many lanes. Every emitted metric,
-  // seqnum, and trace byte is bit-identical at any value by construction
-  // (deterministic ordered reductions) — the knob only changes wall-clock.
-  uint32_t intra_trial_threads = 1;
-
-  // Transactions with fewer claims than this pre-check sequentially even
-  // when intra_trial_threads > 1 (a pool dispatch costs microseconds; small
-  // transactions are cheaper inline). Both branches produce bitwise-identical
-  // verdicts; differential tests lower this to force the parallel branch.
-  size_t parallel_commit_min_claims = 256;
-
   // Machine failure injection. The paper's simulators do not model machine
   // failures ("these only generate a small load on the scheduler"); this
   // lifts that simplification. Expected failures per machine per day; 0

@@ -53,67 +53,7 @@ uint32_t RandomizedFirstFitPlacer::PlaceTasks(const CellState& cell, const Job& 
     // the request are skipped — their machines would all fail CanFit, so the
     // first machine accepted (and hence the placement) is unchanged. The scan
     // wraps at most once, so a block is re-summarized at most twice.
-    if (chosen == kInvalidMachineId && cell.soa_scan() &&
-        respect_constraints_ && cell.intra_trial_pool() != nullptr) {
-      // Sharded SoA sweep (DESIGN.md §12), engaged only under constraints:
-      // without them the sequential branch below touches O(summary consults
-      // + 1 hit) machines — the two-level pruning already removed the linear
-      // scan, so a pool dispatch can only add latency (measured ~16% on the
-      // mega-cell sweep). With constraints, raw-fit hits that fail the
-      // constraint re-check make the scan genuinely long, and sharding pays.
-      // This is the same wrapped scan as the
-      // sequential SoA branch below — one RNG draw for the start offset, the
-      // segment [start, n) then the segment [0, start) — but each segment's
-      // first full-predicate match is found by a deterministic FirstMatch
-      // reduction over contiguous shards. The per-index predicate (raw fit,
-      // constraints, pending re-check) reads only shared state, so shards
-      // evaluate concurrently; the ordered merge returns the lowest matching
-      // index, which is exactly the machine the sequential sweep would
-      // accept first. Summaries are refreshed up front on this thread so
-      // workers scan with full pruning without writing anything.
-      const auto start = static_cast<uint32_t>(rng.NextBounded(num_machines));
-      cell.RefreshSummaries();
-      WorkerPool* pool = cell.intra_trial_pool();
-      auto scan_idx = [&](uint32_t idx_begin, uint32_t idx_end) -> size_t {
-        // Lowest range-relative index in [idx_begin, idx_end) — an ascending
-        // machine-id span — passing the full placement predicate.
-        MachineId from = range_.Nth(idx_begin);
-        const MachineId to = range_.Nth(idx_end);
-        while (from < to) {
-          const MachineId hit =
-              cell.FindFirstFitNoRefresh(from, to, job.task_resources);
-          if (hit == kInvalidMachineId) {
-            return kReduceNotFound;
-          }
-          if ((!respect_constraints_ ||
-               MachineSatisfiesConstraints(cell.machine(hit), job)) &&
-              cell.CanFitWithPending(hit, job.task_resources,
-                                     pending.On(hit))) {
-            return static_cast<size_t>(hit - range_.Nth(0));
-          }
-          from = hit + 1;
-        }
-        return kReduceNotFound;
-      };
-      auto sweep = [&](uint32_t seg_begin, uint32_t seg_end) -> size_t {
-        const size_t seg_n = seg_end - seg_begin;
-        if (seg_n == 0) {
-          return kReduceNotFound;
-        }
-        const size_t grain = ReduceGrain(seg_n, pool->concurrency());
-        return reducer_.FirstMatch(pool, seg_n, grain, [&](size_t b, size_t e) {
-          return scan_idx(seg_begin + static_cast<uint32_t>(b),
-                          seg_begin + static_cast<uint32_t>(e));
-        });
-      };
-      size_t idx = sweep(start, num_machines);
-      if (idx == kReduceNotFound) {
-        idx = sweep(0, start);
-      }
-      if (idx != kReduceNotFound) {
-        chosen = range_.Nth(static_cast<uint32_t>(idx));
-      }
-    } else if (chosen == kInvalidMachineId && cell.soa_scan()) {
+    if (chosen == kInvalidMachineId && cell.soa_scan()) {
       // SoA sweep: FindFirstFit walks the contiguous per-resource arrays
       // (with two-level summary pruning) and returns the first machine whose
       // raw allocation fits. Machines it skips fail CanFit outright, so they

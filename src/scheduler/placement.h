@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "src/cluster/cell_state.h"
-#include "src/common/deterministic_reduce.h"
 #include "src/common/random.h"
 #include "src/workload/job.h"
 
@@ -95,8 +94,6 @@ class PendingClaims {
 // attribute ids): the same scratch pattern as PendingClaims, replacing a
 // hot-path unordered_set with an array probe. Reset() is O(1); the arrays
 // grow on demand; negative keys are never stored and never contained.
-// Contains() is const and touches no mutable state, so concurrent reads from
-// pool workers are safe.
 class EpochFlagSet {
  public:
   void Reset() {
@@ -149,9 +146,6 @@ class RandomizedFirstFitPlacer final : public TaskPlacer {
   bool respect_constraints_;
   MachineRange range_;
   PendingClaims pending_scratch_;
-  // Sharded phase-2 sweep scratch, engaged when the cell carries an
-  // intra-trial worker pool (DESIGN.md §12).
-  DeterministicReducer reducer_;
 };
 
 }  // namespace omega

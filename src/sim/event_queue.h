@@ -2,13 +2,13 @@
 // in-place cancellation.
 //
 // Ties on the timestamp are broken by (lane, insertion order), which makes
-// simulation runs fully deterministic. Lanes exist for the windowed
-// federation mode (DESIGN.md §15): the shared-queue federation tags each
-// cell's events with a distinct lane so that same-microsecond events from
-// different logical streams order by stream, not by global push order — the
-// one total order a barrier-synchronized parallel execution can reproduce
-// exactly. Single-stream users never set a lane; all their events share lane
-// 0 and the order degenerates to the classic (time, insertion order).
+// simulation runs fully deterministic. Lanes fix the tie order of the
+// shared-queue federation (DESIGN.md §13): it tags each cell's events with a
+// distinct lane so that same-microsecond events from different logical
+// streams order by stream, not by global push order. The fig_federation
+// golden depends on that order. Single-stream users never set a lane; all
+// their events share lane 0 and the order degenerates to the classic (time,
+// insertion order).
 #pragma once
 
 #include <cstdint>

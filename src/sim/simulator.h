@@ -44,30 +44,12 @@ class Simulator {
   // exactly `end` are executed. Returns the number of events processed.
   int64_t RunUntil(SimTime end);
 
-  // Runs events strictly before `end`: events at exactly `end` stay pending
-  // and the clock is left at the last executed event (it does NOT advance to
-  // `end`). The windowed federation uses this to stop each cell at an open
-  // window boundary.
-  int64_t RunUntilBefore(SimTime end);
-
   // Runs until no events remain.
   int64_t Run() { return RunUntil(SimTime::Max()); }
-
-  // Time of the earliest pending event, or SimTime::Max() when idle.
-  SimTime NextEventTime() const {
-    return queue_.Empty() ? SimTime::Max() : queue_.PeekTime();
-  }
-
-  // Moves the clock forward to `t` without running anything. Requires
-  // t >= Now() and no pending event before `t` (jumping over events would
-  // break causality).
-  void AdvanceTo(SimTime t);
 
   size_t PendingEvents() const { return queue_.PendingCount(); }
 
  private:
-  int64_t RunLoop(SimTime end, bool inclusive);
-
   SimTime now_ = SimTime::Zero();
   uint32_t lane_ = 0;
   EventQueue queue_;

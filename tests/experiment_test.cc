@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <sstream>
 
 namespace omega {
@@ -73,9 +74,49 @@ TEST(PrintCdfTest, EmptyCdf) {
 TEST(BenchHorizonTest, DefaultAndOverride) {
   unsetenv("OMEGA_BENCH_DAYS");
   EXPECT_EQ(BenchHorizon(2.0), Duration::FromDays(2.0));
+  setenv("OMEGA_BENCH_DAYS", "", 1);  // empty means unset
+  EXPECT_EQ(BenchHorizon(2.0), Duration::FromDays(2.0));
   setenv("OMEGA_BENCH_DAYS", "0.5", 1);
   EXPECT_EQ(BenchHorizon(2.0), Duration::FromDays(0.5));
   unsetenv("OMEGA_BENCH_DAYS");
+}
+
+TEST(BenchThreadsTest, DefaultAndOverride) {
+  unsetenv("OMEGA_BENCH_THREADS");
+  EXPECT_EQ(BenchThreads(), 0u);
+  setenv("OMEGA_BENCH_THREADS", "", 1);
+  EXPECT_EQ(BenchThreads(), 0u);
+  setenv("OMEGA_BENCH_THREADS", "4", 1);
+  EXPECT_EQ(BenchThreads(), 4u);
+  setenv("OMEGA_BENCH_THREADS", "0", 1);  // hardware concurrency
+  EXPECT_EQ(BenchThreads(), 0u);
+  unsetenv("OMEGA_BENCH_THREADS");
+}
+
+// A value that does not parse completely must fail loudly, naming the
+// variable, instead of silently running the default.
+TEST(BenchHorizonDeathTest, MalformedDaysAbort) {
+  for (const char* bad : {"0.5d", "abc", "-1", "0", "inf", "1e999"}) {
+    SCOPED_TRACE(bad);
+    EXPECT_DEATH(
+        {
+          setenv("OMEGA_BENCH_DAYS", bad, 1);
+          BenchHorizon(2.0);
+        },
+        "OMEGA_BENCH_DAYS");
+  }
+}
+
+TEST(BenchHorizonDeathTest, MalformedThreadsAbort) {
+  for (const char* bad : {"four", "4x", "-1", "2.5"}) {
+    SCOPED_TRACE(bad);
+    EXPECT_DEATH(
+        {
+          setenv("OMEGA_BENCH_THREADS", bad, 1);
+          BenchThreads();
+        },
+        "OMEGA_BENCH_THREADS");
+  }
 }
 
 }  // namespace

@@ -117,6 +117,13 @@ TEST(HarnessTest, RegistryTracksRunningTasks) {
   EXPECT_GT(sim.task_registry().NumRunning(), 0u);
 }
 
+// A simulation either keeps its own queue or runs on a shared one; a null
+// shared simulator is a caller bug, not a request to keep the owned queue.
+TEST(HarnessDeathTest, UseSharedSimulatorRejectsNull) {
+  RecordingSimulation sim(TestCluster(8), Opts(0.001, 8));
+  EXPECT_DEATH(sim.UseSharedSimulator(nullptr), "needs a simulator");
+}
+
 // Accounting identity across architectures and seeds: every submitted job is
 // scheduled, abandoned, queued, or in flight — never lost.
 class AccountingPropertyTest : public ::testing::TestWithParam<uint64_t> {};

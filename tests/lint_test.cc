@@ -226,22 +226,12 @@ TEST(LintShardSafety, CallGraphEdgeCases) {
   // Virtual dispatch: Base* -> Derived::Apply's member write.
   EXPECT_TRUE(HasFindingAt(findings, "det-shard-unsafe-write",
                            "src/edges.cc", 20));
-  // WorkerPool::Run callbacks are shard roots like ParallelFor's.
+  // ParallelForRanges callbacks are shard roots like ParallelFor's.
   EXPECT_TRUE(HasFindingAt(findings, "det-shard-unsafe-write",
                            "src/edges.cc", 43));
   // Recursion (CountDown) terminates the worklist and stays clean: the only
   // edges.cc findings are the three pinned above.
   EXPECT_EQ(CountFile(findings, "src/edges.cc"), 3);
-}
-
-TEST(LintShardSafety, DisjointTreeCallbacksOwnTheirObjects) {
-  const auto findings = RunOn("shard");
-  // disjoint.cc: RunDisjoint callbacks are seeded per-tree, so writes
-  // through the captured per-index objects (direct or via a reached method)
-  // are clean; a global write inside the callback still flags.
-  EXPECT_EQ(CountFile(findings, "src/disjoint.cc"), 1);
-  EXPECT_TRUE(HasFindingAt(findings, "det-shard-unsafe-write",
-                           "src/disjoint.cc", 24));  // disjoint_global +=
 }
 
 TEST(LintShardSafety, ShardSlotsFrameLocalsAndPerTrialObjectsAreClean) {

@@ -292,6 +292,65 @@ TEST(SimulatorTest, EventsScheduledDuringRunExecuteInOrder) {
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
+// Lanes fix the tie order of same-time events: lower lanes fire first, and
+// insertion order only breaks ties within a lane. Events pushed on lane 2
+// before lane 1 and lane 0 still fire lane 0, lane 1, lane 2.
+TEST(SimulatorLaneTest, SameTimeEventsFireByLaneBeforeInsertionOrder) {
+  Simulator sim;
+  std::vector<int> order;
+  const uint32_t lanes[] = {2, 1, 0, 2, 1};
+  for (int i = 0; i < 5; ++i) {
+    sim.SetLane(lanes[i]);
+    sim.ScheduleAt(SimTime(10), [&order, i] { order.push_back(i); });
+  }
+  sim.SetLane(0);
+  sim.Run();
+  // Lane 0 (push 2), then lane 1 (pushes 1, 4), then lane 2 (pushes 0, 3).
+  EXPECT_EQ(order, (std::vector<int>{2, 1, 4, 0, 3}));
+}
+
+// While an event runs, the ambient lane is the event's lane, so everything it
+// schedules inherits its stream; the caller's ambient lane is restored when
+// RunUntil returns.
+TEST(SimulatorLaneTest, FollowUpsInheritTheFiringEventsLane) {
+  Simulator sim;
+  std::vector<int> order;
+  std::vector<uint32_t> lanes_seen;
+  sim.SetLane(3);
+  sim.ScheduleAt(SimTime(5), [&] {
+    lanes_seen.push_back(sim.lane());
+    // Pushed first, but inherits lane 3: fires after the lane-1 event below.
+    sim.ScheduleAt(SimTime(20), [&] {
+      lanes_seen.push_back(sim.lane());
+      order.push_back(3);
+    });
+  });
+  sim.SetLane(1);
+  sim.ScheduleAt(SimTime(6), [&] {
+    sim.ScheduleAt(SimTime(20), [&] { order.push_back(1); });
+  });
+  sim.SetLane(7);
+  sim.Run();
+  EXPECT_EQ(order, (std::vector<int>{1, 3}));
+  EXPECT_EQ(lanes_seen, (std::vector<uint32_t>{3, 3}));
+  EXPECT_EQ(sim.lane(), 7u);
+}
+
+TEST(SimulatorLaneTest, ScopedLaneRestoresThePreviousLane) {
+  Simulator sim;
+  sim.SetLane(4);
+  {
+    ScopedLane outer(sim, 1);
+    EXPECT_EQ(sim.lane(), 1u);
+    {
+      ScopedLane inner(sim, 9);
+      EXPECT_EQ(sim.lane(), 9u);
+    }
+    EXPECT_EQ(sim.lane(), 1u);
+  }
+  EXPECT_EQ(sim.lane(), 4u);
+}
+
 TEST(SimulatorDeathTest, SchedulingIntoThePastAborts) {
   Simulator sim;
   sim.ScheduleAt(SimTime::FromSeconds(10), [&] {

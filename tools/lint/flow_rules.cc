@@ -340,8 +340,8 @@ void Linter::ScanShardFunction(const ShardState& state,
                "det-shard-unsafe-write",
                what + " in code reachable from a shard callback: " + why +
                    "; shard code must only write per-shard state (use a "
-                   "ShardSlots view for disjoint per-index output, or merge "
-                   "through DeterministicReducer — DESIGN.md §14)");
+                   "ShardSlots view for disjoint per-index output and merge "
+                   "after the parallel section — DESIGN.md §14)");
   };
   auto classify_write = [&](size_t chain_end, size_t op_idx) {
     bool designated = false;
@@ -428,18 +428,13 @@ void Linter::ScanShardFunction(const ShardState& state,
   // Calls: RNG draws are findings; resolvable callees extend reachability.
   for (const CallSite& call : fn.calls) {
     // Shard-API calls are handled by root collection (their callbacks become
-    // roots); resolving `pool_->Run(...)` as an ordinary call would widen,
-    // via the bare-name fallback, to every `Run` method in the project.
-    if (Contains(config_.shard_api_names, call.callee) ||
-        Contains(config_.disjoint_api_names, call.callee) ||
-        (call.callee == config_.pool_run_name &&
-         Lower(call.receiver_root).find(config_.pool_receiver_hint) !=
-             std::string::npos)) {
+    // roots).
+    if (Contains(config_.shard_api_names, call.callee)) {
       continue;
     }
     const std::vector<int> targets = model_.Resolve(fn, call);
     // det-rng-substream: any draw inside shard-parallel code is layout-
-    // dependent (ReduceGrain splits by worker count).
+    // dependent (chunks are claimed by whichever worker is free).
     if (Contains(config_.rng_draw_methods, call.callee)) {
       bool is_rng = call.receiver_type == config_.rng_type_name ||
                     Lower(call.receiver_root).find("rng") !=
@@ -514,30 +509,16 @@ void Linter::CheckShardSafety() {
       continue;
     }
     for (const CallSite& call : fn.calls) {
-      // Disjoint-tree barriers (RunDisjoint): callbacks run on workers, so
-      // they are shard roots, but each invocation owns its index's object
-      // tree — seed them per-tree (self_shared = false) so mutating the
-      // captured per-index objects is legal while globals still flag.
-      const bool disjoint_api =
-          Contains(config_.disjoint_api_names, call.callee);
-      bool shard_api =
-          disjoint_api || Contains(config_.shard_api_names, call.callee);
-      if (!shard_api && call.callee == config_.pool_run_name) {
-        shard_api = Lower(call.receiver_root)
-                        .find(config_.pool_receiver_hint) !=
-                    std::string::npos;
-      }
-      if (!shard_api) {
+      if (!Contains(config_.shard_api_names, call.callee)) {
         continue;
       }
-      const bool self_shared = !disjoint_api;
       for (int id : call.lambda_args) {
-        work.push_back({id, self_shared, id});
+        work.push_back({id, /*self_shared=*/true, id});
       }
       for (const std::string& arg : call.ident_args) {
         const int id = FindNamedLambda(fn, arg);
         if (id >= 0) {
-          work.push_back({id, self_shared, id});
+          work.push_back({id, /*self_shared=*/true, id});
         }
       }
     }

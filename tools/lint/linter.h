@@ -31,12 +31,11 @@
 // v2 flow-aware rules, built on the whole-project call-graph model
 // (tools/lint/model.h, DESIGN.md §14):
 //   det-shard-unsafe-write   a function transitively reachable from a
-//                            WorkerPool / DeterministicReducer::{FirstMatch,
-//                            ArgBest} / ParallelFor(Ranges) shard callback
-//                            writes a member field, a global, or a
-//                            by-reference capture of a frame outside the
-//                            shard, except through an allowlisted per-shard
-//                            scratch type (ShardSlots)
+//                            ParallelFor(Ranges) shard callback writes a
+//                            member field, a global, or a by-reference
+//                            capture of a frame outside the shard, except
+//                            through an allowlisted per-shard scratch type
+//                            (ShardSlots)
 //   det-rng-substream        fresh RNG engine construction/seeding outside
 //                            src/common/random, or any RNG draw inside
 //                            shard-parallel code (shard layout depends on
@@ -109,8 +108,8 @@ struct Config {
   // (std::thread, std::mutex, std::atomic, ...) in scheduler/placement logic
   // can order results by thread timing, breaking the bit-identical-at-any-
   // thread-count guarantee; all parallelism must go through the sanctioned
-  // wrappers — ParallelFor / WorkerPool / DeterministicReducer — which live
-  // under the exempt prefixes below (DESIGN.md §12). Tests may use
+  // wrappers — ParallelFor / ParallelForRanges — which live under the
+  // exempt prefixes below (DESIGN.md §12). Tests may use
   // primitives directly; bench/tool code needs an inline allow() with a
   // justification.
   std::vector<std::string> parallel_scope = {"src/", "bench/", "tools/"};
@@ -123,22 +122,10 @@ struct Config {
 
   // Call names whose lambda (or named-lambda) arguments run as shard
   // callbacks on worker threads.
-  std::vector<std::string> shard_api_names = {"FirstMatch", "ArgBest",
-                                              "ParallelForRanges",
+  std::vector<std::string> shard_api_names = {"ParallelForRanges",
                                               "ParallelFor"};
-  // Barrier primitives whose callbacks run concurrently but each own a
-  // disjoint object tree (RunDisjoint(pool, n, fn): fn(i) may freely mutate
-  // the i-th tree — the windowed federation advancing per-cell simulators,
-  // DESIGN.md §15). Their callbacks are seeded with a *per-tree* context
-  // (self_shared = false), so writes through captured objects are legal
-  // while writes to globals or into an enclosing shared root still flag.
-  std::vector<std::string> disjoint_api_names = {"RunDisjoint"};
-  // `Run` is a shard API only when the receiver looks like a worker pool
-  // (WorkerPool::Run), so Simulator::Run is not a false root.
-  std::string pool_run_name = "Run";
-  std::string pool_receiver_hint = "pool";
   // Types through which per-shard writes are sanctioned: a ShardSlots view
-  // asserts disjoint per-index slots (src/common/deterministic_reduce.h).
+  // asserts disjoint per-index slots (src/common/parallel_for.h).
   std::vector<std::string> shard_scratch_types = {"ShardSlots"};
   // std:: container methods that mutate the receiver; calling one on a
   // shared receiver from shard-reachable code is a write.
