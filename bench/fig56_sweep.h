@@ -33,14 +33,10 @@ struct SweepResult {
 };
 
 // `tjob_points` sets the t_job grid resolution (7 reproduces the figures; the
-// determinism test uses a coarser grid to stay fast). `base_options` seeds
-// every trial's SimOptions (horizon and seed are overwritten per trial) — the
-// SoA differential test uses it to re-run the grid with soa_cell off.
+// determinism test uses a coarser grid to stay fast).
 inline std::vector<SweepResult> RunFig56Sweep(const Duration horizon,
                                               SweepRunner& runner,
-                                              int tjob_points = 7,
-                                              const SimOptions& base_options =
-                                                  SimOptions{}) {
+                                              int tjob_points = 7) {
   struct Point {
     const char* arch;
     const char* cluster;
@@ -58,7 +54,7 @@ inline std::vector<SweepResult> RunFig56Sweep(const Duration horizon,
   std::vector<SweepResult> results =
       runner.Run(points.size(), [&](const TrialContext& ctx) {
     const Point& p = points[ctx.index];
-    SimOptions opts = base_options;
+    SimOptions opts;
     opts.horizon = horizon;
     opts.seed = ctx.seed;
     const ClusterConfig cfg = ClusterByName(p.cluster);

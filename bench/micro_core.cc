@@ -288,20 +288,17 @@ void BM_PlacerAtUtilization(benchmark::State& state) {
 }
 BENCHMARK(BM_PlacerAtUtilization)->Arg(50)->Arg(85)->Arg(95)->Arg(99)->Arg(100);
 
-// SoA vs. AoS no-fit scan at mega-cell scale (100k machines). With
-// max_random_probes=0 every placement goes straight to the phase-2 linear
-// fallback, so this isolates the scan itself: the SoA path sweeps the
-// contiguous per-resource arrays (two-level summary pruning + 8-wide chunked
-// fit kernel, DESIGN.md §11), the AoS path walks Machine structs with
-// per-block pruning only. Decisions are identical; only the walk differs.
-// Arg is the percent of machines that cannot fit the probe task: the first
-// Arg% of the cell is packed solid and the rest left empty, so every scan
-// must sweep past a controlled no-fit span before its first fit (at 100,
-// every scan is a full-cell proof that no fit exists).
-void NoFitScanBenchmark(benchmark::State& state, bool soa) {
+// No-fit scan at mega-cell scale (100k machines). With max_random_probes=0
+// every placement goes straight to the phase-2 linear fallback, so this
+// isolates the scan itself: the SoA sweep over the contiguous per-resource
+// arrays (two-level summary pruning + 8-wide chunked fit kernel, DESIGN.md
+// §11). Arg is the percent of machines that cannot fit the probe task: the
+// first Arg% of the cell is packed solid and the rest left empty, so every
+// scan must sweep past a controlled no-fit span before its first fit (at
+// 100, every scan is a full-cell proof that no fit exists).
+void BM_NoFitScanSoA(benchmark::State& state) {
   constexpr uint32_t kMachines = 100000;
   CellState cell(kMachines, kMachine);
-  cell.SetSoAScan(soa);
   const auto saturated =
       static_cast<uint32_t>(state.range(0)) * (kMachines / 100);
   for (MachineId m = 0; m < saturated; ++m) {
@@ -329,15 +326,7 @@ void NoFitScanBenchmark(benchmark::State& state, bool soa) {
   state.SetItemsProcessed(state.iterations() * 10);
 }
 
-void BM_NoFitScanSoA(benchmark::State& state) {
-  NoFitScanBenchmark(state, /*soa=*/true);
-}
 BENCHMARK(BM_NoFitScanSoA)->Arg(50)->Arg(85)->Arg(95)->Arg(99)->Arg(100);
-
-void BM_NoFitScanAoS(benchmark::State& state) {
-  NoFitScanBenchmark(state, /*soa=*/false);
-}
-BENCHMARK(BM_NoFitScanAoS)->Arg(50)->Arg(85)->Arg(95)->Arg(99)->Arg(100);
 
 // Parallel-for dispatch overhead: per-index (one type-erased call per
 // element) vs. chunked ranges (one call per grain-sized chunk). The body is
@@ -395,17 +384,16 @@ void FillToUtilization(CellState& cell, int64_t percent, uint64_t seed,
   }
 }
 
-// Commit with per-machine claim grouping (cohort batching) vs. the per-claim
-// reference path, on a transaction whose claims stack several tasks onto each
-// machine — the shape StartTasks produces for multi-task jobs. Grouping does
-// one seqnum/block-summary update per machine instead of per claim; results
-// are bit-identical (DESIGN.md §10). Arg is percent CPU utilization.
-void CommitGroupingBenchmark(benchmark::State& state, bool grouped) {
+// Commit with per-machine claim grouping (cohort batching) on a transaction
+// whose claims stack several tasks onto each machine — the shape StartTasks
+// produces for multi-task jobs. Grouping does one seqnum/block-summary update
+// per machine instead of per claim; results are bit-identical to per-claim
+// application (DESIGN.md §10). Arg is percent CPU utilization.
+void BM_CommitGrouped(benchmark::State& state) {
   constexpr uint32_t kMachines = 10000;
   constexpr int kTasksPerMachine = 4;
   constexpr int kMachinesPerTxn = 4;
   CellState cell(kMachines, kMachine);
-  cell.SetBatchedCommit(grouped);
   FillToUtilization(cell, state.range(0), 11, kMachinesPerTxn);
   std::vector<TaskClaim> claims;
   for (auto _ : state) {
@@ -431,15 +419,7 @@ void CommitGroupingBenchmark(benchmark::State& state, bool grouped) {
   state.SetItemsProcessed(state.iterations() * claims.size());
 }
 
-void BM_CommitGrouped(benchmark::State& state) {
-  CommitGroupingBenchmark(state, /*grouped=*/true);
-}
 BENCHMARK(BM_CommitGrouped)->Arg(50)->Arg(85)->Arg(95)->Arg(99);
-
-void BM_CommitPerClaim(benchmark::State& state) {
-  CommitGroupingBenchmark(state, /*grouped=*/false);
-}
-BENCHMARK(BM_CommitPerClaim)->Arg(50)->Arg(85)->Arg(95)->Arg(99);
 
 // Cohort end-of-life free — one FreeBatch per machine — vs. the per-task
 // free loop it replaces. Arg is percent CPU utilization of the cell; the

@@ -123,7 +123,10 @@ class CellState {
   // Atomically commits a set of claims placed against an earlier snapshot.
   // Accepted claims are allocated; conflicting claims (per `conflict_mode`,
   // `commit_mode`) are reported in `rejected` if non-null. Claims within one
-  // transaction never conflict with each other on sequence numbers.
+  // transaction never conflict with each other on sequence numbers. On a cell
+  // without the availability index, a transaction of identical claims is
+  // applied with one AllocateBatch per machine, bit-identical to per-claim
+  // application (DESIGN.md §10).
   CommitResult Commit(std::span<const TaskClaim> claims, ConflictMode conflict_mode,
                       CommitMode commit_mode,
                       std::vector<TaskClaim>* rejected = nullptr);
@@ -137,15 +140,6 @@ class CellState {
   void SetCommitObserver(CommitObserver observer) {
     commit_observer_ = std::move(observer);
   }
-
-  // When enabled (the default), Commit applies accepted claims grouped per
-  // machine — one AllocateBatch per distinct machine — whenever every claim
-  // in the transaction carries identical resources (the §2.1 cohort property
-  // the workload model guarantees) and no availability index is attached.
-  // Bit-identical to the per-claim path (DESIGN.md §10); the toggle exists so
-  // tests can compare the grouped path against the per-claim reference.
-  void SetBatchedCommit(bool on) { batched_commit_ = on; }
-  bool batched_commit() const { return batched_commit_; }
 
   Resources TotalCapacity() const { return total_capacity_; }
   Resources TotalAllocated() const { return total_allocated_; }
@@ -232,9 +226,10 @@ class CellState {
   // The per-machine allocation and fit-limit values are mirrored into
   // contiguous double arrays so the no-fit scans that dominate near-full
   // placement become branch-light linear sweeps over packed doubles (the
-  // vector bin-packing layout). The mirrors are maintained unconditionally —
-  // every mutation writes the machine's allocated components through — and
-  // are bitwise-equal to the Machine structs by construction.
+  // vector bin-packing layout). Every mutation writes the machine's allocated
+  // components through, so the mirrors are bitwise-equal to the Machine
+  // structs by construction; tests/reference_cell.h states the same scan as a
+  // plain per-machine loop.
 
   // First machine id in [begin, end) whose current allocation can fit
   // `request` under the fullness policy, ignoring pending claims and
@@ -246,14 +241,6 @@ class CellState {
   // a pre-filter changes no placement decision.
   MachineId FindFirstFit(MachineId begin, MachineId end,
                          const Resources& request) const;
-
-  // Gates whether placers use the SoA sweep (FindFirstFit) or the original
-  // per-Machine scan for their linear fallbacks. Decisions are identical
-  // either way by construction (SimOptions::soa_cell, DESIGN.md §11); the
-  // toggle exists so differential tests can compare the two paths. The SoA
-  // mirrors themselves are always maintained.
-  void SetSoAScan(bool on) { soa_scan_ = on; }
-  bool soa_scan() const { return soa_scan_; }
 
   // --- availability index ---
   //
@@ -331,7 +318,6 @@ class CellState {
   std::vector<double> soa_alloc_mem_;
   std::vector<double> soa_fit_cpu_;
   std::vector<double> soa_fit_mem_;
-  bool soa_scan_ = true;
 
   // Per-block componentwise maximum of UsableAvail over the block's machines
   // (always maintained; one entry per kBlockSize machines), split into
@@ -346,7 +332,6 @@ class CellState {
   mutable std::vector<uint8_t> super_dirty_;
 
   CommitObserver commit_observer_;
-  bool batched_commit_ = true;
   // Commit scratch, reused across transactions: the per-machine grouping
   // list, the per-claim accept flags, and the pending same-transaction sums
   // as a dense epoch-stamped per-machine array (an array read per claim

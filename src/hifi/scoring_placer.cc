@@ -2,17 +2,19 @@
 
 #include <algorithm>
 
+#include "src/common/logging.h"
+
 namespace omega {
 
 ScoringPlacer::ScoringPlacer(ScoringPlacerOptions options) : options_(options) {}
 
 uint32_t ScoringPlacer::PlaceTasks(const CellState& cell, const Job& job,
-                                   uint32_t count, Rng& rng,
+                                   uint32_t count, Rng& /*rng*/,
                                    std::vector<TaskClaim>* claims) {
-  const uint32_t num_machines = cell.NumMachines();
-  if (num_machines == 0 || count == 0) {
-    return 0;
-  }
+  OMEGA_CHECK(cell.HasAvailabilityIndex())
+      << "ScoringPlacer needs the cell's availability index: call "
+         "CellState::EnableAvailabilityIndex() before placing (as "
+         "MakeHifiSimulation does)";
   PendingClaims& pending = pending_scratch_;
   pending.Reset(cell.NumMachines());
   EpochFlagSet& domains_used = domains_scratch_;
@@ -23,10 +25,9 @@ uint32_t ScoringPlacer::PlaceTasks(const CellState& cell, const Job& job,
     MachineId best = kInvalidMachineId;
     double best_score = -1.0;
 
-    // Sample candidates; fall back to a full scan if sampling finds nothing
-    // (constrained jobs on a nearly full cell). consider() scores one
-    // candidate and keeps it if it beats the running best; it returns false
-    // (touching nothing) when the machine is infeasible.
+    // consider() scores one candidate and keeps it if it beats the running
+    // best; it returns false (touching nothing) when the machine is
+    // infeasible.
     auto consider = [&](MachineId m) -> bool {
       const Machine& machine = cell.machine(m);
       if (!MachineSatisfiesConstraints(machine, job)) {
@@ -56,66 +57,27 @@ uint32_t ScoringPlacer::PlaceTasks(const CellState& cell, const Job& job,
       return true;
     };
 
-    if (cell.HasAvailabilityIndex()) {
-      // Global best-fit via the availability index: visit machines from the
-      // tightest feasible bucket upward; the first feasible candidates are the
-      // globally best-packing choices, which is exactly why careful placement
-      // algorithms concentrate onto the same machines and conflict (§5).
-      uint32_t feasible = 0;
-      uint32_t visited = 0;
-      const uint32_t max_feasible = std::max(1u, options_.candidate_sample / 8);
-      const uint32_t max_visited = options_.candidate_sample * 4;
-      cell.VisitByAvailability(job.task_resources, [&](MachineId m) {
-        ++visited;
-        if (consider(m)) {
-          ++feasible;
-        }
-        if (feasible >= max_feasible) {
-          return false;  // enough tight candidates scored
-        }
-        // Past the visit budget, keep walking only until something feasible
-        // turns up (memory-bound or constrained tasks may need to reach
-        // looser buckets); a full walk happens only when nothing fits at all.
-        return feasible == 0 || visited < max_visited;
-      });
-    } else {
-      const uint32_t samples = std::min(options_.candidate_sample, num_machines);
-      for (uint32_t i = 0; i < samples; ++i) {
-        consider(static_cast<MachineId>(rng.NextBounded(num_machines)));
+    // Global best-fit via the availability index: visit machines from the
+    // tightest feasible bucket upward; the first feasible candidates are the
+    // globally best-packing choices, which is exactly why careful placement
+    // algorithms concentrate onto the same machines and conflict (§5).
+    uint32_t feasible = 0;
+    uint32_t visited = 0;
+    const uint32_t max_feasible = std::max(1u, options_.candidate_sample / 8);
+    const uint32_t max_visited = options_.candidate_sample * 4;
+    cell.VisitByAvailability(job.task_resources, [&](MachineId m) {
+      ++visited;
+      if (consider(m)) {
+        ++feasible;
       }
-      if (best == kInvalidMachineId) {
-        const auto start = static_cast<MachineId>(rng.NextBounded(num_machines));
-        if (cell.soa_scan()) {
-          // The reference loop below stops at the first machine consider()
-          // scores (its loop condition), so this is a first-fit search: sweep
-          // each ascending segment with the SoA core, re-checking candidates
-          // with consider() (constraints + pending). Machines the sweep skips
-          // fail CanFit outright, and consider() is side-effect-free on them,
-          // so the chosen machine — and the absence of RNG draws — match the
-          // reference exactly.
-          auto sweep = [&](MachineId from, MachineId to) {
-            while (from < to && best == kInvalidMachineId) {
-              const MachineId hit =
-                  cell.FindFirstFit(from, to, job.task_resources);
-              if (hit == kInvalidMachineId) {
-                return;
-              }
-              consider(hit);
-              from = hit + 1;
-            }
-          };
-          sweep(start, num_machines);
-          if (best == kInvalidMachineId) {
-            sweep(0, start);
-          }
-        } else {
-          for (uint32_t i = 0; i < num_machines && best == kInvalidMachineId;
-               ++i) {
-            consider((start + i) % num_machines);
-          }
-        }
+      if (feasible >= max_feasible) {
+        return false;  // enough tight candidates scored
       }
-    }
+      // Past the visit budget, keep walking only until something feasible
+      // turns up (memory-bound or constrained tasks may need to reach
+      // looser buckets); a full walk happens only when nothing fits at all.
+      return feasible == 0 || visited < max_visited;
+    });
     if (best == kInvalidMachineId) {
       break;
     }

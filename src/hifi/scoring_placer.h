@@ -17,8 +17,9 @@
 namespace omega {
 
 struct ScoringPlacerOptions {
-  // Number of candidate machines examined per task (power-of-k-choices
-  // sampling keeps placement cost bounded on large cells).
+  // Bounds the availability-index walk per task (keeping placement cost
+  // bounded on large cells): it stops after candidate_sample / 8 feasible
+  // machines, or after 4 * candidate_sample visits once one is feasible.
   uint32_t candidate_sample = 64;
   // Weight of the best-fit packing term (prefer fuller machines).
   double best_fit_weight = 1.0;
@@ -27,6 +28,8 @@ struct ScoringPlacerOptions {
   double spreading_weight = 0.25;
 };
 
+// Requires the cell's availability index (CellState::EnableAvailabilityIndex);
+// PlaceTasks CHECK-fails without it.
 class ScoringPlacer final : public TaskPlacer {
  public:
   explicit ScoringPlacer(ScoringPlacerOptions options = {});

@@ -25,10 +25,6 @@ ClusterSimulation::ClusterSimulation(const ClusterConfig& config,
                  }(),
                  options.seed),
       rng_(options.seed ^ 0xabcdef1234567890ULL) {
-  // One flag drives both halves of cohort batching: grouped commit
-  // application in the cell and the shared-end-event lifecycle here.
-  cell_.SetBatchedCommit(options.cohort_batching);
-  cell_.SetSoAScan(options.soa_cell);
   if (generator_options.generate_constraints) {
     MachineAttributeAssignment assignment;
     assignment.num_attribute_keys = generator_options.num_attribute_keys;
@@ -184,21 +180,15 @@ uint16_t ClusterSimulation::HarnessTraceTrack() {
 }
 
 void ClusterSimulation::RunEndCallbackForKill(const RunningTask& task) {
-  const TaskClaim claim{task.machine, task.resources, 0};
-  if (task.cohort != CohortStore::kNoCohort) {
-    // The cohort record survives member eviction (Take only happens when the
-    // shared end event fires), so the callback is still reachable here.
-    const Cohort& c = cohorts_.Get(task.cohort);
-    if (c.on_task_end != nullptr) {
-      c.on_task_end(claim);
-    }
-  } else {
-    auto it = pertask_end_callbacks_.find(task.task_id);
-    if (it != pertask_end_callbacks_.end()) {
-      const auto cb = std::move(it->second);
-      pertask_end_callbacks_.erase(it);
-      cb(claim);
-    }
+  // Tasks outside a cohort are initial-fill tasks, which have no callback.
+  if (task.cohort == CohortStore::kNoCohort) {
+    return;
+  }
+  // The cohort record survives member eviction (Take only happens when the
+  // shared end event fires), so the callback is still reachable here.
+  const Cohort& c = cohorts_.Get(task.cohort);
+  if (c.on_task_end != nullptr) {
+    c.on_task_end(TaskClaim{task.machine, task.resources, 0});
   }
 }
 
@@ -293,10 +283,6 @@ void ClusterSimulation::StartTasks(const Job& job,
   if (claims.empty()) {
     return;
   }
-  if (!options_.cohort_batching) {
-    StartTasksPerTask(job, claims, std::move(on_task_end));
-    return;
-  }
   const JobId job_id = job.id;
   const SimTime end = sim_->Now() + job.task_duration;
   const CohortStore::CohortId cohort =
@@ -382,88 +368,6 @@ void ClusterSimulation::CancelTaskEnd(const RunningTask& task) {
     }
   } else {
     sim_->Cancel(task.end_event);
-  }
-}
-
-void ClusterSimulation::StartTasksPerTask(
-    const Job& job, std::span<const TaskClaim> claims,
-    std::function<void(const TaskClaim&)> on_task_end) {
-  // The trace-disabled closures below are kept byte-identical to the
-  // untraced build: the extra job-id capture would grow every task-end
-  // closure and measurably slow the event loop, so the instrumented variants
-  // are only instantiated when a recorder is attached (the attachment state
-  // cannot change between schedule and fire).
-  const JobId job_id = job.id;
-  for (const TaskClaim& claim : claims) {
-    const SimTime end = sim_->Now() + job.task_duration;
-    if (trace_ != nullptr) {
-      trace_->TaskStart(sim_->Now(), job_id, claim.machine,
-                        HarnessTraceTrack());
-    }
-    if (options_.track_running_tasks) {
-      const uint64_t task_id =
-          registry_.Add(claim.machine, claim.resources, job.precedence, 0);
-      if (on_task_end != nullptr) {
-        // Keep the callback reachable by the kill path (machine failure,
-        // preemption), which cancels the end event before it can run.
-        pertask_end_callbacks_.emplace(task_id, on_task_end);
-      }
-      EventId eid;
-      if (trace_ != nullptr) {
-        eid = sim_->ScheduleAt(end, [this, claim, task_id, job_id, on_task_end] {
-          if (on_task_end != nullptr) {
-            pertask_end_callbacks_.erase(task_id);
-            on_task_end(claim);
-          }
-          trace_->TaskEnd(sim_->Now(), job_id, claim.machine,
-                          HarnessTraceTrack());
-          registry_.Remove(task_id);
-          cell_.Free(claim.machine, claim.resources);
-          OnTaskFreed();
-        });
-      } else {
-        eid = sim_->ScheduleAt(end, [this, claim, task_id, on_task_end] {
-          if (on_task_end != nullptr) {
-            pertask_end_callbacks_.erase(task_id);
-            on_task_end(claim);
-          }
-          registry_.Remove(task_id);
-          cell_.Free(claim.machine, claim.resources);
-          OnTaskFreed();
-        });
-      }
-      registry_.SetEndEvent(task_id, eid);
-    } else if (on_task_end == nullptr) {
-      if (trace_ != nullptr) {
-        sim_->ScheduleAt(end, [this, claim, job_id] {
-          trace_->TaskEnd(sim_->Now(), job_id, claim.machine,
-                          HarnessTraceTrack());
-          cell_.Free(claim.machine, claim.resources);
-          OnTaskFreed();
-        });
-      } else {
-        sim_->ScheduleAt(end, [this, claim] {
-          cell_.Free(claim.machine, claim.resources);
-          OnTaskFreed();
-        });
-      }
-    } else {
-      if (trace_ != nullptr) {
-        sim_->ScheduleAt(end, [this, claim, job_id, on_task_end] {
-          on_task_end(claim);
-          trace_->TaskEnd(sim_->Now(), job_id, claim.machine,
-                          HarnessTraceTrack());
-          cell_.Free(claim.machine, claim.resources);
-          OnTaskFreed();
-        });
-      } else {
-        sim_->ScheduleAt(end, [this, claim, on_task_end] {
-          on_task_end(claim);
-          cell_.Free(claim.machine, claim.resources);
-          OnTaskFreed();
-        });
-      }
-    }
   }
 }
 

@@ -88,12 +88,12 @@ class ClusterSimulation {
   // Allocations already committed: starts the end timers that free resources
   // when tasks finish. `on_task_end` (optional) runs per task before its
   // resources are freed (Mesos uses it to update allocator bookkeeping; the
-  // MapReduce scheduler to track job completion). With cohort batching
-  // (SimOptions::cohort_batching, the default) the whole batch shares one
-  // end event — all claims come from one commit of one job, so they share a
-  // start time, duration, and per-task resources — and the end-time frees
-  // are applied per machine as (resources, count) batches; results are
-  // bit-identical to the per-task path (DESIGN.md §10).
+  // MapReduce scheduler to track job completion). The whole batch is one
+  // cohort sharing one end event — all claims come from one commit of one
+  // job, so they share a start time, duration, and per-task resources — and
+  // the end-time frees are applied per machine as (resources, count) batches;
+  // results are bit-identical to giving every task its own end event
+  // (DESIGN.md §10).
   void StartTasks(const Job& job, std::span<const TaskClaim> claims,
                   std::function<void(const TaskClaim&)> on_task_end = nullptr);
 
@@ -183,15 +183,12 @@ class ClusterSimulation {
   // which would otherwise silently skip the callback and leak those accounts.
   void RunEndCallbackForKill(const RunningTask& task);
 
-  // Reference per-task lifecycle path (cohort_batching off); kept so the
-  // differential tests can compare the batched path against it.
-  void StartTasksPerTask(const Job& job, std::span<const TaskClaim> claims,
-                         std::function<void(const TaskClaim&)> on_task_end);
   // Fires a cohort's shared end event: per-member callback/trace/registry
   // work in claim order, then per-machine batched frees.
   void FinishCohort(CohortStore::CohortId cohort_id);
-  // Cancels a running task's pending end: its private event, or its cohort
-  // membership (cancelling the shared event only when the cohort empties).
+  // Cancels a running task's pending end: its private event (initial-fill
+  // tasks), or its cohort membership (cancelling the shared event only when
+  // the cohort empties).
   void CancelTaskEnd(const RunningTask& task);
 
   ClusterConfig config_;
@@ -216,13 +213,6 @@ class ClusterSimulation {
   TraceRecorder* trace_ = nullptr;
   std::string trace_scope_;
   int32_t harness_track_ = -1;  // lazily registered; -1 = not yet
-
-  // End callbacks for per-task-path tasks (cohort_batching off) that are
-  // registered for preemption/failure tracking; keyed by task id so the kill
-  // path can still run them after the end event is cancelled. Lookup only —
-  // iteration order never observed (det-unordered-iter, DESIGN.md §9).
-  std::unordered_map<uint64_t, std::function<void(const TaskClaim&)>>
-      pertask_end_callbacks_;
 
   // Failure injection state: capacity reserved on down machines, pending
   // repair.

@@ -84,20 +84,6 @@ struct SimOptions {
   // can select victims. Costs memory and a little time; off by default.
   bool track_running_tasks = false;
 
-  // Cohort task-lifecycle batching (DESIGN.md §10): one end event per
-  // placement batch instead of one per task, with per-machine aggregated
-  // frees, and per-machine grouped commit application in CellState. Results
-  // are bit-identical either way by construction; the flag exists so the
-  // differential tests can compare against the per-task reference path.
-  bool cohort_batching = true;
-
-  // Struct-of-arrays placement scans (DESIGN.md §11): the placers' linear
-  // no-fit fallbacks sweep CellState's contiguous per-resource arrays (with
-  // two-level summary pruning) instead of walking Machine structs. Placement
-  // decisions are identical either way by construction; the flag exists so
-  // the differential tests can compare against the per-Machine reference.
-  bool soa_cell = true;
-
   // Machine failure injection. The paper's simulators do not model machine
   // failures ("these only generate a small load on the scheduler"); this
   // lifts that simplification. Expected failures per machine per day; 0

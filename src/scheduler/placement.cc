@@ -1,7 +1,5 @@
 #include "src/scheduler/placement.h"
 
-#include <algorithm>
-
 namespace omega {
 
 bool MachineSatisfiesConstraints(const Machine& machine, const Job& job) {
@@ -49,18 +47,15 @@ uint32_t RandomizedFirstFitPlacer::PlaceTasks(const CellState& cell, const Job& 
       }
     }
     // Phase 2: linear scan from a random offset; guarantees a fit is found
-    // whenever one exists. Whole blocks whose availability summary cannot fit
-    // the request are skipped — their machines would all fail CanFit, so the
-    // first machine accepted (and hence the placement) is unchanged. The scan
-    // wraps at most once, so a block is re-summarized at most twice.
-    if (chosen == kInvalidMachineId && cell.soa_scan()) {
-      // SoA sweep: FindFirstFit walks the contiguous per-resource arrays
-      // (with two-level summary pruning) and returns the first machine whose
-      // raw allocation fits. Machines it skips fail CanFit outright, so they
-      // would fail the reference loop's CanFitWithPending too (pending only
-      // shrinks availability) — candidates just need the constraint and
-      // pending re-checks, and a rejected candidate resumes the sweep at the
-      // next id. Same claims, same RNG draws as the reference branch below.
+    // whenever one exists. FindFirstFit sweeps the contiguous per-resource
+    // arrays (with two-level summary pruning) and returns the first machine
+    // whose raw allocation fits; a machine it skips fails CanFit outright, so
+    // it would fail CanFitWithPending too (pending only shrinks
+    // availability). Candidates just need the constraint and pending
+    // re-checks, and a rejected candidate resumes the sweep at the next id.
+    // The result is the first machine a per-machine CanFitWithPending loop
+    // from `start` would accept, with the same RNG draws.
+    if (chosen == kInvalidMachineId) {
       const auto start = static_cast<uint32_t>(rng.NextBounded(num_machines));
       for (uint32_t i = 0; i < num_machines;) {
         const uint32_t idx = (start + i) % num_machines;
@@ -80,29 +75,6 @@ uint32_t RandomizedFirstFitPlacer::PlaceTasks(const CellState& cell, const Job& 
         }
         if (cell.CanFitWithPending(hit, job.task_resources, pending.On(hit))) {
           chosen = hit;
-          break;
-        }
-        ++i;
-      }
-    } else if (chosen == kInvalidMachineId) {
-      const auto start = static_cast<uint32_t>(rng.NextBounded(num_machines));
-      for (uint32_t i = 0; i < num_machines;) {
-        const uint32_t idx = (start + i) % num_machines;
-        const MachineId m = range_.Nth(idx);
-        if (!cell.BlockMayFit(m, job.task_resources)) {
-          // Jump to the next block boundary, clamped to the wrap point where
-          // the scan's machine ids stop ascending.
-          const uint32_t to_next_block = CellState::NextBlockStart(m) - m;
-          i += std::min(to_next_block, num_machines - idx);
-          continue;
-        }
-        if (respect_constraints_ &&
-            !MachineSatisfiesConstraints(cell.machine(m), job)) {
-          ++i;
-          continue;
-        }
-        if (cell.CanFitWithPending(m, job.task_resources, pending.On(m))) {
-          chosen = m;
           break;
         }
         ++i;

@@ -1,8 +1,10 @@
 #include "src/workload/trace.h"
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <iomanip>
+#include <limits>
 #include <map>
 #include <sstream>
 
@@ -68,6 +70,12 @@ bool ReadTrace(std::istream& is, std::vector<Job>* jobs, std::string* error) {
   std::map<JobId, size_t> index;
   std::string line;
   int line_no = 0;
+  auto fail = [&](const std::string& message) {
+    if (error != nullptr) {
+      *error = FormatError(line_no, message);
+    }
+    return false;
+  };
   while (std::getline(is, line)) {
     ++line_no;
     if (line.empty() || line[0] == '#') {
@@ -76,37 +84,50 @@ bool ReadTrace(std::istream& is, std::vector<Job>* jobs, std::string* error) {
     std::istringstream ls(line);
     std::string kind;
     ls >> kind;
+    // A record whose fields parsed must have no token after them.
+    auto complete = [&ls] {
+      std::string extra;
+      return !(ls >> extra);
+    };
     if (kind == "job") {
       Job j;
       std::string type;
       int64_t submit_us = 0;
+      int64_t num_tasks = 0;
       int64_t duration_us = 0;
-      ls >> j.id >> type >> submit_us >> j.num_tasks >> duration_us >>
+      ls >> j.id >> type >> submit_us >> num_tasks >> duration_us >>
           j.task_resources.cpus >> j.task_resources.mem_gb;
       if (!ls) {
-        if (error != nullptr) {
-          *error = FormatError(line_no, "malformed job record");
-        }
-        return false;
+        return fail("malformed job record");
+      }
+      if (!complete()) {
+        return fail("trailing tokens after job record");
       }
       if (type == "batch") {
         j.type = JobType::kBatch;
       } else if (type == "service") {
         j.type = JobType::kService;
       } else {
-        if (error != nullptr) {
-          *error = FormatError(line_no, "unknown job type '" + type + "'");
-        }
-        return false;
+        return fail("unknown job type '" + type + "'");
       }
+      if (num_tasks < 1 || num_tasks > std::numeric_limits<uint32_t>::max()) {
+        return fail("task count " + std::to_string(num_tasks) +
+                    " outside [1, 4294967295]");
+      }
+      if (submit_us < 0 || duration_us < 0) {
+        return fail("negative submit time or task duration");
+      }
+      const Resources& r = j.task_resources;
+      if (!std::isfinite(r.cpus) || !std::isfinite(r.mem_gb) || r.cpus < 0.0 ||
+          r.mem_gb < 0.0) {
+        return fail("negative or non-finite task resources");
+      }
+      j.num_tasks = static_cast<uint32_t>(num_tasks);
       j.submit_time = SimTime(submit_us);
       j.task_duration = Duration(duration_us);
       j.precedence = DefaultPrecedence(j.type);
       if (index.contains(j.id)) {
-        if (error != nullptr) {
-          *error = FormatError(line_no, "duplicate job id");
-        }
-        return false;
+        return fail("duplicate job id");
       }
       index[j.id] = jobs->size();
       jobs->push_back(std::move(j));
@@ -116,18 +137,15 @@ bool ReadTrace(std::istream& is, std::vector<Job>* jobs, std::string* error) {
       std::string cmp;
       ls >> id >> c.attribute_key >> c.attribute_value >> cmp;
       if (!ls || (cmp != "eq" && cmp != "ne")) {
-        if (error != nullptr) {
-          *error = FormatError(line_no, "malformed constraint record");
-        }
-        return false;
+        return fail("malformed constraint record");
+      }
+      if (!complete()) {
+        return fail("trailing tokens after constraint record");
       }
       c.must_equal = cmp == "eq";
       auto it = index.find(id);
       if (it == index.end()) {
-        if (error != nullptr) {
-          *error = FormatError(line_no, "constraint for unknown job");
-        }
-        return false;
+        return fail("constraint for unknown job");
       }
       (*jobs)[it->second].constraints.push_back(c);
     } else if (kind == "mapreduce") {
@@ -138,26 +156,24 @@ bool ReadTrace(std::istream& is, std::vector<Job>* jobs, std::string* error) {
       ls >> id >> mr.num_map_activities >> mr.num_reduce_activities >> map_us >>
           reduce_us >> mr.requested_workers;
       if (!ls) {
-        if (error != nullptr) {
-          *error = FormatError(line_no, "malformed mapreduce record");
-        }
-        return false;
+        return fail("malformed mapreduce record");
+      }
+      if (!complete()) {
+        return fail("trailing tokens after mapreduce record");
+      }
+      if (mr.num_map_activities < 0 || mr.num_reduce_activities < 0 ||
+          map_us < 0 || reduce_us < 0 || mr.requested_workers < 0) {
+        return fail("negative mapreduce count, duration or workers");
       }
       mr.map_activity_duration = Duration(map_us);
       mr.reduce_activity_duration = Duration(reduce_us);
       auto it = index.find(id);
       if (it == index.end()) {
-        if (error != nullptr) {
-          *error = FormatError(line_no, "mapreduce spec for unknown job");
-        }
-        return false;
+        return fail("mapreduce spec for unknown job");
       }
       (*jobs)[it->second].mapreduce = mr;
     } else {
-      if (error != nullptr) {
-        *error = FormatError(line_no, "unknown record kind '" + kind + "'");
-      }
-      return false;
+      return fail("unknown record kind '" + kind + "'");
     }
   }
   return true;

@@ -28,7 +28,10 @@ void WriteTrace(const std::vector<Job>& jobs, std::ostream& os);
 bool WriteTraceFile(const std::vector<Job>& jobs, const std::string& path);
 
 // Parses a trace. On malformed input, returns false and leaves `jobs`
-// unspecified; `error` (if non-null) receives a description.
+// unspecified; `error` (if non-null) receives a description with the line
+// number. Malformed includes a task count outside [1, 2^32 - 1], a negative
+// time, duration, mapreduce count or worker count, a negative or non-finite
+// resource, and any token after a record's last field.
 bool ReadTrace(std::istream& is, std::vector<Job>* jobs, std::string* error);
 
 // Convenience: reads from a file path.

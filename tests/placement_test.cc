@@ -182,102 +182,20 @@ TEST(ScoringPlacerTest, SpreadsAcrossFailureDomains) {
   EXPECT_EQ(domains.size(), 4u);
 }
 
-TEST(ScoringPlacerTest, WorksWithoutIndex) {
+TEST(ScoringPlacerDeathTest, RequiresAvailabilityIndex) {
   CellState cell(8, kMachine);
   ScoringPlacer placer;
   Rng rng(10);
   const Job job = MakeJob(4, Resources{1.0, 1.0});
   std::vector<TaskClaim> claims;
-  EXPECT_EQ(placer.PlaceTasks(cell, job, 4, rng, &claims), 4u);
+  EXPECT_DEATH(placer.PlaceTasks(cell, job, 4, rng, &claims),
+               "EnableAvailabilityIndex");
 }
 
 // --- block-summary pruning regression ---
 
-// Seed-behavior reference: randomized first fit exactly as shipped before the
-// block-summary pruning (random probes, then an unpruned linear scan from a
-// random offset). Consumes the RNG identically, so the pruned implementation
-// must return bit-identical claims.
-uint32_t ReferenceFirstFit(const CellState& cell, const Job& job,
-                           uint32_t count, Rng& rng,
-                           std::vector<TaskClaim>* claims,
-                           uint32_t max_random_probes = 32) {
-  const uint32_t num_machines = cell.NumMachines();
-  PendingClaims pending;
-  uint32_t placed = 0;
-  for (uint32_t t = 0; t < count; ++t) {
-    MachineId chosen = kInvalidMachineId;
-    for (uint32_t probe = 0; probe < max_random_probes; ++probe) {
-      const auto m = static_cast<MachineId>(rng.NextBounded(num_machines));
-      if (cell.CanFitWithPending(m, job.task_resources, pending.On(m))) {
-        chosen = m;
-        break;
-      }
-    }
-    if (chosen == kInvalidMachineId) {
-      const auto start = static_cast<uint32_t>(rng.NextBounded(num_machines));
-      for (uint32_t i = 0; i < num_machines; ++i) {
-        const MachineId m = (start + i) % num_machines;
-        if (cell.CanFitWithPending(m, job.task_resources, pending.On(m))) {
-          chosen = m;
-          break;
-        }
-      }
-    }
-    if (chosen == kInvalidMachineId) {
-      break;
-    }
-    claims->push_back(TaskClaim{chosen, job.task_resources,
-                                cell.machine(chosen).seqnum});
-    pending.Add(chosen, job.task_resources);
-    ++placed;
-  }
-  return placed;
-}
-
-// Differential test across utilization levels, including the near-full regime
-// where pruning actually fires: placements must be bit-identical to the
-// unpruned seed algorithm for the same RNG stream.
-TEST(BlockPruningTest, PlacementsMatchUnprunedReferenceAcrossFills) {
-  // > 3 blocks so whole-block skips happen; odd size so the last block is
-  // partial.
-  constexpr uint32_t kMachines = 3 * 64 + 17;
-  for (const double fill_fraction : {0.0, 0.5, 0.9, 0.97, 1.0}) {
-    CellState cell(kMachines, kMachine);
-    CellState reference_cell(kMachines, kMachine);
-    Rng fill(1234);
-    const auto target =
-        static_cast<uint32_t>(fill_fraction * kMachines * 4.0);  // cpus
-    uint32_t filled = 0;
-    for (uint32_t attempt = 0; filled < target && attempt < kMachines * 64;
-         ++attempt) {
-      const auto m = static_cast<MachineId>(fill.NextBounded(kMachines));
-      if (cell.CanFit(m, Resources{1.0, 4.0})) {
-        cell.Allocate(m, Resources{1.0, 4.0});
-        reference_cell.Allocate(m, Resources{1.0, 4.0});
-        ++filled;
-      }
-    }
-    const Job job = MakeJob(8, Resources{0.5, 2.0});
-    for (uint64_t seed = 1; seed <= 20; ++seed) {
-      RandomizedFirstFitPlacer placer(/*max_random_probes=*/8);
-      Rng rng_a(seed);
-      Rng rng_b(seed);
-      std::vector<TaskClaim> pruned, unpruned;
-      const uint32_t na =
-          placer.PlaceTasks(cell, job, 8, rng_a, &pruned);
-      const uint32_t nb = ReferenceFirstFit(reference_cell, job, 8, rng_b,
-                                            &unpruned, /*max_random_probes=*/8);
-      ASSERT_EQ(na, nb) << "fill " << fill_fraction << " seed " << seed;
-      ASSERT_EQ(pruned.size(), unpruned.size());
-      for (size_t i = 0; i < pruned.size(); ++i) {
-        EXPECT_EQ(pruned[i].machine, unpruned[i].machine)
-            << "fill " << fill_fraction << " seed " << seed << " task " << i;
-        EXPECT_EQ(pruned[i].seqnum_at_placement,
-                  unpruned[i].seqnum_at_placement);
-      }
-    }
-  }
-}
+// Placements against the unpruned per-machine reference are diffed in
+// reference_diff_test.cc; these pin the block-boundary edge cases.
 
 TEST(BlockPruningTest, FindsFitStraddlingBlockBoundary) {
   // Only machines 63 and 64 (the two sides of a block boundary) have room;

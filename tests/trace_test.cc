@@ -145,6 +145,64 @@ TEST(TraceTest, RejectsBadConstraintComparator) {
   EXPECT_FALSE(ReadTrace(ss, &parsed, &error));
 }
 
+// Parses `text`, expecting rejection with an error naming `line`.
+void ExpectRejected(const std::string& text, int line) {
+  std::stringstream ss(text);
+  std::vector<Job> parsed;
+  std::string error;
+  EXPECT_FALSE(ReadTrace(ss, &parsed, &error)) << text;
+  EXPECT_NE(error.find("line " + std::to_string(line)), std::string::npos)
+      << text << " -> " << error;
+}
+
+TEST(TraceTest, RejectsTaskCountOutsideUint32Range) {
+  // "-5" used to wrap to 4,294,967,291 tasks.
+  ExpectRejected("job 1 batch 0 -5 1000000 1.0 2.0\n", 1);
+  ExpectRejected("job 1 batch 0 0 1000000 1.0 2.0\n", 1);
+  ExpectRejected("# c\njob 1 batch 0 4294967296 1000000 1.0 2.0\n", 2);
+  std::stringstream max("job 1 batch 0 4294967295 1000000 1.0 2.0\n");
+  std::vector<Job> parsed;
+  ASSERT_TRUE(ReadTrace(max, &parsed, nullptr));
+  EXPECT_EQ(parsed[0].num_tasks, 4294967295u);
+}
+
+TEST(TraceTest, RejectsNegativeSubmitTime) {
+  ExpectRejected("job 1 batch -1 5 1000000 1.0 2.0\n", 1);
+}
+
+TEST(TraceTest, RejectsNegativeDuration) {
+  ExpectRejected("job 1 service 0 5 -1000000 1.0 2.0\n", 1);
+}
+
+TEST(TraceTest, RejectsNegativeOrNonFiniteResources) {
+  ExpectRejected("job 1 batch 0 5 1000000 -1 2.0\n", 1);
+  ExpectRejected("job 1 batch 0 5 1000000 1.0 -0.5\n", 1);
+  ExpectRejected("job 1 batch 0 5 1000000 1e999 2.0\n", 1);
+  ExpectRejected("job 1 batch 0 5 1000000 nan 2.0\n", 1);
+  ExpectRejected("job 1 batch 0 5 1000000 1.0 inf\n", 1);
+}
+
+TEST(TraceTest, RejectsNegativeMapReduceFields) {
+  const std::string job = "job 1 batch 0 5 1000000 1.0 2.0\n";
+  ExpectRejected(job + "mapreduce 1 -1 2 1000 1000 4\n", 2);
+  ExpectRejected(job + "mapreduce 1 3 -2 1000 1000 4\n", 2);
+  ExpectRejected(job + "mapreduce 1 3 2 -1000 1000 4\n", 2);
+  ExpectRejected(job + "mapreduce 1 3 2 1000 -1000 4\n", 2);
+  ExpectRejected(job + "mapreduce 1 3 2 1000 1000 -4\n", 2);
+}
+
+TEST(TraceTest, RejectsTrailingTokensOnEveryRecordKind) {
+  const std::string job = "job 1 batch 0 5 1000000 1.0 2.0\n";
+  ExpectRejected("job 1 batch 0 5 1000000 1.0 2.0 garbage\n", 1);
+  ExpectRejected(job + "constraint 1 0 1 eq extra\n", 2);
+  ExpectRejected(job + "mapreduce 1 3 2 1000 1000 4 5\n", 2);
+  // Trailing whitespace is not a token.
+  std::stringstream ok(job + "constraint 1 0 1 eq  \n" +
+                       "mapreduce 1 3 2 1000 1000 4\t\n");
+  std::vector<Job> parsed;
+  EXPECT_TRUE(ReadTrace(ok, &parsed, nullptr));
+}
+
 TEST(TraceTest, MissingFileReportsError) {
   std::vector<Job> parsed;
   std::string error;
