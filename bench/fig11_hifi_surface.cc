@@ -3,10 +3,11 @@
 //
 // Paper shape: busyness remains low across almost the entire range of both
 // parameters — the Omega architecture scales to long service decision times.
+#include <algorithm>
+#include <cstdio>
 #include <iostream>
 
 #include "bench/bench_common.h"
-#include "src/common/parallel_for.h"
 #include "src/hifi/hifi_simulation.h"
 
 using namespace omega;
@@ -27,25 +28,30 @@ int main() {
       points.push_back({tj, tt});
     }
   }
-  std::vector<double> busy(points.size());
-  ShardSlots<double> busy_slots(busy);
-  ParallelFor(
-      points.size(),
-      [&](size_t i) {
+  SweepRunner runner("fig11", 11000);
+  runner.report().AddMetric("sim_days", horizon.ToDays());
+  const std::vector<double> busy =
+      runner.Run(points.size(), [&](const TrialContext& ctx) {
+        const size_t i = ctx.index;
         SimOptions opts;
         opts.horizon = horizon;
-        opts.seed = 11000 + i;
+        opts.seed = ctx.base_seed + i;
         SchedulerConfig service = DefaultSchedulerConfig("service");
         service.service_times.t_job = Duration::FromSeconds(points[i].t_job);
         service.service_times.t_task = Duration::FromSeconds(points[i].t_task);
         auto sim = MakeHifiSimulation(ClusterC(), opts,
                                       DefaultSchedulerConfig("batch"), service);
-        auto trace = GenerateHifiTrace(ClusterC(), horizon, 1100 + i);
+        auto trace =
+            GenerateHifiTrace(ClusterC(), horizon, ctx.base_seed / 10 + i);
         sim->RunTrace(std::move(trace));
-        busy_slots[i] =
-            sim->service_scheduler().metrics().Busyness(sim->EndTime()).median;
-      },
-      BenchThreads());
+        const SimTime end = sim->EndTime();
+        return sim->service_scheduler().metrics().Busyness(end).median;
+      });
+  for (const Point& p : points) {
+    char label[64];
+    std::snprintf(label, sizeof(label), "tjob%g-ttask%g", p.t_job, p.t_task);
+    runner.report().trial_labels.emplace_back(label);
+  }
 
   TablePrinter table({"t_job \\ t_task", "0.001", "0.01", "0.1", "1.0"});
   size_t idx = 0;
@@ -57,5 +63,11 @@ int main() {
     table.AddRow(cells);
   }
   table.Print(std::cout);
+  double busy_max = 0.0;
+  for (double b : busy) {
+    busy_max = std::max(busy_max, b);
+  }
+  runner.report().AddMetric("service_busy_max", busy_max);
+  FinishSweep(runner);
   return 0;
 }

@@ -7,10 +7,10 @@
 // crosses 1.0 (every service job needs at least one retry on average) and the
 // service scheduler misses the 30 s wait-time SLO even before saturating; the
 // busyness with conflicts runs ~40% above the no-conflict approximation.
+#include <cstdio>
 #include <iostream>
 
 #include "bench/bench_common.h"
-#include "src/common/parallel_for.h"
 #include "src/hifi/hifi_simulation.h"
 
 using namespace omega;
@@ -29,34 +29,39 @@ int main() {
     double batch_conflict, service_conflict;
     double batch_busy, service_busy, service_busy_noconflict;
   };
-  std::vector<Row> rows(t_jobs.size());
-  ShardSlots<Row> row_slots(rows);
-  ParallelFor(
-      t_jobs.size(),
-      [&](size_t i) {
+  SweepRunner runner("fig12", 12000);
+  runner.report().AddMetric("sim_days", horizon.ToDays());
+  const std::vector<Row> rows =
+      runner.Run(t_jobs.size(), [&](const TrialContext& ctx) {
+        const size_t i = ctx.index;
         SimOptions opts;
         opts.horizon = horizon;
-        opts.seed = 12000 + i;
+        opts.seed = ctx.base_seed + i;
         auto sim =
             MakeHifiSimulation(ClusterB(), opts, DefaultSchedulerConfig("batch"),
                                ServiceConfigWithTjob(t_jobs[i]));
-        auto trace = GenerateHifiTrace(ClusterB(), horizon, 1200 + i);
+        auto trace =
+            GenerateHifiTrace(ClusterB(), horizon, ctx.base_seed / 10 + i);
         sim->RunTrace(std::move(trace));
         const SimTime end = sim->EndTime();
         const auto& bm = sim->batch_scheduler(0).metrics();
         const auto& sm = sim->service_scheduler().metrics();
-        row_slots[i] = Row{t_jobs[i],
-                      bm.MeanWait(JobType::kBatch),
-                      bm.WaitPercentile(JobType::kBatch, 0.9),
-                      sm.MeanWait(JobType::kService),
-                      sm.WaitPercentile(JobType::kService, 0.9),
-                      bm.ConflictFraction(end).mean,
-                      sm.ConflictFraction(end).mean,
-                      bm.Busyness(end).median,
-                      sm.Busyness(end).median,
-                      sm.BusynessNoConflict(end).median};
-      },
-      BenchThreads());
+        return Row{t_jobs[i],
+                   bm.MeanWait(JobType::kBatch),
+                   bm.WaitPercentile(JobType::kBatch, 0.9),
+                   sm.MeanWait(JobType::kService),
+                   sm.WaitPercentile(JobType::kService, 0.9),
+                   bm.ConflictFraction(end).mean,
+                   sm.ConflictFraction(end).mean,
+                   bm.Busyness(end).median,
+                   sm.Busyness(end).median,
+                   sm.BusynessNoConflict(end).median};
+      });
+  for (double t_job : t_jobs) {
+    char label[32];
+    std::snprintf(label, sizeof(label), "tjob%g", t_job);
+    runner.report().trial_labels.emplace_back(label);
+  }
 
   std::cout << "\n(a) job wait time [s]\n";
   TablePrinter wait({"t_job(service)", "batch avg", "batch 90%ile",
@@ -91,5 +96,12 @@ int main() {
                  FormatValue(overhead * 100.0) + "%"});
   }
   busy.Print(std::cout);
+  RunningStats service_conflict;
+  for (const Row& r : rows) {
+    service_conflict.Add(r.service_conflict);
+  }
+  runner.report().AddMetric("service_conflict_fraction_mean",
+                            service_conflict.mean());
+  FinishSweep(runner);
   return 0;
 }

@@ -6,10 +6,10 @@
 // Paper shape: three batch schedulers buy ~3x scalability (saturation moves
 // from t_job(batch) ~4 s to ~15 s) while the conflict fraction stays low
 // (~0.1) and all schedulers meet the 30 s wait-time SLO up to saturation.
+#include <cstdio>
 #include <iostream>
 
 #include "bench/bench_common.h"
-#include "src/common/parallel_for.h"
 #include "src/hifi/hifi_simulation.h"
 
 using namespace omega;
@@ -28,23 +28,26 @@ int main() {
     double conflict_fraction = 0.0;
     double service_busy = 0.0;
   };
-  std::vector<Row> rows(t_jobs.size() * 2);
-  ShardSlots<Row> row_slots(rows);
-  ParallelFor(
-      rows.size(),
-      [&](size_t i) {
+  // Trials alternate single / triple batch schedulers per t_job(batch); both
+  // of a pair replay the same trace.
+  SweepRunner runner("fig13", 13000);
+  runner.report().AddMetric("sim_days", horizon.ToDays());
+  const std::vector<Row> rows =
+      runner.Run(t_jobs.size() * 2, [&](const TrialContext& ctx) {
+        const size_t i = ctx.index;
         const double t_job = t_jobs[i / 2];
         const uint32_t schedulers = (i % 2 == 0) ? 1 : 3;
         SimOptions opts;
         opts.horizon = horizon;
-        opts.seed = 13000 + i;
+        opts.seed = ctx.base_seed + i;
         SchedulerConfig batch = DefaultSchedulerConfig("batch");
         batch.batch_times.t_job = Duration::FromSeconds(t_job);
         HifiOptions hifi;
         hifi.num_batch_schedulers = schedulers;
         auto sim = MakeHifiSimulation(ClusterC(), opts, batch,
                                       DefaultSchedulerConfig("service"), hifi);
-        auto trace = GenerateHifiTrace(ClusterC(), horizon, 1300 + i / 2);
+        auto trace =
+            GenerateHifiTrace(ClusterC(), horizon, ctx.base_seed / 10 + i / 2);
         sim->RunTrace(std::move(trace));
         const SimTime end = sim->EndTime();
         Row row;
@@ -58,9 +61,14 @@ int main() {
         row.conflict_fraction = sim->MeanBatchConflictFraction();
         row.service_busy =
             sim->service_scheduler().metrics().Busyness(end).median;
-        row_slots[i] = row;
-      },
-      BenchThreads());
+        return row;
+      });
+  for (const Row& r : rows) {
+    char label[48];
+    std::snprintf(label, sizeof(label), "tjob%g-batch%u", r.t_job,
+                  r.schedulers);
+    runner.report().trial_labels.emplace_back(label);
+  }
 
   std::cout << "\n(a) scheduler busyness\n";
   TablePrinter busy({"t_job(batch) [s]", "single batch (approx.)", "batch 0",
@@ -88,5 +96,11 @@ int main() {
                  FormatValue(triple.wait[2]), slo ? "yes" : "NO"});
   }
   wait.Print(std::cout);
+  RunningStats conflict;
+  for (size_t i = 1; i < rows.size(); i += 2) {
+    conflict.Add(rows[i].conflict_fraction);
+  }
+  runner.report().AddMetric("conflict_fraction_3x_mean", conflict.mean());
+  FinishSweep(runner);
   return 0;
 }

@@ -9,7 +9,6 @@
 #include <iostream>
 
 #include "bench/bench_common.h"
-#include "src/common/parallel_for.h"
 #include "src/common/stats.h"
 #include "src/mapreduce/mr_scheduler.h"
 
@@ -24,53 +23,66 @@ int main() {
                                               MapReducePolicy::kRelativeJobSize,
                                               MapReducePolicy::kGlobalCap};
   const std::vector<const char*> clusters{"A", "C", "D"};
-  struct Run {
+  struct Point {
     const char* cluster;
     MapReducePolicy policy;
-    Cdf speedups;
   };
-  std::vector<Run> runs;
+  std::vector<Point> points;
   for (const char* c : clusters) {
     for (MapReducePolicy p : policies) {
-      runs.push_back(Run{c, p, {}});
+      points.push_back({c, p});
     }
   }
-  ShardSlots<Run> run_slots(runs);
-  ParallelFor(
-      runs.size(),
-      [&](size_t i) {
+  SweepRunner runner("fig15", 15000);
+  runner.report().AddMetric("sim_days", horizon.ToDays());
+  const std::vector<Cdf> speedups =
+      runner.Run(points.size(), [&](const TrialContext& ctx) {
+        const Point& p = points[ctx.index];
         SimOptions opts;
         opts.horizon = horizon;
-        opts.seed = 15000 + i / policies.size();  // same workload per cluster
+        // Same workload for every policy on a cluster.
+        opts.seed = ctx.base_seed + ctx.index / policies.size();
         MapReducePolicyOptions policy;
-        policy.policy = runs[i].policy;
-        MapReduceSimulation sim(ClusterByName(runs[i].cluster), opts,
+        policy.policy = p.policy;
+        MapReduceSimulation sim(ClusterByName(p.cluster), opts,
                                 DefaultSchedulerConfig("batch"),
                                 DefaultSchedulerConfig("service"), policy);
         sim.Run();
+        Cdf cdf;
         for (const MapReduceOutcome& o : sim.mr_scheduler().outcomes()) {
-          run_slots[i].speedups.Add(o.predicted_speedup);
+          cdf.Add(o.predicted_speedup);
         }
-      },
-      BenchThreads());
+        return cdf;
+      });
+  for (const Point& p : points) {
+    runner.report().trial_labels.push_back(std::string(p.cluster) + "-" +
+                                           MapReducePolicyName(p.policy));
+  }
 
   for (const char* c : clusters) {
     std::cout << "\n--- cluster " << c << " ---\n";
     TablePrinter table({"policy", "jobs", "frac sped up (>1.05x)",
                         "median speedup", "80th %ile", "95th %ile"});
-    for (const Run& r : runs) {
-      if (std::string(r.cluster) != c) {
+    for (size_t i = 0; i < points.size(); ++i) {
+      if (std::string(points[i].cluster) != c) {
         continue;
       }
+      const Cdf& cdf = speedups[i];
       const double frac_sped =
-          r.speedups.empty() ? 0.0 : 1.0 - r.speedups.FractionAtOrBelow(1.05);
-      table.AddRow({MapReducePolicyName(r.policy),
-                    std::to_string(r.speedups.count()), FormatValue(frac_sped),
-                    FormatValue(r.speedups.Quantile(0.5)),
-                    FormatValue(r.speedups.Quantile(0.8)),
-                    FormatValue(r.speedups.Quantile(0.95))});
+          cdf.empty() ? 0.0 : 1.0 - cdf.FractionAtOrBelow(1.05);
+      table.AddRow({MapReducePolicyName(points[i].policy),
+                    std::to_string(cdf.count()), FormatValue(frac_sped),
+                    FormatValue(cdf.Quantile(0.5)),
+                    FormatValue(cdf.Quantile(0.8)),
+                    FormatValue(cdf.Quantile(0.95))});
     }
     table.Print(std::cout);
   }
+  double jobs = 0.0;
+  for (const Cdf& cdf : speedups) {
+    jobs += static_cast<double>(cdf.count());
+  }
+  runner.report().AddMetric("mapreduce_jobs_total", jobs);
+  FinishSweep(runner);
   return 0;
 }

@@ -7,10 +7,10 @@
 // multi-path equivalent (offer locking starves it into repeated futile
 // attempts); at long service decision times jobs hit the 1,000-attempt limit
 // and are abandoned.
+#include <cstdio>
 #include <iostream>
 
 #include "bench/bench_common.h"
-#include "src/common/parallel_for.h"
 #include "src/mesos/mesos_simulation.h"
 
 using namespace omega;
@@ -35,27 +35,33 @@ int main() {
     double batch_wait, service_wait, batch_busy, service_busy;
     int64_t abandoned;
   };
-  std::vector<Row> rows(points.size());
-  ShardSlots<Row> row_slots(rows);
-  ParallelFor(
-      points.size(),
-      [&](size_t i) {
+  SweepRunner runner("fig7", 7000);
+  runner.report().AddMetric("sim_days", horizon.ToDays());
+  const std::vector<Row> rows =
+      runner.Run(points.size(), [&](const TrialContext& ctx) {
+        const Point& p = points[ctx.index];
         SimOptions opts;
         opts.horizon = horizon;
-        opts.seed = 7000 + i;
-        const ClusterConfig cfg = ClusterByName(points[i].cluster);
-        MesosSimulation sim(cfg, opts, DefaultSchedulerConfig("batch"),
-                            ServiceConfigWithTjob(points[i].t_job));
+        opts.seed = ctx.base_seed + ctx.index;
+        MesosSimulation sim(ClusterByName(p.cluster), opts,
+                            DefaultSchedulerConfig("batch"),
+                            ServiceConfigWithTjob(p.t_job));
         sim.Run();
         const SimTime end = sim.EndTime();
-        row_slots[i] = Row{points[i],
-                      sim.batch_framework().metrics().MeanWait(JobType::kBatch),
-                      sim.service_framework().metrics().MeanWait(JobType::kService),
-                      sim.batch_framework().metrics().Busyness(end).median,
-                      sim.service_framework().metrics().Busyness(end).median,
-                      sim.TotalJobsAbandoned()};
-      },
-      BenchThreads());
+        const auto& bm = sim.batch_framework().metrics();
+        const auto& sm = sim.service_framework().metrics();
+        return Row{p,
+                   bm.MeanWait(JobType::kBatch),
+                   sm.MeanWait(JobType::kService),
+                   bm.Busyness(end).median,
+                   sm.Busyness(end).median,
+                   sim.TotalJobsAbandoned()};
+      });
+  for (const Point& p : points) {
+    char label[64];
+    std::snprintf(label, sizeof(label), "%s-tjob%g", p.cluster, p.t_job);
+    runner.report().trial_labels.emplace_back(label);
+  }
 
   TablePrinter table({"cluster", "t_job(service) [s]", "batch wait [s]",
                       "service wait [s]", "batch busy", "service busy",
@@ -66,5 +72,15 @@ int main() {
                   FormatValue(r.service_busy), std::to_string(r.abandoned)});
   }
   table.Print(std::cout);
+  RunningStats batch_busy;
+  int64_t abandoned_total = 0;
+  for (const Row& r : rows) {
+    batch_busy.Add(r.batch_busy);
+    abandoned_total += r.abandoned;
+  }
+  runner.report().AddMetric("batch_busy_mean", batch_busy.mean());
+  runner.report().AddMetric("abandoned_total",
+                            static_cast<double>(abandoned_total));
+  FinishSweep(runner);
   return 0;
 }

@@ -5,7 +5,6 @@
 #include <benchmark/benchmark.h>
 
 #include "src/cluster/cell_state.h"
-#include "src/common/parallel_for.h"
 #include "src/hifi/scoring_placer.h"
 #include "src/scheduler/placement.h"
 #include "src/sim/event_queue.h"
@@ -327,43 +326,6 @@ void BM_NoFitScanSoA(benchmark::State& state) {
 }
 
 BENCHMARK(BM_NoFitScanSoA)->Arg(50)->Arg(85)->Arg(95)->Arg(99)->Arg(100);
-
-// Parallel-for dispatch overhead: per-index (one type-erased call per
-// element) vs. chunked ranges (one call per grain-sized chunk). The body is
-// deliberately trivial so the dispatch cost dominates; on a single-core host
-// both run their sequential fallbacks, which still isolates the per-index
-// call overhead the chunked overload removes.
-void BM_ParallelForPerIndex(benchmark::State& state) {
-  const auto n = static_cast<size_t>(state.range(0));
-  std::vector<double> out(n, 0.0);
-  ShardSlots<double> out_slots(out);
-  for (auto _ : state) {
-    ParallelFor(
-        n, [&](size_t i) { out_slots[i] += 1.0; }, /*max_threads=*/1);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
-}
-BENCHMARK(BM_ParallelForPerIndex)->Arg(1 << 10)->Arg(1 << 16);
-
-void BM_ParallelForRangesChunked(benchmark::State& state) {
-  const auto n = static_cast<size_t>(state.range(0));
-  std::vector<double> out(n, 0.0);
-  ShardSlots<double> out_slots(out);
-  for (auto _ : state) {
-    ParallelForRanges(
-        n, /*grain=*/1024,
-        [&](size_t begin, size_t end) {
-          for (size_t i = begin; i < end; ++i) {
-            out_slots[i] += 1.0;
-          }
-        },
-        /*max_threads=*/1);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
-}
-BENCHMARK(BM_ParallelForRangesChunked)->Arg(1 << 10)->Arg(1 << 16);
 
 // Fills a cell to roughly `percent` CPU utilization with task-sized
 // allocations (random first fit, mirroring BM_PlacerAtUtilization's fill).

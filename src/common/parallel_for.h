@@ -23,21 +23,10 @@ namespace omega {
 void ParallelFor(size_t n, const std::function<void(size_t)>& fn,
                  size_t max_threads = 0);
 
-// Chunked variant: invokes fn(begin, end) over disjoint ranges that cover
-// [0, n), each holding at most `grain` consecutive indices (grain 0 means 1).
-// Block-sharded scans use this to pay one type-erased call per chunk instead
-// of one per index; with grain == 1 it degenerates to per-index dispatch with
-// ParallelFor's dynamic load balancing. Chunks are claimed dynamically, so
-// which thread runs which chunk is nondeterministic — fn must not care (the
-// same contract as ParallelFor). Exceptions behave as in ParallelFor.
-void ParallelForRanges(size_t n, size_t grain,
-                       const std::function<void(size_t, size_t)>& fn,
-                       size_t max_threads = 0);
-
-// Per-index output view for ParallelFor(Ranges) callbacks: wraps a
-// caller-owned buffer whose slots are written by at most one iteration each.
-// This is the one sanctioned form of shared-memory *output* from parallel
-// callbacks — every other write to state visible across iterations is a
+// Per-index output view for ParallelFor callbacks: wraps a caller-owned
+// buffer whose slots are written by at most one iteration each. This is the
+// one sanctioned form of shared-memory *output* from parallel callbacks —
+// every other write to state visible across iterations is a
 // det-shard-unsafe-write finding (omega_lint, DESIGN.md §14). The wrapper
 // adds no synchronization; the disjointness contract is the caller's. It
 // exists to make the pattern explicit at the declaration and statically

@@ -1,6 +1,7 @@
 #include "src/exp/experiment.h"
 
 #include <algorithm>
+#include <cctype>
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
@@ -145,6 +146,23 @@ size_t BenchThreads() {
          "concurrency), got \""
       << env << "\"";
   return static_cast<size_t>(threads);
+}
+
+uint64_t BenchSeed(uint64_t default_seed) {
+  const char* env = BenchEnv("OMEGA_BENCH_SEED");
+  if (env == nullptr) {
+    return default_seed;
+  }
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long seed = std::strtoull(env, &end, 10);
+  // strtoull accepts leading whitespace and a sign (wrapping "-1" to
+  // 2^64 - 1), so require the value to start with a digit.
+  OMEGA_CHECK(std::isdigit(static_cast<unsigned char>(env[0])) &&
+              *end == '\0' && errno == 0)
+      << "OMEGA_BENCH_SEED must be an integer in [0, 2^64 - 1], got \""
+      << env << "\"";
+  return static_cast<uint64_t>(seed);
 }
 
 }  // namespace omega

@@ -1,6 +1,7 @@
 // Shared utilities for the figure/table reproduction benches.
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -52,6 +53,11 @@ Duration BenchHorizon(double default_days);
 // Unset or empty means 0 (hardware concurrency); any other value must be an
 // integer >= 0, or the call CHECK-fails naming the variable.
 size_t BenchThreads();
+
+// Base seed of a figure sweep (OMEGA_BENCH_SEED). Unset or empty means
+// `default_seed`; any other value must be a decimal integer in
+// [0, 2^64 - 1], or the call CHECK-fails naming the variable.
+uint64_t BenchSeed(uint64_t default_seed);
 
 }  // namespace omega
 

@@ -4,10 +4,11 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
-// Thread-count *reporting* only; all dispatch goes through ParallelForRanges.
+// Thread-count *reporting* only; all dispatch goes through ParallelFor.
 #include <thread>  // omega-lint: allow(det-parallel-reduce)
 
 #include "src/common/json.h"
+#include "src/common/logging.h"
 #include "src/exp/experiment.h"
 
 namespace omega {
@@ -50,6 +51,9 @@ void SweepReport::AddMetric(const std::string& key, double value) {
 }
 
 std::string SweepReport::ToJson() const {
+  OMEGA_CHECK(trial_labels.empty() || trial_labels.size() == trials)
+      << "BENCH_" << name << ": " << trial_labels.size()
+      << " trial labels for " << trials << " trials";
   std::ostringstream os;
   os << "{\n  \"figure\": ";
   AppendString(os, name);
@@ -120,7 +124,7 @@ SweepRunner::SweepRunner(std::string name, uint64_t base_seed,
                          size_t max_threads)
     : max_threads_(max_threads == 0 ? BenchThreads() : max_threads) {
   report_.name = std::move(name);
-  report_.base_seed = base_seed;
+  report_.base_seed = BenchSeed(base_seed);
 #ifdef OMEGA_GIT_SHA
   report_.git_sha = SanitizeProvenance(OMEGA_GIT_SHA);
 #endif
@@ -132,13 +136,6 @@ SweepRunner::SweepRunner(std::string name, uint64_t base_seed,
   if (const char* env = std::getenv("OMEGA_GIT_SHA");
       env != nullptr && env[0] != '\0') {
     report_.git_sha = env;
-  }
-  if (const char* env = std::getenv("OMEGA_BENCH_SEED"); env != nullptr) {
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(env, &end, 10);
-    if (end != env) {
-      report_.base_seed = static_cast<uint64_t>(v);
-    }
   }
 }
 

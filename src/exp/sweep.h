@@ -51,7 +51,8 @@ struct SweepReport {
   std::vector<double> trial_wall_seconds;  // per trial, trial-index order
   // Human-readable trial identities (sweep row descriptions), parallel to
   // trial_wall_seconds. Optional: emitted only when the bench filled it, and
-  // then it must be exactly one label per trial.
+  // then it must be exactly one label per trial (ToJson CHECK-fails on any
+  // other count).
   std::vector<std::string> trial_labels;
   // Extra scalar metrics the bench wants tracked (merged stats, etc.),
   // emitted under "metrics" in insertion order.
@@ -97,22 +98,17 @@ class SweepRunner {
     ShardSlots<Result> result_slots(results);
     ShardSlots<double> wall_slots(report_.trial_wall_seconds);
     const auto sweep_start = std::chrono::steady_clock::now();
-    // Chunked dispatch with grain 1: trials are coarse, so the chunk loop is
-    // degenerate, but routing through ParallelForRanges keeps the sweep
-    // engine on the same dispatch path the micro benches characterize.
-    ParallelForRanges(
-        num_trials, /*grain=*/1,
-        [&](size_t begin, size_t end) {
-          for (size_t i = begin; i < end; ++i) {
-            const auto trial_start = std::chrono::steady_clock::now();
-            TrialContext ctx;
-            ctx.index = i;
-            ctx.base_seed = report_.base_seed;
-            ctx.seed = SubstreamSeed(report_.base_seed, i);
-            result_slots[i] = fn(static_cast<const TrialContext&>(ctx));
-            wall_slots[i] =
-                Elapsed(trial_start, std::chrono::steady_clock::now());
-          }
+    ParallelFor(
+        num_trials,
+        [&](size_t i) {
+          const auto trial_start = std::chrono::steady_clock::now();
+          TrialContext ctx;
+          ctx.index = i;
+          ctx.base_seed = report_.base_seed;
+          ctx.seed = SubstreamSeed(report_.base_seed, i);
+          result_slots[i] = fn(static_cast<const TrialContext&>(ctx));
+          wall_slots[i] =
+              Elapsed(trial_start, std::chrono::steady_clock::now());
         },
         max_threads_);
     report_.wall_seconds =

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <sstream>
 
@@ -93,6 +94,20 @@ TEST(BenchThreadsTest, DefaultAndOverride) {
   unsetenv("OMEGA_BENCH_THREADS");
 }
 
+TEST(BenchSeedTest, DefaultAndOverride) {
+  unsetenv("OMEGA_BENCH_SEED");
+  EXPECT_EQ(BenchSeed(7000), 7000u);
+  setenv("OMEGA_BENCH_SEED", "", 1);
+  EXPECT_EQ(BenchSeed(7000), 7000u);
+  setenv("OMEGA_BENCH_SEED", "31337", 1);
+  EXPECT_EQ(BenchSeed(7000), 31337u);
+  setenv("OMEGA_BENCH_SEED", "0", 1);
+  EXPECT_EQ(BenchSeed(7000), 0u);
+  setenv("OMEGA_BENCH_SEED", "18446744073709551615", 1);
+  EXPECT_EQ(BenchSeed(7000), UINT64_MAX);
+  unsetenv("OMEGA_BENCH_SEED");
+}
+
 // A value that does not parse completely must fail loudly, naming the
 // variable, instead of silently running the default.
 TEST(BenchHorizonDeathTest, MalformedDaysAbort) {
@@ -116,6 +131,21 @@ TEST(BenchHorizonDeathTest, MalformedThreadsAbort) {
           BenchThreads();
         },
         "OMEGA_BENCH_THREADS");
+  }
+}
+
+// "12abc" must not become 12, "-1" must not wrap to 2^64 - 1, and "abc"
+// must not fall back to the default.
+TEST(BenchSeedDeathTest, MalformedSeedAborts) {
+  for (const char* bad : {"12abc", "-1", "abc", "+5", " 5", "1.5",
+                          "18446744073709551616"}) {
+    SCOPED_TRACE(bad);
+    EXPECT_DEATH(
+        {
+          setenv("OMEGA_BENCH_SEED", bad, 1);
+          BenchSeed(7000);
+        },
+        "OMEGA_BENCH_SEED");
   }
 }
 

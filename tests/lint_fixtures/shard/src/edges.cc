@@ -1,5 +1,5 @@
 // Call-graph edge cases for det-shard-unsafe-write: overload widening,
-// virtual dispatch, recursion termination, and ParallelForRanges roots.
+// virtual dispatch, recursion termination, and SweepRunner::Run trial roots.
 #include <cstddef>
 
 namespace omega {
@@ -31,7 +31,17 @@ int CountDown(int n) {
   return acc;
 }
 
-int g_range_state = 0;
+int g_trial_state = 0;
+int g_other_state = 0;
+
+// A class with a Run method that is not SweepRunner: its callback runs on
+// the calling thread, so it is not a shard root.
+struct Sequential {
+  template <typename Fn>
+  void Run(int n, Fn fn) {
+    for (int i = 0; i < n; ++i) fn(i);
+  }
+};
 
 void EdgeCases(Base* shape) {
   ParallelFor(4, [&](size_t i) {
@@ -39,9 +49,13 @@ void EdgeCases(Base* shape) {
     shape->Apply();              // virtual dispatch reaches Derived::Apply
     CountDown(3);                // recursion: must terminate, no finding
   });
-  ParallelForRanges(4, 2, [&](size_t begin, size_t) {
-    g_range_state += static_cast<int>(begin);  // chunked roots count too
+  SweepRunner runner("edges", 1);
+  runner.Run(4, [&](const TrialContext& ctx) {
+    g_trial_state += static_cast<int>(ctx.index);  // sweep trials are roots
+    return 0;
   });
+  Sequential seq;
+  seq.Run(4, [&](int i) { g_other_state += i; });
 }
 
 }  // namespace omega

@@ -22,4 +22,17 @@ void ShardedWrites() {
   });
 }
 
+struct Tally {
+  int hits = 0;
+};
+
+void PointerLoopWrites() {
+  Tally shared;
+  ParallelFor(4, [&](size_t i) {
+    for (Tally* t : {&shared}) {
+      t->hits += static_cast<int>(i);  // points into the launching frame
+    }
+  });
+}
+
 }  // namespace omega

@@ -35,4 +35,30 @@ void PerTrialObjects() {
   });
 }
 
+// Sweep trial pattern: the trial builds its row from trial-local state and
+// returns it; SweepRunner stores it in a per-trial slot. Pointers that a
+// range-for takes into trial-local objects stay per-trial.
+struct Config {
+  int mode = 0;
+};
+
+struct Row {
+  int value = 0;
+};
+
+void CleanSweepTrial() {
+  SweepRunner runner("ok", 1);
+  const auto rows = runner.Run(4, [&](const TrialContext& ctx) {
+    Config batch;
+    Config service;
+    for (Config* c : {&batch, &service}) {
+      c->mode = 1;  // points into this trial's frame
+    }
+    Row row;
+    row.value = static_cast<int>(ctx.index) + batch.mode + service.mode;
+    return row;
+  });
+  (void)rows;
+}
+
 }  // namespace omega

@@ -207,14 +207,19 @@ TEST(LintHygiene, ConstantsClassesAndFunctionLocalsAreClean) {
 TEST(LintShardSafety, FlagsMemberCaptureAndRawBufferWrites) {
   const auto findings = RunOn("shard");
   // shard_bad.cc: member write via reached method, by-ref capture of a
-  // launching-frame local, and a raw (non-ShardSlots) vector capture.
-  EXPECT_EQ(CountFile(findings, "src/shard_bad.cc"), 3);
+  // launching-frame local, a raw (non-ShardSlots) vector capture, and a
+  // write through a range-for pointer into the launching frame.
+  EXPECT_EQ(CountFile(findings, "src/shard_bad.cc"), 4);
   EXPECT_TRUE(HasFindingAt(findings, "det-shard-unsafe-write",
                            "src/shard_bad.cc", 10));  // Accum::Bump total_
   EXPECT_TRUE(HasFindingAt(findings, "det-shard-unsafe-write",
                            "src/shard_bad.cc", 19));  // shared_counter += 1
   EXPECT_TRUE(HasFindingAt(findings, "det-shard-unsafe-write",
                            "src/shard_bad.cc", 21));  // out[i] = 1.0
+  // `for (Tally* t : {&shared})`: a pointer loop variable is classified by
+  // the root of its range, like a reference.
+  EXPECT_TRUE(HasFindingAt(findings, "det-shard-unsafe-write",
+                           "src/shard_bad.cc", 33));  // t->hits += i
 }
 
 TEST(LintShardSafety, CallGraphEdgeCases) {
@@ -226,14 +231,17 @@ TEST(LintShardSafety, CallGraphEdgeCases) {
   // Virtual dispatch: Base* -> Derived::Apply's member write.
   EXPECT_TRUE(HasFindingAt(findings, "det-shard-unsafe-write",
                            "src/edges.cc", 20));
-  // ParallelForRanges callbacks are shard roots like ParallelFor's.
+  // SweepRunner::Run trial lambdas are shard roots like ParallelFor's.
   EXPECT_TRUE(HasFindingAt(findings, "det-shard-unsafe-write",
-                           "src/edges.cc", 43));
-  // Recursion (CountDown) terminates the worklist and stays clean: the only
-  // edges.cc findings are the three pinned above.
+                           "src/edges.cc", 54));
+  // Recursion (CountDown) terminates the worklist and stays clean, and a Run
+  // method on any other receiver type is not a root: the only edges.cc
+  // findings are the three pinned above.
   EXPECT_EQ(CountFile(findings, "src/edges.cc"), 3);
 }
 
+// shard_ok.cc also holds a SweepRunner trial that returns its row and writes
+// trial-local configs through `for (Config* c : {&batch, &service})`.
 TEST(LintShardSafety, ShardSlotsFrameLocalsAndPerTrialObjectsAreClean) {
   const auto findings = RunOn("shard");
   EXPECT_EQ(CountFile(findings, "src/shard_ok.cc"), 0);

@@ -245,6 +245,7 @@ TEST(SweepReportTest, JsonContainsAllSections) {
   SweepRunner runner("test_json", 5, 2);
   runner.Run(4, [](const TrialContext& ctx) { return ctx.index; });
   runner.report().AddMetric("answer", 42.0);
+  runner.report().trial_labels = {"a", "b", "c", "d"};
   const std::string json = runner.report().ToJson();
   EXPECT_NE(json.find("\"figure\": \"test_json\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"git_sha\": \""), std::string::npos) << json;
@@ -256,7 +257,19 @@ TEST(SweepReportTest, JsonContainsAllSections) {
   EXPECT_NE(json.find("\"trial_seconds_total\":"), std::string::npos) << json;
   EXPECT_NE(json.find("\"speedup_vs_serial\":"), std::string::npos) << json;
   EXPECT_NE(json.find("\"trial_wall_seconds\": ["), std::string::npos) << json;
+  EXPECT_NE(json.find("\"trial_labels\": [\"a\", \"b\", \"c\", \"d\"]"),
+            std::string::npos)
+      << json;
   EXPECT_NE(json.find("\"answer\": 42"), std::string::npos) << json;
+}
+
+TEST(SweepReportDeathTest, LabelCountOtherThanTrialsAborts) {
+  SweepRunner runner("test_labels", 1, 1);
+  runner.Run(3, [](const TrialContext& ctx) { return ctx.index; });
+  runner.report().trial_labels = {"only", "two"};
+  EXPECT_DEATH(runner.report().ToJson(), "2 trial labels for 3 trials");
+  runner.report().trial_labels.assign(4, "extra");
+  EXPECT_DEATH(runner.report().ToJson(), "4 trial labels for 3 trials");
 }
 
 TEST(SweepReportTest, WriteJsonHonorsOutputDirEnv) {

@@ -4,8 +4,6 @@
 // the reachability semantics and the soundness trade-offs.
 #include <algorithm>
 #include <cctype>
-#include <cstdio>
-#include <cstdlib>
 
 #include "tools/lint/linter.h"
 
@@ -19,6 +17,14 @@ int LineAt(const std::vector<size_t>& line_offsets, size_t offset) {
 
 bool Contains(const std::vector<std::string>& v, const std::string& s) {
   return std::find(v.begin(), v.end(), s) != v.end();
+}
+
+// Shard-API entries name a free function ("ParallelFor") or a method of a
+// receiver's declared class ("SweepRunner::Run").
+bool IsShardApiCall(const std::vector<std::string>& apis,
+                    const CallSite& call) {
+  return Contains(apis, call.callee) ||
+         Contains(apis, call.receiver_type + "::" + call.callee);
 }
 
 std::string Lower(std::string s) {
@@ -400,8 +406,6 @@ void Linter::ScanShardFunction(const ShardState& state,
           (t[i - 1].ident || t[i - 1].text == "]" || t[i - 1].text == ")")) {
         classify_write(i - 1, i);
       } else if (i + 2 < fn.body_end && t[i + 2].ident) {
-        bool designated = false;
-        (void)designated;
         std::string why;
         if (!IsKeywordIdent(t[i + 2].text) &&
             RootIsShared(fn, state.self_shared, state.root, t[i + 2].text,
@@ -429,7 +433,7 @@ void Linter::ScanShardFunction(const ShardState& state,
   for (const CallSite& call : fn.calls) {
     // Shard-API calls are handled by root collection (their callbacks become
     // roots).
-    if (Contains(config_.shard_api_names, call.callee)) {
+    if (IsShardApiCall(config_.shard_api_names, call)) {
       continue;
     }
     const std::vector<int> targets = model_.Resolve(fn, call);
@@ -487,15 +491,6 @@ void Linter::ScanShardFunction(const ShardState& state,
                                       : nullptr;
         }
       }
-      if (std::getenv("OMEGA_LINT_DEBUG_REACH") != nullptr) {
-        const FunctionDef& tg = model_.function(id);
-        std::fprintf(stderr,
-                     "edge %s:%s::%s -> %s:%s::%s callee=%s recv=%s sh=%d self=%d\n",
-                     fn.file.c_str(), fn.class_name.c_str(), fn.name.c_str(),
-                     tg.file.c_str(), tg.class_name.c_str(), tg.name.c_str(),
-                     call.callee.c_str(), call.receiver_root.c_str(),
-                     target_shared ? 1 : 0, state.self_shared ? 1 : 0);
-      }
       work->push_back({id, target_shared, state.root});
     }
   }
@@ -509,7 +504,7 @@ void Linter::CheckShardSafety() {
       continue;
     }
     for (const CallSite& call : fn.calls) {
-      if (!Contains(config_.shard_api_names, call.callee)) {
+      if (!IsShardApiCall(config_.shard_api_names, call)) {
         continue;
       }
       for (int id : call.lambda_args) {
@@ -524,20 +519,11 @@ void Linter::CheckShardSafety() {
     }
   }
   std::set<ShardState> visited;
-  const bool debug = std::getenv("OMEGA_LINT_DEBUG_REACH") != nullptr;
   while (!work.empty()) {
     const ShardState state = work.back();
     work.pop_back();
     if (!visited.insert(state).second) {
       continue;
-    }
-    if (debug) {
-      const FunctionDef& fn = model_.function(state.fn);
-      const FunctionDef& rt = model_.function(state.root);
-      std::fprintf(stderr, "reach %s:%s::%s shared=%d root=%s:%zu\n",
-                   fn.file.c_str(), fn.class_name.c_str(), fn.name.c_str(),
-                   state.self_shared ? 1 : 0, rt.file.c_str(),
-                   rt.name_token);
     }
     ScanShardFunction(state, &work);
   }

@@ -685,9 +685,9 @@ void Linter::CheckBannedIdentifiers(const FileData& f) {
 
 // Flags raw concurrency primitives (std::thread, std::mutex, std::atomic,
 // ...) in simulator code outside the sanctioned src/common/ wrappers. Thread
-// timing must never order results — all parallelism goes through ParallelFor
-// / ParallelForRanges, whose per-index outputs keep results bit-identical at
-// any thread count (DESIGN.md §12). Member accesses are skipped so a field
+// timing must never order results — all parallelism goes through
+// ParallelFor, whose per-index outputs keep results bit-identical at any
+// thread count (DESIGN.md §12). Member accesses are skipped so a field
 // named `mutex` on a project type is not a finding.
 void Linter::CheckParallelPrimitives(const FileData& f) {
   const std::vector<ScanToken> tokens = Tokenize(f.code_nostrings);
@@ -700,7 +700,7 @@ void Linter::CheckParallelPrimitives(const FileData& f) {
     AddFinding(f, LineAt(f.line_offsets, t.offset), "det-parallel-reduce",
                "raw concurrency primitive `" + t.text +
                    "` in simulator code: thread timing must not order "
-                   "results; use ParallelFor / ParallelForRanges from "
+                   "results; use ParallelFor from "
                    "src/common/ (DESIGN.md §12)");
   }
 }

@@ -31,7 +31,8 @@
 // v2 flow-aware rules, built on the whole-project call-graph model
 // (tools/lint/model.h, DESIGN.md §14):
 //   det-shard-unsafe-write   a function transitively reachable from a
-//                            ParallelFor(Ranges) shard callback writes a
+//                            ParallelFor callback or a SweepRunner::Run
+//                            trial function (a shard callback) writes a
 //                            member field, a global, or a by-reference
 //                            capture of a frame outside the shard, except
 //                            through an allowlisted per-shard scratch type
@@ -108,8 +109,8 @@ struct Config {
   // (std::thread, std::mutex, std::atomic, ...) in scheduler/placement logic
   // can order results by thread timing, breaking the bit-identical-at-any-
   // thread-count guarantee; all parallelism must go through the sanctioned
-  // wrappers — ParallelFor / ParallelForRanges — which live under the
-  // exempt prefixes below (DESIGN.md §12). Tests may use
+  // wrapper, ParallelFor, which lives under the exempt prefixes below
+  // (DESIGN.md §12); SweepRunner is built on it. Tests may use
   // primitives directly; bench/tool code needs an inline allow() with a
   // justification.
   std::vector<std::string> parallel_scope = {"src/", "bench/", "tools/"};
@@ -120,10 +121,11 @@ struct Config {
   // Files fed to the call-graph model and scanned by the flow rules.
   std::vector<std::string> flow_scope = {"src/", "bench/", "tools/"};
 
-  // Call names whose lambda (or named-lambda) arguments run as shard
-  // callbacks on worker threads.
-  std::vector<std::string> shard_api_names = {"ParallelForRanges",
-                                              "ParallelFor"};
+  // Calls whose lambda (or named-lambda) arguments run as shard callbacks on
+  // worker threads: ParallelFor, and the trial function of SweepRunner::Run
+  // (a "Class::method" entry matches by the receiver's declared type).
+  std::vector<std::string> shard_api_names = {"ParallelFor",
+                                              "SweepRunner::Run"};
   // Types through which per-shard writes are sanctioned: a ShardSlots view
   // asserts disjoint per-index slots (src/common/parallel_for.h).
   std::vector<std::string> shard_scratch_types = {"ShardSlots"};

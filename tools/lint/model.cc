@@ -935,6 +935,12 @@ void Parser::HandleOpenBrace(size_t i) {
     return;
   }
   const int func = CurFunc();
+  if (func != -1 && !parens_.empty() && parens_.back().is_for) {
+    // A brace inside a for header is a braced list (`for (T* p : {&a, &b})`),
+    // not the loop body; keep the header's tokens for the loop variable.
+    scopes_.push_back({ScopeFrame::kInit, "", func});
+    return;
+  }
   if (func != -1) {
     const std::string last =
         stmt_.empty() ? std::string() : t_[stmt_.back()].text;
@@ -1165,7 +1171,8 @@ void Parser::HandleCloseParen(size_t i) {
   }
   if (frame.is_for && frame.colon != 0) {
     // Range-for: `for (decl : range)` — register the loop variable(s),
-    // classifying references by the root of the range expression.
+    // classifying references and pointers by the root of the range
+    // expression.
     const int func = CurFunc();
     if (func >= 0) {
       FunctionDef* fn = &(*functions_)[func];
@@ -1176,7 +1183,7 @@ void Parser::HandleCloseParen(size_t i) {
           break;
         }
         const Token& tok = t_[k];
-        if (tok.text == "&") {
+        if (tok.text == "&" || tok.text == "*") {
           is_ref = true;
         } else if (tok.ident && !Keywords().count(tok.text)) {
           names.assign(1, tok.text);  // plain decl: last identifier wins
