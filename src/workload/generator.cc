@@ -12,6 +12,11 @@ namespace {
 constexpr int32_t kCommonWorkerCounts[] = {5, 11, 200, 1000};
 constexpr double kCommonWorkerWeights[] = {0.35, 0.30, 0.25, 0.10};
 
+// A task is in the standing population with probability proportional to its
+// duration, lifetimes beyond 30 days counting as 30 days (DESIGN.md §7,
+// "Initial-fill sampler").
+constexpr double kStandingCapSecs = 30.0 * 86400.0;
+
 uint32_t SampleTaskCount(const Distribution& dist, Rng& rng) {
   const double raw = dist.Sample(rng);
   return static_cast<uint32_t>(std::max(1.0, std::round(raw)));
@@ -21,7 +26,13 @@ uint32_t SampleTaskCount(const Distribution& dist, Rng& rng) {
 
 WorkloadGenerator::WorkloadGenerator(const ClusterConfig& config,
                                      GeneratorOptions options, uint64_t seed)
-    : config_(config), options_(options), rng_(seed) {}
+    : config_(config),
+      options_(options),
+      rng_(seed),
+      standing_batch_(
+          config_.batch.task_duration_secs->LengthBiased(kStandingCapSecs)),
+      standing_service_(
+          config_.service.task_duration_secs->LengthBiased(kStandingCapSecs)) {}
 
 Job WorkloadGenerator::GenerateJob(JobType type, SimTime submit) {
   const WorkloadParams& params =
@@ -81,19 +92,9 @@ WorkloadGenerator::InitialTask WorkloadGenerator::SampleInitialTask() {
   const WorkloadParams& params =
       type == JobType::kBatch ? config_.batch : config_.service;
 
-  // Length-biased duration sampling with a 30-day truncation: the probability
-  // of observing a task in the standing population is proportional to its
-  // duration. Rejection sampling against d/d_cap implements the bias.
-  constexpr double kCapSecs = 30.0 * 86400.0;
-  double duration_secs = 0.0;
-  for (int tries = 0; tries < 256; ++tries) {
-    const double d = params.task_duration_secs->Sample(rng_);
-    if (rng_.NextDouble() < std::min(1.0, d / kCapSecs)) {
-      duration_secs = d;
-      break;
-    }
-    duration_secs = d;  // fall back to the last draw if rejection is unlucky
-  }
+  const double duration_secs =
+      (type == JobType::kBatch ? standing_batch_ : standing_service_)
+          .Sample(rng_);
   InitialTask task;
   task.resources = Resources{params.cpus_per_task->Sample(rng_),
                              params.mem_gb_per_task->Sample(rng_)};

@@ -8,6 +8,7 @@
 
 #include <vector>
 
+#include "src/common/distributions.h"
 #include "src/common/random.h"
 #include "src/common/sim_time.h"
 #include "src/workload/cluster_config.h"
@@ -36,6 +37,8 @@ struct GeneratorOptions {
 
 class WorkloadGenerator {
  public:
+  // Both job types' duration laws need a closed-form length-biased law
+  // (Distribution::LengthBiased); others CHECK-fail here.
   WorkloadGenerator(const ClusterConfig& config, GeneratorOptions options,
                     uint64_t seed);
 
@@ -55,10 +58,12 @@ class WorkloadGenerator {
   };
 
   // Samples one standing-stock task. The mix is mostly service-like (service
-  // jobs hold 55-80% of resources, Fig. 2). Durations are length-biased —
-  // the population present at an instant is duration-weighted — and the
-  // residual lifetime is uniform over the sampled duration (renewal theory),
-  // so the initial population churns realistically without draining.
+  // jobs hold 55-80% of resources, Fig. 2). Durations are drawn exactly from
+  // the length-biased law min(d, 30 days) dF(d) — the population present at
+  // an instant is duration-weighted — and the residual lifetime is uniform
+  // over the sampled duration (renewal theory), so the initial population
+  // churns realistically without draining. Draw order: type, duration, cpus,
+  // memory, residual.
   InitialTask SampleInitialTask();
 
   const ClusterConfig& config() const { return config_; }
@@ -72,6 +77,9 @@ class WorkloadGenerator {
   GeneratorOptions options_;
   Rng rng_;
   JobId next_job_id_ = 1;
+  // Each job type's standing-duration law, flattened once (SampleInitialTask).
+  PiecewiseLaw standing_batch_;
+  PiecewiseLaw standing_service_;
 };
 
 // Assigns attribute values and failure domains to machines, matching the

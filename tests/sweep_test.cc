@@ -166,14 +166,16 @@ TEST(SweepDeterminismTest, Fig5SweepIdenticalAcrossThreadCounts) {
   }
 }
 
-// Bit-identical regression against seed behavior: these golden values were
-// captured from the pre-overhaul simulator (priority_queue + lazy-tombstone
-// event queue, unpruned placement scan) at commit f3f58e8, Release build, by
-// running RunFig56Sweep(Duration::FromDays(0.004), runner, 3) serially and
-// printing every field at %.17g. The indexed event slab and the
-// block-summary placement pruning must not move ANY of these numbers: the
-// event queue pops the same (time, insertion-order) sequence, and the pruned
-// scan only skips machines that could never be chosen.
+// Bit-identical regression: these golden values were first captured from the
+// pre-overhaul simulator (priority_queue + lazy-tombstone event queue,
+// unpruned placement scan) at commit f3f58e8, Release build, by running
+// RunFig56Sweep(Duration::FromDays(0.004), runner, 3) serially and printing
+// every field at %.17g. The indexed event slab and the block-summary
+// placement pruning did not move ANY of them: the event queue pops the same
+// (time, insertion-order) sequence, and the pruned scan only skips machines
+// that could never be chosen. They were re-captured the same way once, when
+// the initial fill switched to the exact length-biased duration sampler
+// (DESIGN.md §7), which draws a different random stream.
 TEST(SweepDeterminismTest, Fig5SweepMatchesSeedGoldens) {
   struct Golden {
     const char* arch;
@@ -192,33 +194,33 @@ TEST(SweepDeterminismTest, Fig5SweepMatchesSeedGoldens) {
   // capture — only the empty-summary sentinel moved from 0 to NaN.
   constexpr double kNoData = std::numeric_limits<double>::quiet_NaN();
   static constexpr Golden kGolden[] = {
-      {"mono-single", "A", 0.01, 0.35810137145969495, 0.60821516666666664, 0.19081307870370454, 0, 0.19081307870370454, 0, 0},
-      {"mono-single", "A", 1, 110.57116944680847, 96.259733999999995, 1, 0, 1, 0, 0},
-      {"mono-single", "A", 100, 149.18958900000001, kNoData, 1, 0, 1, 0, 0},
-      {"mono-single", "B", 0.01, 0.010851626062322947, 0, 0.049898726851851788, 0, 0.049898726851851788, 0, 0},
-      {"mono-single", "B", 1, 36.526920896969678, 37.894711799999996, 1, 0, 1, 0, 0},
-      {"mono-single", "B", 100, 146.54060200000001, kNoData, 1, 0, 1, 0, 0},
-      {"mono-single", "C", 0.01, 0.20543388524590164, 0, 0.075491898148148148, 0, 0.075491898148148148, 0, 0},
-      {"mono-single", "C", 1, 2.3980126640316208, 2.0010374999999998, 0.8365885416666643, 0, 0.8365885416666643, 0, 0},
-      {"mono-single", "C", 100, 146.97280624999999, kNoData, 1, 0, 1, 0, 0},
-      {"mono-multi", "A", 0.01, 0.25805040549450547, 0.87945300000000004, 0.41238425925925909, 0, 0.41238425925925909, 0, 0},
-      {"mono-multi", "A", 1, 0.22850834676564138, 0.053920666666666672, 0.43074363425926049, 0, 0.43074363425926049, 0, 0},
-      {"mono-multi", "A", 100, 29.779923723650395, 2.5036619999999998, 0.92524594907407631, 0, 0.92524594907407631, 0, 0},
-      {"mono-multi", "B", 0.01, 0.079715182795698947, 0, 0.16537905092592539, 0, 0.16537905092592539, 0, 0},
-      {"mono-multi", "B", 1, 0.12389177628032348, 0.12642466666666669, 0.20879629629629579, 0, 0.20879629629629579, 0, 0},
-      {"mono-multi", "B", 100, 81.354557092391317, 75.226221249999995, 1, 0, 1, 0, 0},
-      {"mono-multi", "C", 0.01, 0.059811987755102027, 0, 0.1050491898148147, 0, 0.1050491898148147, 0, 0},
-      {"mono-multi", "C", 1, 0.024634778723404253, 0.030712555555555559, 0.11953124999999981, 0, 0.11953124999999981, 0, 0},
-      {"mono-multi", "C", 100, 51.580935257142855, 65.315072999999998, 0.90789930555555576, 0, 0.90789930555555576, 0, 0},
-      {"omega", "A", 0.01, 0.17871788255033555, 0, 0.38203125000000054, 0, 0.00072337962962962948, 0, 0},
-      {"omega", "A", 1, 0.43564019913885904, 0, 0.41986400462962947, 0, 0.008998842592592593, 0, 0},
-      {"omega", "A", 100, 0.22022789887640468, 64.386239000000003, 0.41323784722222279, 0, 0.86835937500000004, 0, 0},
-      {"omega", "B", 0.01, 0.014338062827225133, 0, 0.14380787037036979, 0, 0.00078124999999999983, 0, 0},
-      {"omega", "B", 1, 0.37723597593582869, 0.080352599999999996, 0.21183449074074059, 0, 0.029629629629629624, 0, 0},
-      {"omega", "B", 100, 0.020923341597796144, 95.70052475, 0.14218749999999972, 0, 1, 0, 0},
-      {"omega", "C", 0.01, 0.014253648000000001, 0, 0.0942563657407407, 0, 0.0011574074074074073, 0, 0},
-      {"omega", "C", 1, 0.057344087452471486, 0.080009999999999998, 0.11814236111111104, 0, 0.029311342592592587, 0, 0},
-      {"omega", "C", 100, 0.056803409448818912, 124.80843300000001, 0.11025752314814807, 0, 1, 0, 0},
+      {"mono-single", "A", 0.01, 0.016284924836601305, 0.0026606666666666666, 0.11044560185185209, 0, 0.11044560185185209, 0, 0},
+      {"mono-single", "A", 1, 113.10587421671828, 102.14473400000001, 1, 0, 1, 0, 0},
+      {"mono-single", "A", 100, 149.239589, kNoData, 1, 0, 1, 0, 0},
+      {"mono-single", "B", 0.01, 0.026923974504249288, 0.15225315384615384, 0.067303240740740747, 0, 0.067303240740740747, 0, 0},
+      {"mono-single", "B", 1, 36.942391328220872, 38.858711800000002, 0.99982638888888564, 0, 0.99982638888888564, 0, 0},
+      {"mono-single", "B", 100, 146.53685200000001, kNoData, 1, 0, 1, 0, 0},
+      {"mono-single", "C", 0.01, 0.030225471311475415, 0, 0.046079282407407454, 0, 0.046079282407407454, 0, 0},
+      {"mono-single", "C", 1, 1.6448179723320164, 1.6931630714285713, 0.80013020833333126, 0, 0.80013020833333126, 0, 0},
+      {"mono-single", "C", 100, 146.99030625, kNoData, 1, 0, 1, 0, 0},
+      {"mono-multi", "A", 0.01, 0.15447557095709577, 0.28334199999999998, 0.38875868055555651, 0, 0.38875868055555651, 0, 0},
+      {"mono-multi", "A", 1, 0.16070759641728119, 0.14250599999999999, 0.4153501157407416, 0, 0.4153501157407416, 0, 0},
+      {"mono-multi", "A", 100, 28.390137605398458, 0, 0.92719907407407587, 0, 0.92719907407407587, 0, 0},
+      {"mono-multi", "B", 0.01, 0.016718895161290319, 0, 0.14696180555555502, 0, 0.14696180555555502, 0, 0},
+      {"mono-multi", "B", 1, 0.055199097035040445, 0.14742466666666665, 0.1901186342592586, 0, 0.1901186342592586, 0, 0},
+      {"mono-multi", "B", 100, 82.19409513586956, 75.859971250000001, 1, 0, 1, 0, 0},
+      {"mono-multi", "C", 0.01, 0.023003595918367346, 0, 0.10397858796296286, 0, 0.10397858796296286, 0, 0},
+      {"mono-multi", "C", 1, 0.19349397446808506, 0.029601444444444444, 0.14150752314814782, 0, 0.14150752314814782, 0, 0},
+      {"mono-multi", "C", 100, 51.627355009523811, 65.558406333333338, 0.91166087962962972, 0, 0.91166087962962972, 0, 0},
+      {"omega", "A", 0.01, 0.10014606487695746, 0, 0.37228009259259298, 0, 0.0010271990740740743, 0, 0},
+      {"omega", "A", 1, 0.12987495572354224, 0, 0.38399884259259243, 0, 0.0087384259259259238, 0, 0},
+      {"omega", "A", 100, 0.056659346241457881, 64.371239000000003, 0.35095486111111129, 0, 0.86812789351851838, 0, 0},
+      {"omega", "B", 0.01, 0.13783818062827222, 0, 0.16153067129629584, 0, 0.0011284722222222225, 0, 0},
+      {"omega", "B", 1, 0.02196441443850267, 0.080352599999999996, 0.15125868055555519, 0, 0.029340277777777771, 0, 0},
+      {"omega", "B", 100, 0.023115322314049582, 95.70052475, 0.14442997685185144, 0, 1, 0, 0},
+      {"omega", "C", 0.01, 0.12904900400000002, 0, 0.1391348379629628, 0, 0.0026620370370370374, 0, 0},
+      {"omega", "C", 1, 0.0092792129277566547, 0.079509999999999997, 0.099710648148148062, 0, 0.029282407407407403, 0, 0},
+      {"omega", "C", 100, 0.014065259842519686, 124.818433, 0.099522569444444361, 0, 1, 0, 0},
   };
   SweepRunner runner("test_fig5_goldens", kFig56BaseSeed, 1);
   const auto results =

@@ -197,6 +197,38 @@ TEST(GeneratorTest, InitialTasksMostlyLongLived) {
   EXPECT_GT(longer_than_day, n / 4);
 }
 
+// Renewal theory: a task found running at an instant has duration drawn from
+// d dF(d) / E[d] and a residual uniform over it, so the mean residual is
+// E[d^2] / (2 E[d]). Batch durations are clamped below the 30-day cap, so the
+// cap plays no part. The reference moments come from plain Sample() draws.
+TEST(GeneratorTest, BatchStandingResidualMeanMatchesRenewalTheory) {
+  for (const ClusterConfig& config : {ClusterA(), TestCluster()}) {
+    Rng rng(41);
+    double sum_d = 0.0;
+    double sum_d2 = 0.0;
+    for (int i = 0; i < 8000000; ++i) {
+      const double d = config.batch.task_duration_secs->Sample(rng);
+      sum_d += d;
+      sum_d2 += d * d;
+    }
+    const double expected = sum_d2 / (2.0 * sum_d);
+
+    WorkloadGenerator gen(config, {}, 43);
+    const int32_t batch = DefaultPrecedence(JobType::kBatch);
+    double sum_residual = 0.0;
+    int n = 0;
+    while (n < 400000) {
+      const auto task = gen.SampleInitialTask();
+      if (task.precedence == batch) {
+        sum_residual += task.remaining.ToSeconds();
+        ++n;
+      }
+    }
+    EXPECT_NEAR(sum_residual / n / expected, 1.0, 0.03)
+        << config.name << ": expected " << expected << " s";
+  }
+}
+
 TEST(MachineAttributesTest, DeterministicAndInRange) {
   MachineAttributeAssignment a;
   a.num_attribute_keys = 5;
