@@ -1,6 +1,7 @@
 #include "src/mesos/mesos_simulation.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "src/common/logging.h"
 
@@ -29,7 +30,7 @@ uint16_t MesosFramework::TraceTrack() {
   return static_cast<uint16_t>(trace_track_);
 }
 
-void MesosFramework::HandleOffer(ResourceOffer offer) {
+void MesosFramework::HandleOffer() {
   OMEGA_CHECK(!busy_);
   OMEGA_CHECK(!queue_.empty());
   JobPtr job = std::move(queue_.front());
@@ -60,25 +61,24 @@ void MesosFramework::HandleOffer(ResourceOffer offer) {
   // locked for this framework while the offer is outstanding.
   std::vector<TaskClaim> claims;
   claims.reserve(std::min<uint32_t>(remaining, 1024));
-  uint32_t placed = 0;
-  for (OfferSlice& slice : offer.slices) {
-    while (placed < remaining && job->task_resources.FitsIn(slice.resources)) {
-      slice.resources -= job->task_resources;
-      claims.push_back(TaskClaim{slice.machine, job->task_resources, 0});
-      ++placed;
-    }
-    if (placed == remaining) {
-      break;
-    }
-  }
+  sim_.allocator().PlaceOnOffer(
+      this, remaining, [&](OfferSlice& slice, uint32_t wanted) {
+        uint32_t placed = 0;
+        while (placed < wanted && job->task_resources.FitsIn(slice.resources)) {
+          slice.resources -= job->task_resources;
+          claims.push_back(TaskClaim{slice.machine, job->task_resources, 0});
+          ++placed;
+        }
+        return placed;
+      });
 
-  sim_.sim().ScheduleAfter(decision, [this, job, offer = std::move(offer),
-                                      claims = std::move(claims)]() mutable {
-    FinishAttempt(job, std::move(offer), std::move(claims));
-  });
+  sim_.sim().ScheduleAfter(decision,
+                           [this, job, claims = std::move(claims)]() mutable {
+                             FinishAttempt(job, std::move(claims));
+                           });
 }
 
-void MesosFramework::FinishAttempt(const JobPtr& job, ResourceOffer offer,
+void MesosFramework::FinishAttempt(const JobPtr& job,
                                    std::vector<TaskClaim> claims) {
   // Commit the placed tasks. Offer-locked resources commit cleanly under
   // pessimistic concurrency, with one exception: a machine that failed while
@@ -142,11 +142,10 @@ void MesosFramework::FinishAttempt(const JobPtr& job, ResourceOffer offer,
     }
   }
 
-  // Return the unused remainder of the offer to the allocator (§4.2:
-  // "Resources not used at the end of scheduling a job are returned").
-  // `offer.slices` was decremented in place while placing tasks, so it now
-  // holds exactly the unused portions.
-  sim_.allocator().ReturnOffer(offer);
+  // Return the unused remainder of the offer to the allocator. Its slices
+  // were decremented in place while placing tasks, so they now hold exactly
+  // the unused portions.
+  sim_.allocator().ReturnOffer(this);
 
   job->tasks_scheduled += static_cast<uint32_t>(result.accepted);
   busy_ = false;
@@ -176,6 +175,7 @@ void MesosFramework::ReleaseHoard(const JobPtr& job) {
   }
   for (const TaskClaim& claim : it->second) {
     sim_.cell().Free(claim.machine, claim.resources);
+    sim_.allocator().OnMachineChanged(claim.machine);
     sim_.allocator().OnResourcesFreed(this, claim.resources);
   }
   // The placed-task count no longer reflects running tasks; reset so the
@@ -197,6 +197,28 @@ Resources MesosFramework::HoardedResources() const {
 // ---------------------------------------------------------------------------
 // MesosAllocator
 
+namespace {
+
+bool SameBits(const Resources& a, const Resources& b) {
+  return std::bit_cast<uint64_t>(a.cpus) == std::bit_cast<uint64_t>(b.cpus) &&
+         std::bit_cast<uint64_t>(a.mem_gb) == std::bit_cast<uint64_t>(b.mem_gb);
+}
+
+// True if a machine with ledger `ledger` and slice `slice` (= clamp(available
+// - ledger)) can be held implicitly: returned unused, the slice leaves the
+// ledger bit-identical, and while it is out every other round offers the
+// machine nothing. Always true for a +0 ledger, since 0 + a and (0 + a) - a
+// are exact; a residue ledger passes when the residue sits in a dimension
+// with no spare (DESIGN.md §7, "The offer ledger").
+bool HasStableCycle(const Resources& available, const Resources& ledger,
+                    const Resources& slice) {
+  const Resources locked = ledger + slice;
+  return SameBits((locked - slice).ClampNonNegative(), ledger) &&
+         (available - locked).ClampNonNegative().IsZero();
+}
+
+}  // namespace
+
 MesosAllocator::MesosAllocator(MesosSimulation& sim, Duration decision_time,
                                Duration min_round_interval)
     : sim_(sim),
@@ -204,20 +226,35 @@ MesosAllocator::MesosAllocator(MesosSimulation& sim, Duration decision_time,
       min_round_interval_(min_round_interval) {}
 
 void MesosAllocator::RegisterFramework(MesosFramework* framework) {
+  const uint32_t num_machines = sim_.cell().NumMachines();
   frameworks_.push_back(framework);
   allocated_.push_back(Resources::Zero());
+  offers_.emplace_back().held.Resize(num_machines);
   if (offered_.empty()) {
-    offered_.assign(sim_.cell().NumMachines(), Resources::Zero());
+    offered_.assign(num_machines, Resources::Zero());
+    spare_.assign(num_machines, Resources::Zero());
+    clean_.Resize(num_machines);
+    dirty_.Resize(num_machines);
+    // Nothing is cached yet: the first round examines every machine.
+    for (MachineId m = 0; m < num_machines; ++m) {
+      dirty_.Insert(m);
+    }
   }
 }
 
-double MesosAllocator::DominantShare(const MesosFramework* framework) const {
+size_t MesosAllocator::IndexOf(const MesosFramework* framework) const {
   for (size_t i = 0; i < frameworks_.size(); ++i) {
     if (frameworks_[i] == framework) {
-      return allocated_[i].DominantShare(sim_.cell().TotalCapacity());
+      return i;
     }
   }
-  return 0.0;
+  OMEGA_CHECK(false) << "unregistered framework";
+  return 0;
+}
+
+double MesosAllocator::DominantShare(const MesosFramework* framework) const {
+  return allocated_[IndexOf(framework)].DominantShare(
+      sim_.cell().TotalCapacity());
 }
 
 MesosFramework* MesosAllocator::PickFramework() {
@@ -263,70 +300,119 @@ void MesosAllocator::RunAllocationRound() {
   if (framework == nullptr) {
     return;
   }
+  ++counters_.rounds;
   // Build the offer: every machine's currently unused and unoffered
   // resources. The simple allocator offers everything available (§3.3 fn 3).
-  ResourceOffer offer;
+  // Clean machines go over whole, as a set: their slice is the cached spare.
+  ResourceOffer& offer = offers_[IndexOf(framework)];
+  counters_.holds_transferred += clean_.Count();
+  offer.held.Swap(clean_);
+  // Dirty machines replay the per-machine arithmetic.
   const CellState& cell = sim_.cell();
-  for (MachineId m = 0; m < cell.NumMachines(); ++m) {
+  dirty_.ForEach([&](MachineId m) {
+    ++counters_.machines_examined;
     const Resources available =
         (cell.machine(m).Available() - offered_[m]).ClampNonNegative();
     if (available.IsZero()) {
-      continue;
+      // Stays zero until the machine or its ledger changes; both re-dirty it.
+      dirty_.Erase(m);
+    } else if (HasStableCycle(cell.machine(m).Available(), offered_[m],
+                              available)) {
+      spare_[m] = available;
+      offer.held.Insert(m);
+      dirty_.Erase(m);
+    } else {
+      offer.slices.push_back(OfferSlice{m, available});
+      offered_[m] += available;
     }
-    offer.slices.push_back(OfferSlice{m, available});
-    offered_[m] += available;
+    return true;
+  });
+  const int64_t num_slices =
+      static_cast<int64_t>(offer.slices.size()) + offer.held.Count();
+  counters_.slices_offered += num_slices;
+  if (observer_) {
+    observer_(*framework, OfferEvent::kOffered);
   }
-  if (offer.Empty()) {
+  if (num_slices == 0) {
     // Nothing to offer right now; a task finish or offer return re-triggers.
     return;
   }
-  framework->HandleOffer(std::move(offer));
+  framework->HandleOffer();
   // Other frameworks may still be pending; try to offer whatever remains.
   Trigger();
 }
 
 void MesosAllocator::OnResourcesAllocated(const MesosFramework* framework,
                                           const Resources& r) {
-  for (size_t i = 0; i < frameworks_.size(); ++i) {
-    if (frameworks_[i] == framework) {
-      allocated_[i] += r;
-      return;
-    }
-  }
-  OMEGA_CHECK(false) << "unregistered framework";
+  allocated_[IndexOf(framework)] += r;
 }
 
 void MesosAllocator::OnResourcesFreed(const MesosFramework* framework,
                                       const Resources& r) {
-  for (size_t i = 0; i < frameworks_.size(); ++i) {
-    if (frameworks_[i] == framework) {
-      allocated_[i] -= r;
-      allocated_[i] = allocated_[i].ClampNonNegative();
-      Trigger();
+  Resources& allocated = allocated_[IndexOf(framework)];
+  allocated -= r;
+  allocated = allocated.ClampNonNegative();
+  Trigger();
+}
+
+void MesosAllocator::Materialise(MachineId machine) {
+  for (ResourceOffer& offer : offers_) {
+    if (offer.held.Contains(machine)) {
+      offer.held.Erase(machine);
+      offered_[machine] += spare_[machine];
+      offer.slices.push_back(OfferSlice{machine, spare_[machine]});
       return;
     }
   }
-  OMEGA_CHECK(false) << "unregistered framework";
+}
+
+void MesosAllocator::OnMachineChanged(MachineId machine) {
+  // The held slice keeps the spare cached before the change, exactly what
+  // the round computed.
+  Materialise(machine);
+  MarkDirty(machine);
 }
 
 void MesosAllocator::OnOfferResourcesUsed(const std::vector<TaskClaim>& claims) {
   for (const TaskClaim& claim : claims) {
+    Materialise(claim.machine);
     offered_[claim.machine] -= claim.resources;
     offered_[claim.machine] = offered_[claim.machine].ClampNonNegative();
+    MarkDirty(claim.machine);
   }
 }
 
-void MesosAllocator::ReturnOffer(const ResourceOffer& offer) {
+void MesosAllocator::ReturnOffer(const MesosFramework* framework) {
+  ResourceOffer& offer = offers_[IndexOf(framework)];
   for (const OfferSlice& slice : offer.slices) {
+    Materialise(slice.machine);
     offered_[slice.machine] -= slice.resources;
     offered_[slice.machine] = offered_[slice.machine].ClampNonNegative();
+    MarkDirty(slice.machine);
   }
+  offer.slices.clear();
+  // An unused implicit slice leaves the ledger at offered_[m] (the cycle
+  // test) and the allocation unchanged: the machine is clean again.
+  clean_.UnionWith(offer.held);
+  offer.held.Clear();
+  if (observer_) {
+    observer_(*framework, OfferEvent::kReturned);
+  }
+}
+
+Resources MesosAllocator::OfferedOn(MachineId machine) const {
+  for (const ResourceOffer& offer : offers_) {
+    if (offer.held.Contains(machine)) {
+      return offered_[machine] + spare_[machine];
+    }
+  }
+  return offered_[machine];
 }
 
 Resources MesosAllocator::TotalOffered() const {
   Resources sum;
-  for (const Resources& r : offered_) {
-    sum += r;
+  for (MachineId m = 0; m < offered_.size(); ++m) {
+    sum += OfferedOn(m);
   }
   return sum;
 }

@@ -10,9 +10,10 @@
 #pragma once
 
 #include <deque>
+#include <functional>
+#include <map>
 #include <memory>
 #include <string>
-#include <map>
 #include <vector>
 
 #include "src/mesos/offer.h"
@@ -41,7 +42,7 @@ class MesosFramework {
 
   // Allocator delivers an offer; the framework starts a scheduling attempt
   // for its head job. Must only be called when IsPending().
-  void HandleOffer(ResourceOffer offer);
+  void HandleOffer();
 
   // Pending = has queued work and is able to receive an offer.
   bool IsPending() const { return !busy_ && !queue_.empty(); }
@@ -56,8 +57,7 @@ class MesosFramework {
   Resources HoardedResources() const;
 
  private:
-  void FinishAttempt(const JobPtr& job, ResourceOffer offer,
-                     std::vector<TaskClaim> claims);
+  void FinishAttempt(const JobPtr& job, std::vector<TaskClaim> claims);
   void ReleaseHoard(const JobPtr& job);
   // Trace track for this framework, registered lazily under config_.name.
   uint16_t TraceTrack();
@@ -80,6 +80,13 @@ class MesosFramework {
 // "The DRF algorithm ... is quite fast"); successive allocation rounds are
 // additionally paced by `min_round_interval`, matching Mesos's batched
 // allocation cycle (and bounding simulation cost on large cells).
+//
+// A round's work is proportional to the machines that changed since the
+// last round, not to the cell: a machine whose unused offer would return its
+// ledger bit-identical (always so for a +0 ledger) is offered and returned
+// implicitly, as part of a set (DESIGN.md §7, "The offer ledger"). Offers are
+// bit-identical to recomputing every machine's clamp(available - offered)
+// each round.
 class MesosAllocator {
  public:
   explicit MesosAllocator(MesosSimulation& sim,
@@ -95,33 +102,117 @@ class MesosAllocator {
   // Framework bookkeeping for DRF and offer locking.
   void OnResourcesAllocated(const MesosFramework* framework, const Resources& r);
   void OnResourcesFreed(const MesosFramework* framework, const Resources& r);
-  void ReturnOffer(const ResourceOffer& offer);
+
+  // Walks `framework`'s outstanding offer in ascending machine order until
+  // `tasks` tasks are placed. `place(slice, wanted)` places up to `wanted`
+  // tasks on `slice`, decrementing `slice.resources` per task, and returns
+  // how many it placed.
+  template <typename Place>
+  void PlaceOnOffer(const MesosFramework* framework, uint32_t tasks,
+                    Place&& place);
 
   // Unlocks the offered share consumed by committed claims (the machine's
-  // availability already dropped by the same amount, so leaving it in
-  // `offered_` would double-count it as locked forever).
+  // availability already dropped by the same amount, so leaving it in the
+  // ledger would double-count it as locked forever).
   void OnOfferResourcesUsed(const std::vector<TaskClaim>& claims);
 
+  // Returns the unused remainder of `framework`'s offer (§4.2: "Resources not
+  // used at the end of scheduling a job are returned").
+  void ReturnOffer(const MesosFramework* framework);
+
+  // Reports a change to `machine`'s allocation made outside a framework's
+  // own commit (task ends, failures, repairs, preemption, hoard releases).
+  void OnMachineChanged(MachineId machine);
+
   // Offered (locked) resources on `machine`.
-  const Resources& OfferedOn(MachineId machine) const { return offered_[machine]; }
+  Resources OfferedOn(MachineId machine) const;
   Resources TotalOffered() const;
   double DominantShare(const MesosFramework* framework) const;
+
+  // Ledger events, for tests that diff the allocator against a reference.
+  enum class OfferEvent { kOffered, kReturned };
+  // Called after each round that picked a framework, before the framework
+  // places tasks (the offer may be empty), and after each ReturnOffer.
+  using OfferObserver =
+      std::function<void(const MesosFramework&, OfferEvent)>;
+  void SetOfferObserver(OfferObserver observer) {
+    observer_ = std::move(observer);
+  }
+
+  const OfferCounters& counters() const { return counters_; }
 
  private:
   void RunAllocationRound();
   // DRF argmin: the pending framework with the lowest dominant share,
   // earliest registration order on ties.
   MesosFramework* PickFramework();
+  size_t IndexOf(const MesosFramework* framework) const;
+  // Gives a machine held implicitly by some framework its explicit slice and
+  // ledger entry (offered + spare). Every ledger update outside a round calls
+  // it first.
+  void Materialise(MachineId machine);
+  void MarkDirty(MachineId machine) {
+    clean_.Erase(machine);
+    dirty_.Insert(machine);
+  }
 
   MesosSimulation& sim_;
   Duration decision_time_;
   Duration min_round_interval_;
   std::vector<MesosFramework*> frameworks_;
   std::vector<Resources> allocated_;  // per framework, for DRF
-  std::vector<Resources> offered_;    // per machine, locked in offers
+  std::vector<ResourceOffer> offers_;  // per framework, outstanding
+  // Per machine. `offered_` is the exact ledger, except that a machine an
+  // offer holds implicitly has `offered_ + spare_` locked; `spare_` is the
+  // cached clamp(available - offered_) of clean and held machines.
+  std::vector<Resources> offered_;
+  std::vector<Resources> spare_;
+  // Clean: spare non-zero, allocation and ledger unchanged since spare_ was
+  // cached, and an unused offer of it would leave the ledger bit-identical.
+  // Dirty: must be recomputed by the next round. A machine in neither (and
+  // held by no offer) has nothing to offer until it or its ledger changes.
+  MachineSet clean_;
+  MachineSet dirty_;
+  OfferCounters counters_;
+  OfferObserver observer_;
   bool round_scheduled_ = false;
   SimTime last_round_;
 };
+
+template <typename Place>
+void MesosAllocator::PlaceOnOffer(const MesosFramework* framework,
+                                  uint32_t tasks, Place&& place) {
+  ResourceOffer& offer = offers_[IndexOf(framework)];
+  // The round appended the explicit slices in ascending order; merge the
+  // held machines into that order. Materialised slices go after them.
+  const size_t num_explicit = offer.slices.size();
+  size_t next = 0;
+  auto place_explicit_below = [&](MachineId bound) {
+    while (tasks > 0 && next < num_explicit &&
+           offer.slices[next].machine < bound) {
+      const uint32_t n = place(offer.slices[next++], tasks);
+      counters_.slices_consumed += n > 0 ? 1 : 0;
+      tasks -= n;
+    }
+  };
+  offer.held.ForEach([&](MachineId m) {
+    place_explicit_below(m);
+    if (tasks == 0) {
+      return false;
+    }
+    OfferSlice slice{m, spare_[m]};
+    const uint32_t n = place(slice, tasks);
+    if (n > 0) {
+      ++counters_.slices_consumed;
+      tasks -= n;
+      offer.held.Erase(m);
+      offered_[m] += spare_[m];
+      offer.slices.push_back(slice);
+    }
+    return tasks > 0;
+  });
+  place_explicit_below(kInvalidMachineId);
+}
 
 class MesosSimulation final : public ClusterSimulation {
  public:
@@ -141,7 +232,12 @@ class MesosSimulation final : public ClusterSimulation {
   }
 
  protected:
-  void OnTaskFreed() override { allocator_.Trigger(); }
+  void OnMachineChanged(MachineId machine, bool wake) override {
+    allocator_.OnMachineChanged(machine);
+    if (wake) {
+      allocator_.Trigger();
+    }
+  }
 
  private:
   friend class MesosFramework;

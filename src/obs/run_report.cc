@@ -126,11 +126,14 @@ RunReport BuildRunReport(const std::string& architecture,
 
 RunReport BuildRunReport(const std::string& architecture, MesosSimulation& sim,
                          const AuditPolicy& policy) {
-  return BuildRunReport(
+  RunReport report = BuildRunReport(
       architecture, sim,
       {{sim.batch_framework().name(), &sim.batch_framework().metrics()},
        {sim.service_framework().name(), &sim.service_framework().metrics()}},
       policy);
+  report.offers.enabled = true;
+  report.offers.counters = sim.allocator().counters();
+  return report;
 }
 
 RunReport BuildRunReport(const std::string& architecture, OmegaSimulation& sim,
@@ -199,7 +202,16 @@ void RunReport::ToJson(std::ostream& os) const {
     }
     os << "}";
   }
-  os << "}}";
+  os << "}";
+  if (offers.enabled) {
+    const OfferCounters& c = offers.counters;
+    os << ",\"mesos\":{\"rounds\":" << c.rounds
+       << ",\"slices_offered\":" << c.slices_offered
+       << ",\"slices_consumed\":" << c.slices_consumed
+       << ",\"machines_examined\":" << c.machines_examined
+       << ",\"holds_transferred\":" << c.holds_transferred << "}";
+  }
+  os << "}";
 }
 
 }  // namespace omega

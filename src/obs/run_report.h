@@ -17,6 +17,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/mesos/offer.h"
 #include "src/trace/trace_recorder.h"
 #include "src/omega/audit.h"
 #include "src/scheduler/cluster_simulation.h"
@@ -69,6 +70,12 @@ struct TraceSummary {
   std::vector<std::pair<std::string, int64_t>> counts;
 };
 
+// The Mesos allocator's work counters; filled only for Mesos runs.
+struct OfferSummary {
+  bool enabled = false;
+  OfferCounters counters;
+};
+
 struct RunReport {
   std::string architecture;  // "monolithic", "mesos", "omega", "hifi", ...
 
@@ -92,6 +99,7 @@ struct RunReport {
   std::vector<SchedulerReport> schedulers;
 
   TraceSummary trace;
+  OfferSummary offers;
 
   // Renders the report as one JSON object.
   void ToJson(std::ostream& os) const;

@@ -66,13 +66,13 @@ void ClusterSimulation::PlaceInitialFill() {
         const EventId eid = sim_->ScheduleAt(end, [this, claim, task_id] {
           registry_.Remove(task_id);
           cell_.Free(claim.machine, claim.resources);
-          OnTaskFreed();
+          OnMachineChanged(claim.machine, /*wake=*/true);
         });
         registry_.SetEndEvent(task_id, eid);
       } else {
         sim_->ScheduleAt(end, [this, claim] {
           cell_.Free(claim.machine, claim.resources);
-          OnTaskFreed();
+          OnMachineChanged(claim.machine, /*wake=*/true);
         });
       }
       misses = 0;
@@ -246,6 +246,9 @@ void ClusterSimulation::FailMachine(MachineId machine) {
   if (!reservation.IsZero()) {
     cell_.Allocate(machine, reservation);
   }
+  // One report covers the kills and the reservation; neither wakes an
+  // allocator (the kills' own callbacks do, for scheduler-started tasks).
+  OnMachineChanged(machine, /*wake=*/false);
   downtime_reservation_[machine] = reservation;
   ++machine_failures_;
   ++machines_down_;
@@ -259,7 +262,7 @@ void ClusterSimulation::FailMachine(MachineId machine) {
     if (trace_ != nullptr) {
       trace_->MachineRepair(sim_->Now(), machine, HarnessTraceTrack());
     }
-    OnTaskFreed();
+    OnMachineChanged(machine, /*wake=*/true);
   });
 }
 
@@ -332,6 +335,7 @@ void ClusterSimulation::FinishCohort(CohortStore::CohortId cohort_id) {
     // claim order (the cohort still saved n-1 heap events).
     for (const TaskClaim& claim : c.member_claims) {
       cell_.Free(claim.machine, claim.resources);
+      OnMachineChanged(claim.machine, /*wake=*/true);
     }
   } else {
     // One batched free per distinct machine. Sorting reorders frees across
@@ -350,11 +354,9 @@ void ClusterSimulation::FinishCohort(CohortStore::CohortId cohort_id) {
       }
       cell_.FreeBatch(cohort_scratch_[i], c.task_resources,
                       static_cast<uint32_t>(j - i));
+      OnMachineChanged(cohort_scratch_[i], /*wake=*/true);
       i = j;
     }
-  }
-  for (size_t i = 0; i < n; ++i) {
-    OnTaskFreed();
   }
 }
 
@@ -387,6 +389,7 @@ MachineId ClusterSimulation::PreemptAndPlace(const Job& job, Rng& rng,
     if (shortfall.IsZero()) {
       // Fits without eviction (resources freed since the placement attempt).
       cell_.Allocate(m, job.task_resources);
+      OnMachineChanged(m, /*wake=*/false);
       return true;
     }
     const std::vector<RunningTask> victims =
@@ -410,6 +413,7 @@ MachineId ClusterSimulation::PreemptAndPlace(const Job& job, Rng& rng,
       }
     }
     cell_.Allocate(m, job.task_resources);
+    OnMachineChanged(m, /*wake=*/false);
     return true;
   };
   // Random probes, then a linear scan so that a preemptable placement is

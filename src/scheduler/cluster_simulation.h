@@ -157,9 +157,12 @@ class ClusterSimulation {
   // may inspect the initial cell state.
   virtual void OnSimulationStart() {}
 
-  // Hook invoked after every task-end free (including initial-fill tasks).
-  // The Mesos allocator uses it to re-offer newly available resources.
-  virtual void OnTaskFreed() {}
+  // Hook invoked after the harness changes `machine`'s allocation: task-end
+  // frees (including initial-fill tasks), failure kills and downtime
+  // reservations, repairs, and preemption. `wake` is set where resources
+  // come back for good (task ends, repairs). The Mesos allocator uses the
+  // machine to invalidate its cached offer state and `wake` to re-offer.
+  virtual void OnMachineChanged(MachineId /*machine*/, bool /*wake*/) {}
 
   // Kills every running task on `machine` and reserves its capacity until
   // repair. Protected so test harnesses can inject deterministic failures.

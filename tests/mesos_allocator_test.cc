@@ -102,5 +102,19 @@ TEST(MesosAllocatorTest, IdleFrameworkReceivesNoOffers) {
   EXPECT_TRUE(sim.allocator().TotalOffered().IsZero());
 }
 
+TEST(MesosAllocatorDeathTest, UnregisteredFrameworkAborts) {
+  MesosSimulation sim(QuietCluster(), Opts(5), SchedulerConfig{},
+                      SchedulerConfig{});
+  MesosFramework stranger(sim, SchedulerConfig{}, JobType::kBatch);
+  // DominantShare used to report 0.0 for a framework the allocator never
+  // registered; it now fails like the accounting calls do.
+  EXPECT_DEATH(sim.allocator().DominantShare(&stranger),
+               "unregistered framework");
+  EXPECT_DEATH(sim.allocator().OnResourcesAllocated(&stranger, Resources{1, 1}),
+               "unregistered framework");
+  EXPECT_DEATH(sim.allocator().OnResourcesFreed(&stranger, Resources{1, 1}),
+               "unregistered framework");
+}
+
 }  // namespace
 }  // namespace omega

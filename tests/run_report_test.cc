@@ -65,6 +65,52 @@ TEST(RunReportTest, MesosReportHasBothFrameworks) {
             sim.service_framework().metrics().TasksAccepted());
 }
 
+TEST(RunReportTest, MesosReportCountsAllocatorWork) {
+  MesosSimulation sim(TestCluster(64), ReportRun(), SchedulerConfig{},
+                      SchedulerConfig{});
+  sim.Run();
+  const RunReport report = BuildRunReport("mesos", sim);
+  ASSERT_TRUE(report.offers.enabled);
+  const OfferCounters& c = report.offers.counters;
+  EXPECT_EQ(c.rounds, sim.allocator().counters().rounds);
+  // Every attempt came from a round, and a round offers at most the cell.
+  const int64_t attempts = sim.batch_framework().metrics().TotalAttempts() +
+                           sim.service_framework().metrics().TotalAttempts();
+  EXPECT_GE(c.rounds, attempts);
+  EXPECT_GT(attempts, 0);
+  EXPECT_LE(c.slices_offered, c.rounds * 64);
+  EXPECT_GT(c.slices_consumed, 0);
+  EXPECT_LE(c.slices_consumed, c.slices_offered);
+  // The first round examines every machine; later ones only changed ones.
+  EXPECT_GE(c.machines_examined, 64);
+  EXPECT_LT(c.machines_examined, c.rounds * 64);
+  EXPECT_GT(c.holds_transferred, 0);
+
+  std::ostringstream os;
+  report.ToJson(os);
+  const std::string json = os.str();
+  EXPECT_NE(json.find("\"mesos\":{\"rounds\":" + std::to_string(c.rounds) +
+                      ",\"slices_offered\":" +
+                      std::to_string(c.slices_offered)),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"holds_transferred\":" +
+                      std::to_string(c.holds_transferred) + "}"),
+            std::string::npos);
+}
+
+TEST(RunReportTest, NonMesosReportHasNoAllocatorSection) {
+  SchedulerConfig single;
+  single.name = "mono";
+  MonolithicSimulation sim(TestCluster(16), ReportRun(), single);
+  sim.Run();
+  const RunReport report = BuildRunReport("monolithic", sim);
+  EXPECT_FALSE(report.offers.enabled);
+  std::ostringstream os;
+  report.ToJson(os);
+  EXPECT_EQ(os.str().find("\"mesos\""), std::string::npos);
+}
+
 TEST(RunReportTest, OmegaReportSeparatesPreemptionFromCommits) {
   // Saturate a small cell with long batch work so the preempting service
   // scheduler actually evicts; the report must keep those placements out of
