@@ -78,10 +78,10 @@ std::vector<Row> RunMegaSweep(Duration horizon, int trials,
 // --------------------------------------------------------------------------
 // Placement-stress probe: the worst case of the sequential constrained scan.
 //
-// The day-long trials above are not scan-bound — the two-level summaries
-// (§11) prune their no-fit sweeps to near-nothing. The expensive regime is a
+// The day-long trials above are not scan-bound — their no-fit sweeps are
+// short, chunked SoA passes (§11). The expensive regime is a
 // constraint-picky scan over a cell where raw fits pass everywhere
-// (summaries cannot prune) but only a sparse subset of machines satisfies
+// (the raw sweep stops at every machine) but only a sparse subset satisfies
 // the job's attribute constraint: first-fit then walks thousands of futile
 // raw-fit hits per placement. This probe measures exactly that — 100k empty
 // machines, one matching machine per ~16k — and records its wall-clock in

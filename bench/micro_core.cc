@@ -237,9 +237,8 @@ BENCHMARK(BM_EventQueueMixed)->Arg(10000)->Arg(100000)->Arg(1000000);
 
 // Randomized first fit at a controlled utilization level. The paper's
 // experiments deliberately push cells toward fullness (§4/§5), where the
-// random-probe phase keeps missing and the linear fallback dominates; the
-// block-summary pruning pays off exactly there. Arg is percent utilization of
-// the binding (CPU) dimension.
+// random-probe phase keeps missing and the linear fallback dominates. Arg is
+// percent utilization of the binding (CPU) dimension.
 void BM_PlacerAtUtilization(benchmark::State& state) {
   constexpr uint32_t kMachines = 10000;
   CellState cell(kMachines, kMachine);
@@ -247,9 +246,8 @@ void BM_PlacerAtUtilization(benchmark::State& state) {
   const double target = static_cast<double>(state.range(0)) / 100.0;
   if (state.range(0) >= 100) {
     // Saturate: pack every machine until the probe task fits nowhere, so each
-    // placement attempt degenerates to the exhaustive no-fit scan — the case
-    // where block pruning replaces a 10000-machine walk with ~157 block
-    // checks.
+    // placement attempt degenerates to the exhaustive 10000-machine no-fit
+    // sweep.
     for (MachineId m = 0; m < kMachines; ++m) {
       while (cell.CanFit(m, kTask)) {
         cell.Allocate(m, kTask);
@@ -290,11 +288,11 @@ BENCHMARK(BM_PlacerAtUtilization)->Arg(50)->Arg(85)->Arg(95)->Arg(99)->Arg(100);
 // No-fit scan at mega-cell scale (100k machines). With max_random_probes=0
 // every placement goes straight to the phase-2 linear fallback, so this
 // isolates the scan itself: the SoA sweep over the contiguous per-resource
-// arrays (two-level summary pruning + 8-wide chunked fit kernel, DESIGN.md
-// §11). Arg is the percent of machines that cannot fit the probe task: the
-// first Arg% of the cell is packed solid and the rest left empty, so every
-// scan must sweep past a controlled no-fit span before its first fit (at
-// 100, every scan is a full-cell proof that no fit exists).
+// arrays (the 8-wide chunked fit kernel, DESIGN.md §11). Arg is the percent
+// of machines that cannot fit the probe task: the first Arg% of the cell is
+// packed solid and the rest left empty, so every scan must sweep past a
+// controlled no-fit span before its first fit (at 100, every scan is a
+// full-cell proof that no fit exists).
 void BM_NoFitScanSoA(benchmark::State& state) {
   constexpr uint32_t kMachines = 100000;
   CellState cell(kMachines, kMachine);
@@ -348,8 +346,8 @@ void FillToUtilization(CellState& cell, int64_t percent, uint64_t seed,
 
 // Commit with per-machine claim grouping (cohort batching) on a transaction
 // whose claims stack several tasks onto each machine — the shape StartTasks
-// produces for multi-task jobs. Grouping does one seqnum/block-summary update
-// per machine instead of per claim; results are bit-identical to per-claim
+// produces for multi-task jobs. Grouping does one seqnum/SoA update per
+// machine instead of per claim; results are bit-identical to per-claim
 // application (DESIGN.md §10). Arg is percent CPU utilization.
 void BM_CommitGrouped(benchmark::State& state) {
   constexpr uint32_t kMachines = 10000;

@@ -29,20 +29,6 @@ CellState::CellState(std::vector<Resources> machine_capacities,
     total_capacity_ += machine_capacities[i];
   }
   InitSoA();
-  const size_t num_blocks = (machines_.size() + kBlockSize - 1) / kBlockSize;
-  block_max_cpu_.resize(num_blocks);
-  block_max_mem_.resize(num_blocks);
-  block_dirty_.assign(num_blocks, 0);
-  for (size_t b = 0; b < num_blocks; ++b) {
-    RecomputeBlock(b);
-  }
-  const size_t num_supers = (num_blocks + kSuperSize - 1) / kSuperSize;
-  super_max_cpu_.resize(num_supers);
-  super_max_mem_.resize(num_supers);
-  super_dirty_.assign(num_supers, 0);
-  for (size_t s = 0; s < num_supers; ++s) {
-    RecomputeSuper(s);
-  }
 }
 
 void CellState::InitSoA() {
@@ -62,62 +48,9 @@ void CellState::InitSoA() {
   }
 }
 
-void CellState::RecomputeBlock(size_t block) const {
-  const size_t begin = block * kBlockSize;
-  const size_t end = std::min(begin + kBlockSize, machines_.size());
-  Resources max_avail = Resources::Zero();
-  for (size_t m = begin; m < end; ++m) {
-    const Resources avail = UsableAvail(static_cast<MachineId>(m));
-    max_avail.cpus = std::max(max_avail.cpus, avail.cpus);
-    max_avail.mem_gb = std::max(max_avail.mem_gb, avail.mem_gb);
-  }
-  block_max_cpu_[block] = max_avail.cpus;
-  block_max_mem_[block] = max_avail.mem_gb;
-  block_dirty_[block] = 0;
-}
-
-void CellState::RecomputeSuper(size_t super) const {
-  const size_t begin = super * kSuperSize;
-  const size_t end = std::min(begin + kSuperSize, block_max_cpu_.size());
-  double max_cpu = 0.0;
-  double max_mem = 0.0;
-  for (size_t b = begin; b < end; ++b) {
-    if (block_dirty_[b] != 0) {
-      RecomputeBlock(b);
-    }
-    max_cpu = std::max(max_cpu, block_max_cpu_[b]);
-    max_mem = std::max(max_mem, block_max_mem_[b]);
-  }
-  super_max_cpu_[super] = max_cpu;
-  super_max_mem_[super] = max_mem;
-  super_dirty_[super] = 0;
-}
-
-void CellState::BlockAfterShrink(MachineId id) {
-  // A shrink can only lower the maxima, so the stored values stay sound
-  // (stale-high) upper bounds; just mark both levels stale and let the next
-  // summary consult re-summarize them. Two byte stores keep the allocation
-  // fast path free of summary-array traffic.
-  const size_t block = id / kBlockSize;
-  block_dirty_[block] = 1;
-  super_dirty_[block / kSuperSize] = 1;
-}
-
-void CellState::BlockAfterGrow(MachineId id) {
-  // Raising the maxima keeps a clean summary exact and a dirty summary's
-  // upper bound sound; either way it is correct (and branch-free) — at both
-  // levels.
-  const size_t block = id / kBlockSize;
-  const Resources avail = UsableAvail(id);
-  block_max_cpu_[block] = std::max(block_max_cpu_[block], avail.cpus);
-  block_max_mem_[block] = std::max(block_max_mem_[block], avail.mem_gb);
-  const size_t super = block / kSuperSize;
-  super_max_cpu_[super] = std::max(super_max_cpu_[super], avail.cpus);
-  super_max_mem_[super] = std::max(super_max_mem_[super], avail.mem_gb);
-}
-
-MachineId CellState::ScanFit(MachineId from, MachineId to,
-                             const Resources& request) const {
+MachineId CellState::FindFirstFit(MachineId begin, MachineId end,
+                                  const Resources& request) const {
+  const MachineId to = std::min(end, NumMachines());
   const double* __restrict acpu = soa_alloc_cpu_.data();
   const double* __restrict amem = soa_alloc_mem_.data();
   const double* __restrict fcpu = soa_fit_cpu_.data();
@@ -129,7 +62,7 @@ MachineId CellState::ScanFit(MachineId from, MachineId to,
   // and only drop to the scalar rescan once a chunk reports a hit. The
   // predicate is componentwise exactly CanFit's FitsIn test (see InitSoA).
   constexpr uint32_t kChunk = 8;
-  uint32_t i = from;
+  uint32_t i = begin;
   for (; i + kChunk <= to; i += kChunk) {
     uint32_t any = 0;
     for (uint32_t k = 0; k < kChunk; ++k) {
@@ -144,35 +77,6 @@ MachineId CellState::ScanFit(MachineId from, MachineId to,
     if (acpu[i] + rc <= fcpu[i] && amem[i] + rm <= fmem[i]) {
       return i;
     }
-  }
-  return kInvalidMachineId;
-}
-
-MachineId CellState::FindFirstFit(MachineId begin, MachineId end,
-                                  const Resources& request) const {
-  const auto num = static_cast<MachineId>(machines_.size());
-  MachineId id = begin;
-  const MachineId limit = std::min(end, num);
-  constexpr uint32_t kSuperMachines = kBlockSize * kSuperSize;
-  while (id < limit) {
-    // Prune a whole superblock, then a whole block, before touching machines.
-    // Both prunes are conservative (stale-high summaries are refreshed before
-    // the compare), so no feasible machine is ever skipped.
-    if (!SuperblockMayFit(id, request)) {
-      id = (id / kSuperMachines + 1) * kSuperMachines;
-      continue;
-    }
-    if (!BlockMayFit(id, request)) {
-      id = NextBlockStart(id);
-      continue;
-    }
-    const MachineId block_end =
-        std::min(limit, static_cast<MachineId>(NextBlockStart(id)));
-    const MachineId hit = ScanFit(id, block_end, request);
-    if (hit != kInvalidMachineId) {
-      return hit;
-    }
-    id = block_end;
   }
   return kInvalidMachineId;
 }
@@ -209,7 +113,6 @@ void CellState::Allocate(MachineId id, const Resources& request_ref) {
   ++m.seqnum;
   total_allocated_ += request;
   SyncSoA(id);
-  BlockAfterShrink(id);
   if (HasAvailabilityIndex()) {
     IndexUpdate(id, old_bucket);
   }
@@ -227,7 +130,6 @@ void CellState::Free(MachineId id, const Resources& request_ref) {
   total_allocated_ -= request;
   total_allocated_ = total_allocated_.ClampNonNegative();
   SyncSoA(id);
-  BlockAfterGrow(id);
   if (HasAvailabilityIndex()) {
     IndexUpdate(id, old_bucket);
   }
@@ -252,7 +154,7 @@ void CellState::AllocateBatch(MachineId id, const Resources& per_task,
   // Replay the per-task additions (FP addition is not associative, and the
   // per-task path is the reference), but check capacity once at the end —
   // sound because allocation only grows across the batch — and fold the
-  // seqnum and block-summary maintenance into one step each.
+  // seqnum and SoA write-through into one step each.
   for (uint32_t i = 0; i < count; ++i) {
     m.allocated += request;
     total_allocated_ += request;
@@ -262,7 +164,6 @@ void CellState::AllocateBatch(MachineId id, const Resources& per_task,
       << " batch=" << request << " x" << count << " capacity=" << m.capacity;
   m.seqnum += count;
   SyncSoA(id);
-  BlockAfterShrink(id);
 }
 
 void CellState::FreeBatch(MachineId id, const Resources& per_task,
@@ -280,7 +181,7 @@ void CellState::FreeBatch(MachineId id, const Resources& per_task,
   Machine& m = machines_[id];
   // The per-task clamps are part of the reference arithmetic (a clamp midway
   // through the batch changes the values every later step sees), so they
-  // stay in the loop; only seqnum and summary maintenance are batched.
+  // stay in the loop; only the seqnum and SoA write-through are batched.
   for (uint32_t i = 0; i < count; ++i) {
     m.allocated -= request;
     OMEGA_CHECK(!m.allocated.IsNegative())
@@ -292,7 +193,6 @@ void CellState::FreeBatch(MachineId id, const Resources& per_task,
   }
   m.seqnum += count;
   SyncSoA(id);
-  BlockAfterGrow(id);
 }
 
 void CellState::EnableAvailabilityIndex(uint32_t num_buckets) {
@@ -415,24 +315,11 @@ CommitResult CellState::Commit(std::span<const TaskClaim> claims,
   // Phase 1: decide acceptance per claim against the current state, tracking
   // pending same-transaction allocations so intra-transaction claims stack
   // correctly and never count as conflicts against each other. The pending
-  // sums live in a dense epoch-stamped per-machine scratch (see the member
-  // comment); the arithmetic is the same per-claim accumulation as before.
+  // sums live in the PendingClaims scratch (see the member comment).
   accept_scratch_.assign(claims.size(), 0);
   std::vector<char>& accept = accept_scratch_;
-  if (pending_stamp_.size() != machines_.size()) {
-    pending_stamp_.assign(machines_.size(), 0u);
-    pending_amount_.resize(machines_.size());
-    pending_epoch_ = 0;
-  }
-  if (++pending_epoch_ == 0) {  // epoch wrapped: stale stamps could collide
-    std::fill(pending_stamp_.begin(), pending_stamp_.end(), 0u);
-    pending_epoch_ = 1;
-  }
-  const uint32_t epoch = pending_epoch_;
-  auto pending_on = [&](MachineId id) {
-    return pending_stamp_[id] == epoch ? pending_amount_[id]
-                                       : Resources::Zero();
-  };
+  PendingClaims& pending = pending_scratch_;
+  pending.Reset(NumMachines());
 
   bool uniform_resources = true;
   for (size_t i = 1; i < claims.size(); ++i) {
@@ -450,7 +337,7 @@ CommitResult CellState::Commit(std::span<const TaskClaim> claims,
         // Conflict only if the claim no longer fits given what has been
         // committed since placement (plus pending claims from this txn).
         ok = CanFitWithPending(claim.machine, claim.resources,
-                               pending_on(claim.machine));
+                               pending.On(claim.machine));
         break;
       }
       case ConflictMode::kCoarseGrained: {
@@ -464,18 +351,14 @@ CommitResult CellState::Commit(std::span<const TaskClaim> claims,
           // included, since the scheduler placed them against its local
           // copy too).
           ok = CanFitWithPending(claim.machine, claim.resources,
-                                 pending_on(claim.machine));
+                                 pending.On(claim.machine));
         }
         break;
       }
     }
     accept[i] = ok ? 1 : 0;
     if (ok) {
-      if (pending_stamp_[claim.machine] != epoch) {
-        pending_stamp_[claim.machine] = epoch;
-        pending_amount_[claim.machine] = Resources::Zero();
-      }
-      pending_amount_[claim.machine] += claim.resources;
+      pending.Add(claim.machine, claim.resources);
     }
   }
 
@@ -578,69 +461,11 @@ bool CellState::CheckInvariants() const {
     }
     sum += m.allocated;
     // The SoA mirrors must be bitwise-equal to the Machine structs (they are
-    // maintained by plain assignment, so any divergence is a missed sync) ...
+    // maintained by plain assignment, so any divergence is a missed sync).
     if (soa_alloc_cpu_[m.id] != m.allocated.cpus ||
         soa_alloc_mem_[m.id] != m.allocated.mem_gb ||
         soa_fit_cpu_[m.id] != UsableCapacity(m.id).cpus + kResourceEpsilon ||
         soa_fit_mem_[m.id] != UsableCapacity(m.id).mem_gb + kResourceEpsilon) {
-      return false;
-    }
-    // ... and the block summary must dominate every machine's usable
-    // availability (soundness: BlockMayFit may never rule out a feasible
-    // machine) ...
-    const Resources avail = UsableAvail(m.id);
-    const size_t block = m.id / kBlockSize;
-    if (avail.cpus > block_max_cpu_[block] + kResourceEpsilon ||
-        avail.mem_gb > block_max_mem_[block] + kResourceEpsilon) {
-      return false;
-    }
-    // ... as must the superblock summary, one level up.
-    const size_t super = block / kSuperSize;
-    if (avail.cpus > super_max_cpu_[super] + kResourceEpsilon ||
-        avail.mem_gb > super_max_mem_[super] + kResourceEpsilon) {
-      return false;
-    }
-  }
-  // ... and clean blocks must additionally stay tight: their summary must be
-  // achieved by some machine per dimension, or pruning quietly degrades.
-  // (Dirty blocks are allowed to be stale-high until their next consult.)
-  for (size_t b = 0; b < block_max_cpu_.size(); ++b) {
-    if (block_dirty_[b] != 0) {
-      continue;
-    }
-    const size_t begin = b * kBlockSize;
-    const size_t end = std::min(begin + kBlockSize, machines_.size());
-    Resources max_avail = Resources::Zero();
-    for (size_t m = begin; m < end; ++m) {
-      const Resources avail = UsableAvail(static_cast<MachineId>(m));
-      max_avail.cpus = std::max(max_avail.cpus, avail.cpus);
-      max_avail.mem_gb = std::max(max_avail.mem_gb, avail.mem_gb);
-    }
-    if (std::abs(block_max_cpu_[b] - max_avail.cpus) > 1e-6 ||
-        std::abs(block_max_mem_[b] - max_avail.mem_gb) > 1e-6) {
-      return false;
-    }
-  }
-  // Clean superblocks: every constituent block must be clean (a shrink marks
-  // both levels, and only RecomputeSuper — which refreshes its blocks —
-  // clears the super bit), and the stored value must equal the exact maximum
-  // over the stored block values (grow raises both levels consistently).
-  for (size_t s = 0; s < super_max_cpu_.size(); ++s) {
-    if (super_dirty_[s] != 0) {
-      continue;
-    }
-    const size_t begin = s * kSuperSize;
-    const size_t end = std::min(begin + kSuperSize, block_max_cpu_.size());
-    double max_cpu = 0.0;
-    double max_mem = 0.0;
-    for (size_t b = begin; b < end; ++b) {
-      if (block_dirty_[b] != 0) {
-        return false;
-      }
-      max_cpu = std::max(max_cpu, block_max_cpu_[b]);
-      max_mem = std::max(max_mem, block_max_mem_[b]);
-    }
-    if (super_max_cpu_[s] != max_cpu || super_max_mem_[s] != max_mem) {
       return false;
     }
   }

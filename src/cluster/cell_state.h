@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "src/cluster/machine.h"
+#include "src/cluster/pending_claims.h"
 #include "src/cluster/resources.h"
 
 namespace omega {
@@ -111,8 +112,8 @@ class CellState {
   // batched mutation: the floating-point arithmetic is replayed per task so
   // the resulting state is bit-identical to `count` single calls, but the
   // sequence number advances once by `+count`, the capacity check runs once
-  // (sound: allocation grows monotonically across the batch), and the block
-  // summary is maintained once per batch instead of per task. With the
+  // (sound: allocation grows monotonically across the batch), and the SoA
+  // mirror is written once per batch instead of per task. With the
   // availability index enabled, bucket-list order is observable through
   // VisitByAvailability, so both fall back to the per-task sequence — state
   // stays bit-identical there too, just without the batching win. See
@@ -151,75 +152,10 @@ class CellState {
   // MapReduce global-cap policy thresholds on (§6.1).
   double MaxUtilization() const;
 
-  // Verifies internal consistency (per-machine sums vs. totals, block
-  // summaries vs. per-machine availability); used by tests and debug builds.
-  // Returns true when consistent.
+  // Verifies internal consistency (per-machine sums vs. totals, SoA mirrors
+  // vs. Machine structs); used by tests and debug builds. Returns true when
+  // consistent.
   bool CheckInvariants() const;
-
-  // --- block / superblock availability summaries ---
-  //
-  // Machines are grouped into fixed blocks of kBlockSize consecutive ids, and
-  // every block carries the componentwise maximum of its machines' usable
-  // availability (UsableCapacity - allocated, clamped at zero). Placement
-  // scans use BlockMayFit to skip whole blocks that cannot fit a request in
-  // at least one resource dimension — which is what keeps randomized first
-  // fit's linear fallback cheap in the near-full regime the paper's
-  // experiments deliberately drive into (§4, §5). Blocks are further grouped
-  // into superblocks of kSuperSize consecutive blocks (kBlockSize *
-  // kSuperSize = 4096 machines) carrying the same kind of summary one level
-  // up, so a mega-cell no-fit scan is ~O(cell / 4096) superblock consults
-  // instead of O(cell / 64) block consults (DESIGN.md §11).
-  //
-  // Maintenance is incremental and lazy, tuned to the traffic mix: frees
-  // raise the stored maxima in O(1); an allocation just marks its block and
-  // superblock dirty with byte stores (allocations vastly outnumber fallback
-  // scans, so doing any more work here would cost more than pruning saves);
-  // a dirty summary is re-summarized on first consult. Between recomputes a
-  // dirty summary's stored value is stale-high — a sound upper bound — so
-  // pruning never wrongly rules a block out, it just prunes less until
-  // refreshed. Because a pending (uncommitted) claim only shrinks
-  // availability further, a block ruled out by the summary can never hide a
-  // machine a CanFitWithPending scan would have accepted: skipping is
-  // strictly conservative at both levels.
-
-  static constexpr uint32_t kBlockSize = 64;
-  // Blocks per superblock (so kBlockSize * kSuperSize machines each).
-  static constexpr uint32_t kSuperSize = 64;
-
-  uint32_t NumBlocks() const { return static_cast<uint32_t>(block_max_cpu_.size()); }
-  uint32_t NumSuperblocks() const {
-    return static_cast<uint32_t>(super_max_cpu_.size());
-  }
-
-  // True unless no machine in the block containing `id` can fit `request`
-  // (i.e. false means every machine in the block fails CanFit for `request`).
-  // Refreshes the block's summary if it is stale.
-  bool BlockMayFit(MachineId id, const Resources& request) const {
-    const size_t block = id / kBlockSize;
-    if (block_dirty_[block] != 0) {
-      RecomputeBlock(block);
-    }
-    return request.cpus <= block_max_cpu_[block] + kResourceEpsilon &&
-           request.mem_gb <= block_max_mem_[block] + kResourceEpsilon;
-  }
-
-  // As BlockMayFit, one level up: true unless no machine in the superblock
-  // containing `id` can fit `request`. Refreshes the superblock (and any
-  // dirty constituent blocks) if stale.
-  bool SuperblockMayFit(MachineId id, const Resources& request) const {
-    const size_t super = id / (kBlockSize * kSuperSize);
-    if (super_dirty_[super] != 0) {
-      RecomputeSuper(super);
-    }
-    return request.cpus <= super_max_cpu_[super] + kResourceEpsilon &&
-           request.mem_gb <= super_max_mem_[super] + kResourceEpsilon;
-  }
-
-  // First machine id after `id` that lies in the next block; placement scans
-  // jump here when BlockMayFit(id, ...) is false.
-  static MachineId NextBlockStart(MachineId id) {
-    return (id / kBlockSize + 1) * kBlockSize;
-  }
 
   // --- struct-of-arrays placement core (DESIGN.md §11) ---
   //
@@ -233,12 +169,12 @@ class CellState {
 
   // First machine id in [begin, end) whose current allocation can fit
   // `request` under the fullness policy, ignoring pending claims and
-  // placement constraints — the same predicate as CanFit, evaluated as a
-  // two-level-pruned sweep over the SoA arrays. Returns kInvalidMachineId if
-  // no machine in the range fits. Callers re-check candidates with
-  // constraints and pending claims: a machine this sweep skips fails those
-  // stricter checks too (pending only shrinks availability), so using it as
-  // a pre-filter changes no placement decision.
+  // placement constraints — the same predicate as CanFit, evaluated as an
+  // 8-wide chunked sweep over the SoA arrays. `end` is clamped to the cell.
+  // Returns kInvalidMachineId if no machine in the range fits. Callers
+  // re-check candidates with constraints and pending claims: a machine this
+  // sweep skips fails those stricter checks too (pending only shrinks
+  // availability), so using it as a pre-filter changes no placement decision.
   MachineId FindFirstFit(MachineId begin, MachineId end,
                          const Resources& request) const;
 
@@ -271,24 +207,6 @@ class CellState {
   void IndexInsert(MachineId id);
   void IndexUpdate(MachineId id, size_t old_bucket);
 
-  // Usable availability of `id` under the fullness policy, clamped at zero
-  // componentwise (headroom can drive the raw difference negative).
-  Resources UsableAvail(MachineId id) const {
-    return (UsableCapacity(id) - machines_[id].allocated).ClampNonNegative();
-  }
-  // Recomputes a block's summary from its machines and clears its dirty bit
-  // (const: the summary is a cache over machine state).
-  void RecomputeBlock(size_t block) const;
-  // Recomputes a superblock's summary from its (refreshed) constituent blocks
-  // and clears its dirty bit.
-  void RecomputeSuper(size_t super) const;
-  // Marks both summary levels stale after machine `id`'s availability shrank
-  // (allocation path).
-  void BlockAfterShrink(MachineId id);
-  // Restores both summary levels after machine `id`'s availability grew (free
-  // path).
-  void BlockAfterGrow(MachineId id);
-
   // Writes machine `id`'s allocated components through to the SoA mirrors.
   void SyncSoA(MachineId id) {
     soa_alloc_cpu_[id] = machines_[id].allocated.cpus;
@@ -297,10 +215,6 @@ class CellState {
   // Fills the SoA fit-limit arrays from the (immutable) usable capacities;
   // called once from both constructors.
   void InitSoA();
-  // Chunked kernel under FindFirstFit: first id in [from, to) — a range that
-  // never crosses a block boundary — whose raw allocation fits `request`, or
-  // kInvalidMachineId.
-  MachineId ScanFit(MachineId from, MachineId to, const Resources& request) const;
 
   std::vector<Machine> machines_;
   Resources total_capacity_;
@@ -319,28 +233,14 @@ class CellState {
   std::vector<double> soa_fit_cpu_;
   std::vector<double> soa_fit_mem_;
 
-  // Per-block componentwise maximum of UsableAvail over the block's machines
-  // (always maintained; one entry per kBlockSize machines), split into
-  // per-resource double arrays, plus the same summary one level up over
-  // kSuperSize blocks. Mutable: a dirty summary is lazily recomputed on first
-  // consult, including through const readers.
-  mutable std::vector<double> block_max_cpu_;
-  mutable std::vector<double> block_max_mem_;
-  mutable std::vector<uint8_t> block_dirty_;
-  mutable std::vector<double> super_max_cpu_;
-  mutable std::vector<double> super_max_mem_;
-  mutable std::vector<uint8_t> super_dirty_;
-
   CommitObserver commit_observer_;
   // Commit scratch, reused across transactions: the per-machine grouping
   // list, the per-claim accept flags, and the pending same-transaction sums
-  // as a dense epoch-stamped per-machine array (an array read per claim
-  // instead of a hash lookup; a new transaction is an O(1) epoch bump).
+  // (the placers' PendingClaims: an array read per claim, and a new
+  // transaction is an O(1) epoch bump).
   std::vector<MachineId> commit_scratch_;
   std::vector<char> accept_scratch_;
-  std::vector<Resources> pending_amount_;
-  std::vector<uint32_t> pending_stamp_;
-  uint32_t pending_epoch_ = 0;
+  PendingClaims pending_scratch_;
 
   // Availability index state (empty when disabled).
   std::vector<std::vector<MachineId>> buckets_;

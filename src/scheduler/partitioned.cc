@@ -13,6 +13,11 @@ PartitionedSimulation::PartitionedSimulation(const ClusterConfig& config,
                                              double batch_fraction)
     : ClusterSimulation(config, options) {
   OMEGA_CHECK(batch_fraction > 0.0 && batch_fraction < 1.0);
+  // Each partition needs at least one machine: with one machine the clamp
+  // bounds below cross, and an empty range would read as "whole cell".
+  OMEGA_CHECK(config.num_machines >= 2)
+      << "a partitioned cell needs at least 2 machines, got "
+      << config.num_machines;
   const auto split = static_cast<MachineId>(std::clamp<double>(
       batch_fraction * config.num_machines, 1.0, config.num_machines - 1.0));
   batch_range_ = MachineRange{0, split};

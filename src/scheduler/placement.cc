@@ -48,8 +48,8 @@ uint32_t RandomizedFirstFitPlacer::PlaceTasks(const CellState& cell, const Job& 
     }
     // Phase 2: linear scan from a random offset; guarantees a fit is found
     // whenever one exists. FindFirstFit sweeps the contiguous per-resource
-    // arrays (with two-level summary pruning) and returns the first machine
-    // whose raw allocation fits; a machine it skips fails CanFit outright, so
+    // arrays and returns the first machine whose raw allocation fits; a
+    // machine it skips fails CanFit outright, so
     // it would fail CanFitWithPending too (pending only shrinks
     // availability). Candidates just need the constraint and pending
     // re-checks, and a rejected candidate resumes the sweep at the next id.

@@ -338,192 +338,12 @@ TEST(AvailabilityIndexTest, MemoryBoundMachinesSortTight) {
   EXPECT_EQ(seen.size(), 2u);
 }
 
-// --- block availability summaries ---
-
-TEST(BlockSummaryTest, FreshCellAdvertisesFullCapacity) {
-  CellState cell(CellState::kBlockSize * 2 + 7, kMachine);
-  EXPECT_EQ(cell.NumBlocks(), 3u);
-  for (MachineId m = 0; m < cell.NumMachines(); m += 13) {
-    EXPECT_TRUE(cell.BlockMayFit(m, kMachine));
-    EXPECT_FALSE(cell.BlockMayFit(m, Resources{kMachine.cpus + 0.5, 1.0}));
-  }
-}
-
-TEST(BlockSummaryTest, SoundnessNeverRulesOutAFeasibleMachine) {
-  // Whatever BlockMayFit says "no" to must truly fit nowhere in the block.
-  CellState cell(CellState::kBlockSize * 3, kMachine);
-  Rng rng(42);
-  for (int step = 0; step < 5000; ++step) {
-    const auto m = static_cast<MachineId>(rng.NextBounded(cell.NumMachines()));
-    const Resources r{0.5 + rng.NextDouble(), 1.0 + 4.0 * rng.NextDouble()};
-    if (rng.NextBool(0.7)) {
-      if (cell.CanFit(m, r)) {
-        cell.Allocate(m, r);
-      }
-    } else if (!cell.machine(m).allocated.IsZero()) {
-      cell.Free(m, cell.machine(m).allocated);
-    }
-    const Resources probe{0.25 + 3.75 * rng.NextDouble(),
-                          1.0 + 15.0 * rng.NextDouble()};
-    const MachineId block_first =
-        (m / CellState::kBlockSize) * CellState::kBlockSize;
-    if (!cell.BlockMayFit(m, probe)) {
-      for (MachineId i = block_first;
-           i < block_first + CellState::kBlockSize && i < cell.NumMachines();
-           ++i) {
-        EXPECT_FALSE(cell.CanFit(i, probe)) << "machine " << i;
-      }
-    }
-  }
-  EXPECT_TRUE(cell.CheckInvariants());
-}
-
-// CheckInvariants verifies both soundness (summary dominates every machine)
-// and tightness (summary achieved by some machine), so a randomized
-// allocate/free/commit storm through every update path is a full regression
-// of the incremental maintenance.
-TEST(BlockSummaryTest, StaysExactThroughRandomizedChurn) {
-  for (const FullnessPolicy policy :
-       {FullnessPolicy::kExact, FullnessPolicy::kHeadroom}) {
-    CellState cell(150, kMachine, policy,
-                   policy == FullnessPolicy::kHeadroom ? 0.2 : 0.0);
-    Rng rng(7);
-    std::vector<std::pair<MachineId, Resources>> allocs;
-    for (int step = 0; step < 3000; ++step) {
-      const auto m = static_cast<MachineId>(rng.NextBounded(cell.NumMachines()));
-      const Resources r{0.25 + rng.NextDouble(), 0.5 + 2.0 * rng.NextDouble()};
-      if (rng.NextBool(0.6)) {
-        if (cell.CanFit(m, r)) {
-          cell.Allocate(m, r);
-          allocs.emplace_back(m, r);
-        }
-      } else if (rng.NextBool(0.5) && !allocs.empty()) {
-        const size_t pick = rng.NextBounded(allocs.size());
-        cell.Free(allocs[pick].first, allocs[pick].second);
-        allocs[pick] = allocs.back();
-        allocs.pop_back();
-      } else {
-        // Commit path: accepted claims stay allocated for good, pushing the
-        // cell toward the near-full regime the summary exists for.
-        std::vector<TaskClaim> claims;
-        for (int c = 0; c < 3; ++c) {
-          const auto cm =
-              static_cast<MachineId>(rng.NextBounded(cell.NumMachines()));
-          claims.push_back(TaskClaim{cm, r, cell.machine(cm).seqnum});
-        }
-        cell.Commit(claims, ConflictMode::kFineGrained,
-                    CommitMode::kIncremental);
-      }
-      if (step % 100 == 0) {
-        // Consulting each block refreshes any dirty summary, so the
-        // invariant check below exercises tightness on every block.
-        for (MachineId b = 0; b < cell.NumBlocks(); ++b) {
-          cell.BlockMayFit(b * CellState::kBlockSize, kTask);
-        }
-        ASSERT_TRUE(cell.CheckInvariants()) << "step " << step;
-      }
-    }
-    ASSERT_TRUE(cell.CheckInvariants());
-  }
-}
-
-TEST(BlockSummaryTest, NextBlockStartJumpsToBoundary) {
-  EXPECT_EQ(CellState::NextBlockStart(0), CellState::kBlockSize);
-  EXPECT_EQ(CellState::NextBlockStart(CellState::kBlockSize - 1),
-            CellState::kBlockSize);
-  EXPECT_EQ(CellState::NextBlockStart(CellState::kBlockSize),
-            2 * CellState::kBlockSize);
-}
-
-// Boundary regression: cell sizes straddling the block (64) and superblock
-// (64 * 64 = 4096) boundaries, so the final partial block and the final
-// partial superblock are exercised through every maintenance path. 4095 ends
-// one machine short of a full superblock; 4097 spills a one-machine block
-// into a one-block superblock.
-TEST(BlockSummaryTest, PartialTailSizesStayExactThroughChurn) {
-  for (const uint32_t size : {63u, 64u, 65u, 4095u, 4097u}) {
-    CellState cell(size, kMachine);
-    EXPECT_EQ(cell.NumBlocks(), (size + CellState::kBlockSize - 1) /
-                                    CellState::kBlockSize);
-    EXPECT_EQ(cell.NumSuperblocks(),
-              (cell.NumBlocks() + CellState::kSuperSize - 1) /
-                  CellState::kSuperSize);
-    Rng rng(size);
-    std::vector<std::pair<MachineId, Resources>> allocs;
-    for (int step = 0; step < 600; ++step) {
-      // Bias churn toward the tail so the partial block/superblock sees the
-      // most traffic.
-      const auto m = static_cast<MachineId>(
-          rng.NextBool(0.5) ? size - 1 - rng.NextBounded(std::min(size, 70u))
-                            : rng.NextBounded(size));
-      const Resources r{0.25 + rng.NextDouble(), 0.5 + 2.0 * rng.NextDouble()};
-      if (rng.NextBool(0.6)) {
-        if (cell.CanFit(m, r)) {
-          cell.Allocate(m, r);
-          allocs.emplace_back(m, r);
-        }
-      } else if (!allocs.empty()) {
-        const size_t pick = rng.NextBounded(allocs.size());
-        cell.Free(allocs[pick].first, allocs[pick].second);
-        allocs[pick] = allocs.back();
-        allocs.pop_back();
-      }
-      if (step % 50 == 0) {
-        // Consult both levels (refreshing any dirty summary) so the
-        // invariant check exercises tightness everywhere, including the
-        // partial tails.
-        for (MachineId b = 0; b < cell.NumBlocks(); ++b) {
-          cell.BlockMayFit(b * CellState::kBlockSize, kTask);
-        }
-        for (MachineId s = 0; s < cell.NumSuperblocks(); ++s) {
-          cell.SuperblockMayFit(
-              s * CellState::kBlockSize * CellState::kSuperSize, kTask);
-        }
-        ASSERT_TRUE(cell.CheckInvariants()) << "size " << size << " step "
-                                            << step;
-      }
-    }
-    ASSERT_TRUE(cell.CheckInvariants()) << "size " << size;
-  }
-}
-
-TEST(BlockSummaryTest, SuperblockSoundnessNeverRulesOutAFeasibleMachine) {
-  // 4097 machines: superblock 0 is full-size, superblock 1 holds a single
-  // one-machine block. Whatever SuperblockMayFit says "no" to must truly fit
-  // nowhere in that superblock.
-  constexpr uint32_t kSuperMachines =
-      CellState::kBlockSize * CellState::kSuperSize;
-  CellState cell(kSuperMachines + 1, kMachine);
-  Rng rng(99);
-  for (int step = 0; step < 3000; ++step) {
-    const auto m = static_cast<MachineId>(rng.NextBounded(cell.NumMachines()));
-    const Resources r{0.5 + rng.NextDouble(), 1.0 + 4.0 * rng.NextDouble()};
-    if (rng.NextBool(0.8)) {
-      if (cell.CanFit(m, r)) {
-        cell.Allocate(m, r);
-      }
-    } else if (!cell.machine(m).allocated.IsZero()) {
-      cell.Free(m, cell.machine(m).allocated);
-    }
-    const Resources probe{0.25 + 3.75 * rng.NextDouble(),
-                          1.0 + 15.0 * rng.NextDouble()};
-    const MachineId super_first = m < kSuperMachines ? 0 : kSuperMachines;
-    if (!cell.SuperblockMayFit(m, probe)) {
-      for (MachineId i = super_first;
-           i < super_first + kSuperMachines && i < cell.NumMachines(); ++i) {
-        ASSERT_FALSE(cell.CanFit(i, probe)) << "machine " << i;
-      }
-    }
-  }
-  EXPECT_TRUE(cell.CheckInvariants());
-}
-
 // --- struct-of-arrays first-fit sweep ---
 
 TEST(SoAScanTest, FindFirstFitMatchesBruteForceAtBoundarySizes) {
   // FindFirstFit must return exactly the first machine in [begin, end) that
-  // CanFit the request — across partial blocks, partial superblocks, chunk
-  // tails, and stale summaries left by churn.
+  // CanFit the request — across random sub-ranges, 8-wide chunk tails and
+  // cells whose size is not a multiple of the chunk.
   for (const uint32_t size : {63u, 64u, 65u, 200u, 4095u, 4097u}) {
     CellState cell(size, kMachine);
     Rng rng(size * 31 + 1);
@@ -580,6 +400,26 @@ TEST(SoAScanTest, FindFirstFitClampsEndBeyondCell) {
   cell.Free(64, kTask);
   EXPECT_EQ(cell.FindFirstFit(0, 1000, kTask), 64u);
   EXPECT_EQ(cell.FindFirstFit(0, 64, kTask), kInvalidMachineId);
+  EXPECT_TRUE(cell.CheckInvariants());
+}
+
+TEST(SoAScanTest, MidChunkRangeFindsLoneFitInLastPartialChunk) {
+  // A fully packed cell with one freed machine near the end of a range that
+  // starts and ends mid-chunk: the sweep must enter at an unaligned id, skip
+  // whole no-fit chunks, and find the hit in the scalar tail it leaves over.
+  CellState cell(64, kMachine);
+  for (MachineId m = 0; m < cell.NumMachines(); ++m) {
+    while (cell.CanFit(m, kTask)) {
+      cell.Allocate(m, kTask);
+    }
+  }
+  // [3, 46): chunks [3, 11) ... [35, 43) are whole, [43, 46) is the tail.
+  EXPECT_EQ(cell.FindFirstFit(3, 46, kTask), kInvalidMachineId);
+  cell.Free(44, kTask);
+  EXPECT_EQ(cell.FindFirstFit(3, 46, kTask), 44u);
+  EXPECT_EQ(cell.FindFirstFit(3, 44, kTask), kInvalidMachineId);
+  EXPECT_EQ(cell.FindFirstFit(44, 45, kTask), 44u);
+  EXPECT_EQ(cell.FindFirstFit(45, 46, kTask), kInvalidMachineId);
   EXPECT_TRUE(cell.CheckInvariants());
 }
 

@@ -249,8 +249,7 @@ TEST(CohortLifecycleTest, OnTaskEndRunsPerMemberInClaimOrder) {
 }
 
 // ---------------------------------------------------------------------------
-// TaskRegistry slab vs. a naive reference model (mirrors cell_state_test's
-// randomized block-summary churn test).
+// TaskRegistry slab vs. a naive reference model under randomized churn.
 // ---------------------------------------------------------------------------
 
 // Reference model: hash maps plus the same append/swap-remove list evolution

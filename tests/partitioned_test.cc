@@ -86,5 +86,13 @@ TEST(PartitionedDeathTest, InvalidFractionAborts) {
                "Check failed");
 }
 
+TEST(PartitionedDeathTest, SingleMachineCellAborts) {
+  // One machine cannot be split; before the check the clamp bounds crossed
+  // and the batch range came out empty, which placers read as "whole cell".
+  EXPECT_DEATH(PartitionedSimulation(TestCluster(1), ShortRun(),
+                                     SchedulerConfig{}, SchedulerConfig{}, 0.5),
+               "at least 2 machines");
+}
+
 }  // namespace
 }  // namespace omega

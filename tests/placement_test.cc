@@ -192,13 +192,13 @@ TEST(ScoringPlacerDeathTest, RequiresAvailabilityIndex) {
                "EnableAvailabilityIndex");
 }
 
-// --- block-summary pruning regression ---
+// --- fallback-scan edge cases ---
 
-// Placements against the unpruned per-machine reference are diffed in
-// reference_diff_test.cc; these pin the block-boundary edge cases.
+// Placements against the per-machine reference are diffed in
+// reference_diff_test.cc; these pin lone fits at awkward positions.
 
-TEST(BlockPruningTest, FindsFitStraddlingBlockBoundary) {
-  // Only machines 63 and 64 (the two sides of a block boundary) have room;
+TEST(FallbackScanTest, FindsFitStraddlingChunkBoundary) {
+  // Only machines 63 and 64 (the two sides of a chunk boundary) have room;
   // the scan must find them regardless of where it starts.
   CellState cell(128, kMachine);
   for (MachineId m = 0; m < 128; ++m) {
@@ -220,8 +220,8 @@ TEST(BlockPruningTest, FindsFitStraddlingBlockBoundary) {
   }
 }
 
-TEST(BlockPruningTest, FindsLastMachineFit) {
-  // The very last machine of a partial trailing block is the only fit.
+TEST(FallbackScanTest, FindsLastMachineFit) {
+  // The very last machine, in a partial trailing chunk, is the only fit.
   constexpr uint32_t kMachines = 2 * 64 + 5;
   CellState cell(kMachines, kMachine);
   for (MachineId m = 0; m < kMachines - 1; ++m) {
@@ -237,7 +237,7 @@ TEST(BlockPruningTest, FindsLastMachineFit) {
   }
 }
 
-TEST(BlockPruningTest, AllBlocksFullPlacesNothing) {
+TEST(FallbackScanTest, FullCellPlacesNothing) {
   constexpr uint32_t kMachines = 4 * 64;
   CellState cell(kMachines, kMachine);
   for (MachineId m = 0; m < kMachines; ++m) {
@@ -251,8 +251,8 @@ TEST(BlockPruningTest, AllBlocksFullPlacesNothing) {
   EXPECT_TRUE(claims.empty());
 }
 
-TEST(BlockPruningTest, PartitionedRangeStillScansOnlyItsPartition) {
-  // A range that starts mid-block must only ever claim machines inside the
+TEST(FallbackScanTest, PartitionedRangeStillScansOnlyItsPartition) {
+  // A range that starts mid-chunk must only ever claim machines inside the
   // range, and still finds the single fit there.
   CellState cell(256, kMachine);
   for (MachineId m = 0; m < 256; ++m) {

@@ -1,7 +1,7 @@
 // A naive reference model of the shared cell state (§3.4) and of randomized
 // first fit (Table 2), for the differential tests.
 //
-// CellState carries block/superblock summaries, struct-of-arrays mirrors,
+// CellState carries struct-of-arrays mirrors, a chunked first-fit sweep,
 // batched mutations and grouped Commit application; the harness batches task
 // lifecycles into cohorts. None of that is here: ReferenceCell is per-machine
 // loops over Machine structs, one mutation per task, and a Commit that decides
@@ -37,7 +37,7 @@ class ReferenceCell {
   }
 
   // Copies the per-machine state (capacity, allocation, seqnum, attributes)
-  // and fullness policy of a live cell — none of its summaries or mirrors.
+  // and fullness policy of a live cell — none of its mirrors or scratch.
   static ReferenceCell Snapshot(const CellState& cell) {
     ReferenceCell ref(cell.NumMachines(), Resources::Zero(),
                       cell.fullness_policy(), cell.headroom_fraction());

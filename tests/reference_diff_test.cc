@@ -106,9 +106,9 @@ void RunOpStream(uint32_t num_machines, FullnessPolicy fullness, uint64_t seed,
   Rng rng(seed);
   std::vector<Live> live;
 
-  // Pre-fill in runs of 100 machines (straddling block boundaries): empty,
-  // 40% full, near full, and near full topped up to an exact fit, so
-  // FindFirstFit has whole blocks to prune and exact fits to find.
+  // Pre-fill in runs of 100 machines (not chunk-aligned): empty, 40% full,
+  // near full, and near full topped up to an exact fit, so FindFirstFit has
+  // long no-fit stretches to sweep and exact fits to find.
   for (MachineId m = 0; m < num_machines; ++m) {
     const uint64_t level = (m / 100 + seed) % 4;
     const Resources r = RandomTask(rng);
@@ -254,7 +254,8 @@ TEST_P(CellOpStreamTest, MatchesReferenceCellBitwise) {
   }
 }
 
-// 63 and 65 leave a partial block; 4097 leaves a partial superblock.
+// 63, 65 and 4097 are not multiples of FindFirstFit's 8-wide chunk, so every
+// full-range sweep ends in a scalar tail.
 INSTANTIATE_TEST_SUITE_P(
     SizesAndPolicies, CellOpStreamTest,
     ::testing::Combine(::testing::Values(63u, 65u, 4097u),
@@ -325,8 +326,8 @@ void RunPlacerDiff(uint32_t num_machines) {
 }
 
 TEST(PlacerReferenceDiffTest, MatchesReferenceFirstFitAcrossFillsAndRanges) {
-  // > 3 blocks so whole-block skips happen, with a partial last block; and a
-  // partial last superblock.
+  // Cell sizes that are not multiples of FindFirstFit's 8-wide chunk, so
+  // sweeps end in a scalar tail.
   RunPlacerDiff(3 * 64 + 17);
   RunPlacerDiff(4097);
 }

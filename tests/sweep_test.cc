@@ -171,9 +171,9 @@ TEST(SweepDeterminismTest, Fig5SweepIdenticalAcrossThreadCounts) {
 // unpruned placement scan) at commit f3f58e8, Release build, by running
 // RunFig56Sweep(Duration::FromDays(0.004), runner, 3) serially and printing
 // every field at %.17g. The indexed event slab and the block-summary
-// placement pruning did not move ANY of them: the event queue pops the same
-// (time, insertion-order) sequence, and the pruned scan only skips machines
-// that could never be chosen. They were re-captured the same way once, when
+// placement pruning (since deleted) did not move ANY of them: the event
+// queue pops the same (time, insertion-order) sequence, and the pruned scan
+// only skipped machines that could never be chosen. They were re-captured the same way once, when
 // the initial fill switched to the exact length-biased duration sampler
 // (DESIGN.md §7), which draws a different random stream.
 TEST(SweepDeterminismTest, Fig5SweepMatchesSeedGoldens) {
