@@ -1,6 +1,10 @@
 // Shared helpers for the figure/table reproduction benches.
 #pragma once
 
+#include <algorithm>
+#include <cstring>
+#include <fstream>
+#include <functional>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -51,6 +55,98 @@ inline void FinishSweep(const SweepRunner& runner) {
             << (path.empty() ? std::string("JSON write FAILED")
                              : "wrote " + path)
             << "\n";
+}
+
+// --- bit-exact smoke goldens ---
+//
+// A smoke golden pins a short, fixed run of a bench as text lines with every
+// double printed as a hex float (%a), which round-trips exactly, so string
+// equality is bitwise equality. The golden file opens with '#' header lines
+// that describe the run; checking skips them.
+struct SmokeGolden {
+  std::string bench;   // binary name; prefixes every message
+  std::string header;  // the '#' lines, each ending in '\n'
+  std::function<std::vector<std::string>()> run;
+};
+
+inline int WriteSmokeGolden(const SmokeGolden& golden,
+                            const std::string& path) {
+  const std::vector<std::string> lines = golden.run();
+  std::ofstream out(path);
+  if (!out) {
+    std::cerr << golden.bench << ": cannot write " << path << "\n";
+    return 1;
+  }
+  out << golden.header;
+  for (const std::string& line : lines) {
+    out << line << "\n";
+  }
+  std::cout << golden.bench << ": wrote " << lines.size() << " lines to "
+            << path << "\n";
+  return 0;
+}
+
+inline int CheckSmokeGolden(const SmokeGolden& golden,
+                            const std::string& path) {
+  std::ifstream in(path);
+  if (!in) {
+    std::cerr << golden.bench << ": cannot read golden " << path << "\n";
+    return 1;
+  }
+  std::vector<std::string> want;
+  std::string line;
+  while (std::getline(in, line)) {
+    if (!line.empty() && line[0] != '#') {
+      want.push_back(line);
+    }
+  }
+  const std::vector<std::string> got = golden.run();
+  int mismatches = 0;
+  if (got.size() != want.size()) {
+    std::cerr << golden.bench << ": line count mismatch: golden has "
+              << want.size() << ", run produced " << got.size() << "\n";
+    ++mismatches;
+  }
+  const size_t n = std::min(got.size(), want.size());
+  for (size_t i = 0; i < n; ++i) {
+    if (got[i] != want[i]) {
+      std::cerr << golden.bench << ": line " << i << " diverges\n  golden: "
+                << want[i] << "\n  got:    " << got[i] << "\n";
+      ++mismatches;
+    }
+  }
+  if (mismatches != 0) {
+    std::cerr << golden.bench << ": FAILED (" << mismatches
+              << " mismatch(es)); if the change is intentional, regenerate "
+                 "with --smoke-write\n";
+    return 1;
+  }
+  std::cout << golden.bench << ": OK (" << n << " lines bit-identical)\n";
+  return 0;
+}
+
+// main() of a bench with a smoke golden:
+//   <bench>                          full_run(); a usage error if it is null
+//   <bench> --smoke-write <golden>   regenerate the golden file
+//   <bench> --smoke-check <golden>   short run, bit-exact diff vs the golden;
+//                                    non-zero exit on any mismatch
+inline int SmokeGoldenMain(int argc, char** argv, const SmokeGolden& golden,
+                           const std::function<int()>& full_run) {
+  if (argc == 3 && std::strcmp(argv[1], "--smoke-write") == 0) {
+    return WriteSmokeGolden(golden, argv[2]);
+  }
+  if (argc == 3 && std::strcmp(argv[1], "--smoke-check") == 0) {
+    return CheckSmokeGolden(golden, argv[2]);
+  }
+  if (argc == 1 && full_run != nullptr) {
+    return full_run();
+  }
+  std::cerr << "usage: " << golden.bench
+            << (full_run != nullptr ? " [--smoke-write|--smoke-check "
+                                      "<golden-file>]\n"
+                                    : " --smoke-write|--smoke-check "
+                                      "<golden-file>\n");
+  return 2;
 }
 
 }  // namespace omega

@@ -13,13 +13,11 @@
 //   fig7_mesos --smoke-write <golden> regenerate the CI smoke golden
 //   fig7_mesos --smoke-check <golden> short run, bit-exact diff vs the golden
 //
-// Smoke golden values are serialized as hex floats (%a), which round-trip
-// doubles exactly; the comparison is string equality, i.e. bitwise.
+// The smoke modes are the golden harness in bench_common.h.
 #include <bit>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <iostream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -212,79 +210,20 @@ std::vector<std::string> RunSmoke() {
   return lines;
 }
 
-int SmokeWrite(const std::string& path) {
-  const std::vector<std::string> lines = RunSmoke();
-  std::ofstream out(path);
-  if (!out) {
-    std::cerr << "fig7_mesos: cannot write " << path << "\n";
-    return 1;
-  }
-  out << "# fig7_mesos smoke golden: Mesos DRF offers, horizon_days="
-      << kSmokeHorizonDays << " base_seed=" << kFig7BaseSeed
-      << " (trial i uses base_seed+i)\n"
-      << "# fields: label batch_wait service_wait batch_busy service_busy "
-         "(hex floats) abandoned batch_attempts service_attempts "
-         "fnv1a(allocated,seqnum of every machine)\n";
-  for (const std::string& line : lines) {
-    out << line << "\n";
-  }
-  std::cout << "fig7_mesos: wrote " << lines.size() << " trials to " << path
-            << "\n";
-  return 0;
-}
-
-int SmokeCheck(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    std::cerr << "fig7_mesos: cannot read golden " << path << "\n";
-    return 1;
-  }
-  std::vector<std::string> golden;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (!line.empty() && line[0] != '#') {
-      golden.push_back(line);
-    }
-  }
-  const std::vector<std::string> got = RunSmoke();
-  int mismatches = 0;
-  if (got.size() != golden.size()) {
-    std::cerr << "fig7_mesos: trial count mismatch: golden has "
-              << golden.size() << ", run produced " << got.size() << "\n";
-    ++mismatches;
-  }
-  const size_t n = std::min(got.size(), golden.size());
-  for (size_t i = 0; i < n; ++i) {
-    if (got[i] != golden[i]) {
-      std::cerr << "fig7_mesos: trial " << i << " diverges\n  golden: "
-                << golden[i] << "\n  got:    " << got[i] << "\n";
-      ++mismatches;
-    }
-  }
-  if (mismatches != 0) {
-    std::cerr << "fig7_mesos: FAILED (" << mismatches
-              << " mismatch(es)); if the change is intentional, regenerate "
-                 "with --smoke-write\n";
-    return 1;
-  }
-  std::cout << "fig7_mesos: OK (" << n << " trials bit-identical)\n";
-  return 0;
+SmokeGolden Golden() {
+  std::ostringstream header;
+  header << "# fig7_mesos smoke golden: Mesos DRF offers, horizon_days="
+         << kSmokeHorizonDays << " base_seed=" << kFig7BaseSeed
+         << " (trial i uses base_seed+i)\n"
+         << "# fields: label batch_wait service_wait batch_busy service_busy "
+            "(hex floats) abandoned batch_attempts service_attempts "
+            "fnv1a(allocated,seqnum of every machine)\n";
+  return SmokeGolden{"fig7_mesos", header.str(), RunSmoke};
 }
 
 }  // namespace
 }  // namespace omega
 
 int main(int argc, char** argv) {
-  if (argc == 3 && std::strcmp(argv[1], "--smoke-write") == 0) {
-    return omega::SmokeWrite(argv[2]);
-  }
-  if (argc == 3 && std::strcmp(argv[1], "--smoke-check") == 0) {
-    return omega::SmokeCheck(argv[2]);
-  }
-  if (argc != 1) {
-    std::cerr
-        << "usage: fig7_mesos [--smoke-write|--smoke-check <golden-file>]\n";
-    return 2;
-  }
-  return omega::FullRun();
+  return omega::SmokeGoldenMain(argc, argv, omega::Golden(), omega::FullRun);
 }

@@ -18,12 +18,10 @@
 //   fig_federation --smoke-write <golden> regenerate the CI smoke golden
 //   fig_federation --smoke-check <golden> short run, bit-exact diff vs golden
 //
-// Smoke golden values are serialized as hex floats (%a), which round-trip
-// doubles exactly; the comparison is string equality, i.e. bitwise.
+// The smoke modes are the golden harness in bench_common.h.
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <iostream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -220,62 +218,14 @@ std::vector<std::string> RunSmoke() {
   return lines;
 }
 
-int SmokeWrite(const std::string& path) {
-  const std::vector<std::string> lines = RunSmoke();
-  std::ofstream out(path);
-  if (!out) {
-    std::cerr << "fig_federation: cannot write " << path << "\n";
-    return 1;
-  }
-  out << "# fig_federation smoke golden: cluster-D fleets, horizon_days="
-      << kSmokeHorizonDays << " base_seed=" << kFedBaseSeed << "\n"
-      << "# fields: label conflict_fraction mean_cpu_util cpu_util_skew "
-         "time_to_sched_p90 spillover_p90 submitted scheduled lost spills "
-         "(hex floats; nan = empty sample)\n";
-  for (const std::string& line : lines) {
-    out << line << "\n";
-  }
-  std::cout << "fig_federation: wrote " << lines.size() << " rows to " << path
-            << "\n";
-  return 0;
-}
-
-int SmokeCheck(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    std::cerr << "fig_federation: cannot read golden " << path << "\n";
-    return 1;
-  }
-  std::vector<std::string> golden;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (!line.empty() && line[0] != '#') {
-      golden.push_back(line);
-    }
-  }
-  const std::vector<std::string> got = RunSmoke();
-  int mismatches = 0;
-  if (got.size() != golden.size()) {
-    std::cerr << "fig_federation: row count mismatch: golden has "
-              << golden.size() << ", run produced " << got.size() << "\n";
-    ++mismatches;
-  }
-  const size_t n = std::min(got.size(), golden.size());
-  for (size_t i = 0; i < n; ++i) {
-    if (got[i] != golden[i]) {
-      std::cerr << "fig_federation: row " << i << " diverges\n  golden: "
-                << golden[i] << "\n  got:    " << got[i] << "\n";
-      ++mismatches;
-    }
-  }
-  if (mismatches != 0) {
-    std::cerr << "fig_federation: FAILED (" << mismatches
-              << " mismatch(es)); if the change is intentional, regenerate "
-                 "with --smoke-write\n";
-    return 1;
-  }
-  std::cout << "fig_federation: OK (" << n << " rows bit-identical)\n";
-  return 0;
+SmokeGolden Golden() {
+  std::ostringstream header;
+  header << "# fig_federation smoke golden: cluster-D fleets, horizon_days="
+         << kSmokeHorizonDays << " base_seed=" << kFedBaseSeed << "\n"
+         << "# fields: label conflict_fraction mean_cpu_util cpu_util_skew "
+            "time_to_sched_p90 spillover_p90 submitted scheduled lost spills "
+            "(hex floats; nan = empty sample)\n";
+  return SmokeGolden{"fig_federation", header.str(), RunSmoke};
 }
 
 int FullRun() {
@@ -319,16 +269,5 @@ int FullRun() {
 }  // namespace omega
 
 int main(int argc, char** argv) {
-  if (argc == 3 && std::strcmp(argv[1], "--smoke-write") == 0) {
-    return omega::SmokeWrite(argv[2]);
-  }
-  if (argc == 3 && std::strcmp(argv[1], "--smoke-check") == 0) {
-    return omega::SmokeCheck(argv[2]);
-  }
-  if (argc != 1) {
-    std::cerr
-        << "usage: fig_federation [--smoke-write|--smoke-check <golden-file>]\n";
-    return 2;
-  }
-  return omega::FullRun();
+  return omega::SmokeGoldenMain(argc, argv, omega::Golden(), omega::FullRun);
 }

@@ -14,13 +14,11 @@
 //   fig_mega --smoke-write <golden> regenerate the CI smoke golden
 //   fig_mega --smoke-check <golden> short run, bit-exact diff vs the golden
 //
-// Smoke golden values are serialized as hex floats (%a), which round-trip
-// doubles exactly; the comparison is string equality, i.e. bitwise.
+// The smoke modes are the golden harness in bench_common.h.
 #include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <iostream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -178,64 +176,17 @@ std::vector<std::string> RunSmoke() {
   return lines;
 }
 
-int SmokeWrite(const std::string& path) {
-  const std::vector<std::string> lines = RunSmoke();
-  std::ofstream out(path);
-  if (!out) {
-    std::cerr << "fig_mega: cannot write " << path << "\n";
-    return 1;
-  }
-  out << "# fig_mega smoke golden: 100k-machine omega cell, horizon_days="
-      << kSmokeHorizonDays << " trials=" << kSmokeTrials
-      << " base_seed=" << kMegaBaseSeed << "\n"
-      << "# fields: batch_wait service_wait batch_busy service_busy "
-         "conflict_fraction cpu_utilization submitted abandoned (hex floats)\n"
-      << "# last line: constraint-sweep stress probe, `stress <placed> "
-         "<fnv1a-checksum-of-machine-ids>` (thread-count-invariant)\n";
-  for (const std::string& line : lines) {
-    out << line << "\n";
-  }
-  std::cout << "fig_mega: wrote " << lines.size() << " trials to " << path
-            << "\n";
-  return 0;
-}
-
-int SmokeCheck(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    std::cerr << "fig_mega: cannot read golden " << path << "\n";
-    return 1;
-  }
-  std::vector<std::string> golden;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (!line.empty() && line[0] != '#') {
-      golden.push_back(line);
-    }
-  }
-  const std::vector<std::string> got = RunSmoke();
-  int mismatches = 0;
-  if (got.size() != golden.size()) {
-    std::cerr << "fig_mega: trial count mismatch: golden has " << golden.size()
-              << ", run produced " << got.size() << "\n";
-    ++mismatches;
-  }
-  const size_t n = std::min(got.size(), golden.size());
-  for (size_t i = 0; i < n; ++i) {
-    if (got[i] != golden[i]) {
-      std::cerr << "fig_mega: trial " << i << " diverges\n  golden: "
-                << golden[i] << "\n  got:    " << got[i] << "\n";
-      ++mismatches;
-    }
-  }
-  if (mismatches != 0) {
-    std::cerr << "fig_mega: FAILED (" << mismatches
-              << " mismatch(es)); if the change is intentional, regenerate "
-                 "with --smoke-write\n";
-    return 1;
-  }
-  std::cout << "fig_mega: OK (" << n << " trials bit-identical)\n";
-  return 0;
+SmokeGolden Golden() {
+  std::ostringstream header;
+  header << "# fig_mega smoke golden: 100k-machine omega cell, horizon_days="
+         << kSmokeHorizonDays << " trials=" << kSmokeTrials
+         << " base_seed=" << kMegaBaseSeed << "\n"
+         << "# fields: batch_wait service_wait batch_busy service_busy "
+            "conflict_fraction cpu_utilization submitted abandoned (hex "
+            "floats)\n"
+         << "# last line: constraint-sweep stress probe, `stress <placed> "
+            "<fnv1a-checksum-of-machine-ids>` (thread-count-invariant)\n";
+  return SmokeGolden{"fig_mega", header.str(), RunSmoke};
 }
 
 int FullRun() {
@@ -285,15 +236,5 @@ int FullRun() {
 }  // namespace omega
 
 int main(int argc, char** argv) {
-  if (argc == 3 && std::strcmp(argv[1], "--smoke-write") == 0) {
-    return omega::SmokeWrite(argv[2]);
-  }
-  if (argc == 3 && std::strcmp(argv[1], "--smoke-check") == 0) {
-    return omega::SmokeCheck(argv[2]);
-  }
-  if (argc != 1) {
-    std::cerr << "usage: fig_mega [--smoke-write|--smoke-check <golden-file>]\n";
-    return 2;
-  }
-  return omega::FullRun();
+  return omega::SmokeGoldenMain(argc, argv, omega::Golden(), omega::FullRun);
 }

@@ -344,12 +344,10 @@ void FillToUtilization(CellState& cell, int64_t percent, uint64_t seed,
   }
 }
 
-// Commit with per-machine claim grouping (cohort batching) on a transaction
-// whose claims stack several tasks onto each machine — the shape StartTasks
-// produces for multi-task jobs. Grouping does one seqnum/SoA update per
-// machine instead of per claim; results are bit-identical to per-claim
-// application (DESIGN.md §10). Arg is percent CPU utilization.
-void BM_CommitGrouped(benchmark::State& state) {
+// Commit of a transaction whose claims stack several tasks onto each
+// machine — the shape StartTasks produces for multi-task jobs. Arg is
+// percent CPU utilization.
+void BM_Commit(benchmark::State& state) {
   constexpr uint32_t kMachines = 10000;
   constexpr int kTasksPerMachine = 4;
   constexpr int kMachinesPerTxn = 4;
@@ -379,39 +377,7 @@ void BM_CommitGrouped(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * claims.size());
 }
 
-BENCHMARK(BM_CommitGrouped)->Arg(50)->Arg(85)->Arg(95)->Arg(99);
-
-// Cohort end-of-life free — one FreeBatch per machine — vs. the per-task
-// free loop it replaces. Arg is percent CPU utilization of the cell; the
-// batch frees `kCohort` tasks stacked on one machine.
-void CohortFreeBenchmark(benchmark::State& state, bool batched) {
-  constexpr uint32_t kMachines = 10000;
-  constexpr uint32_t kCohort = 8;
-  CellState cell(kMachines, kMachine);
-  FillToUtilization(cell, state.range(0), 11, /*reserve=*/1);
-  for (auto _ : state) {
-    const MachineId m = 0;  // reserved empty machine: the cohort always fits
-    cell.AllocateBatch(m, kTask, kCohort);
-    if (batched) {
-      cell.FreeBatch(m, kTask, kCohort);
-    } else {
-      for (uint32_t i = 0; i < kCohort; ++i) {
-        cell.Free(m, kTask);
-      }
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * kCohort);
-}
-
-void BM_CohortFree(benchmark::State& state) {
-  CohortFreeBenchmark(state, /*batched=*/true);
-}
-BENCHMARK(BM_CohortFree)->Arg(50)->Arg(85)->Arg(95)->Arg(99);
-
-void BM_PerTaskFree(benchmark::State& state) {
-  CohortFreeBenchmark(state, /*batched=*/false);
-}
-BENCHMARK(BM_PerTaskFree)->Arg(50)->Arg(85)->Arg(95)->Arg(99);
+BENCHMARK(BM_Commit)->Arg(50)->Arg(85)->Arg(95)->Arg(99);
 
 void BM_SimulatorThroughput(benchmark::State& state) {
   for (auto _ : state) {

@@ -135,66 +135,6 @@ void CellState::Free(MachineId id, const Resources& request_ref) {
   }
 }
 
-void CellState::AllocateBatch(MachineId id, const Resources& per_task,
-                              uint32_t count) {
-  if (count == 0) {
-    return;
-  }
-  if (HasAvailabilityIndex()) {
-    // Bucket transitions are order-sensitive (swap-remove permutes bucket
-    // lists, and VisitByAvailability exposes that order), so replay the exact
-    // per-task sequence instead of batching.
-    for (uint32_t i = 0; i < count; ++i) {
-      Allocate(id, per_task);
-    }
-    return;
-  }
-  const Resources request = per_task;  // see Allocate: aliasing hazard
-  Machine& m = machines_[id];
-  // Replay the per-task additions (FP addition is not associative, and the
-  // per-task path is the reference), but check capacity once at the end —
-  // sound because allocation only grows across the batch — and fold the
-  // seqnum and SoA write-through into one step each.
-  for (uint32_t i = 0; i < count; ++i) {
-    m.allocated += request;
-    total_allocated_ += request;
-  }
-  OMEGA_CHECK(m.allocated.FitsIn(m.capacity))
-      << "overcommit on machine " << id << ": allocated=" << m.allocated
-      << " batch=" << request << " x" << count << " capacity=" << m.capacity;
-  m.seqnum += count;
-  SyncSoA(id);
-}
-
-void CellState::FreeBatch(MachineId id, const Resources& per_task,
-                          uint32_t count) {
-  if (count == 0) {
-    return;
-  }
-  if (HasAvailabilityIndex()) {
-    for (uint32_t i = 0; i < count; ++i) {  // see AllocateBatch
-      Free(id, per_task);
-    }
-    return;
-  }
-  const Resources request = per_task;  // see Allocate: aliasing hazard
-  Machine& m = machines_[id];
-  // The per-task clamps are part of the reference arithmetic (a clamp midway
-  // through the batch changes the values every later step sees), so they
-  // stay in the loop; only the seqnum and SoA write-through are batched.
-  for (uint32_t i = 0; i < count; ++i) {
-    m.allocated -= request;
-    OMEGA_CHECK(!m.allocated.IsNegative())
-        << "negative allocation on machine " << id << " after freeing "
-        << request;
-    m.allocated = m.allocated.ClampNonNegative();
-    total_allocated_ -= request;
-    total_allocated_ = total_allocated_.ClampNonNegative();
-  }
-  m.seqnum += count;
-  SyncSoA(id);
-}
-
 void CellState::EnableAvailabilityIndex(uint32_t num_buckets) {
   OMEGA_CHECK(num_buckets > 0);
   double max_cpus = 0.0;
@@ -283,30 +223,10 @@ void CellState::VisitByAvailability(
   }
 }
 
-std::vector<TaskClaim> ReconstructAcceptedClaims(
-    std::span<const TaskClaim> claims, std::span<const TaskClaim> rejected,
-    int expected_accepted) {
-  std::vector<TaskClaim> accepted;
-  accepted.reserve(claims.size() - rejected.size());
-  size_t reject_idx = 0;
-  for (const TaskClaim& claim : claims) {
-    if (reject_idx < rejected.size() &&
-        claim.machine == rejected[reject_idx].machine &&
-        claim.seqnum_at_placement == rejected[reject_idx].seqnum_at_placement &&
-        claim.resources == rejected[reject_idx].resources) {
-      ++reject_idx;
-      continue;
-    }
-    accepted.push_back(claim);
-  }
-  OMEGA_CHECK(reject_idx == rejected.size());
-  OMEGA_CHECK(accepted.size() == static_cast<size_t>(expected_accepted));
-  return accepted;
-}
-
 CommitResult CellState::Commit(std::span<const TaskClaim> claims,
                                ConflictMode conflict_mode, CommitMode commit_mode,
-                               std::vector<TaskClaim>* rejected) {
+                               std::vector<TaskClaim>* rejected,
+                               std::vector<TaskClaim>* accepted) {
   CommitResult result;
   if (claims.empty()) {
     return result;
@@ -320,13 +240,6 @@ CommitResult CellState::Commit(std::span<const TaskClaim> claims,
   std::vector<char>& accept = accept_scratch_;
   PendingClaims& pending = pending_scratch_;
   pending.Reset(NumMachines());
-
-  bool uniform_resources = true;
-  for (size_t i = 1; i < claims.size(); ++i) {
-    // Order-free (== only), so it hoists out of the verdict loop unchanged.
-    uniform_resources =
-        uniform_resources && claims[i].resources == claims[0].resources;
-  }
 
   for (size_t i = 0; i < claims.size(); ++i) {
     const TaskClaim& claim = claims[i];
@@ -383,49 +296,19 @@ CommitResult CellState::Commit(std::span<const TaskClaim> claims,
     return result;
   }
 
-  // Phase 3: apply accepted claims atomically. When every claim carries the
-  // same resources (the workload model's §2.1 cohort property) the accepted
-  // set is applied grouped per machine — one batched mutation per distinct
-  // machine instead of one Allocate per claim. Grouping reorders the
-  // application across machines, which is state-identical here because
-  // identical per-task resources make the floating-point sums order-free
-  // (DESIGN.md §10). Mixed-resource transactions and the order-sensitive
-  // availability index take the per-claim path.
-  const bool grouped = uniform_resources && !HasAvailabilityIndex();
-  if (grouped) {
-    commit_scratch_.clear();
-    for (size_t i = 0; i < claims.size(); ++i) {
-      if (accept[i] != 0) {
-        commit_scratch_.push_back(claims[i].machine);
-        ++result.accepted;
-      } else {
-        ++result.conflicted;
-        if (rejected != nullptr) {
-          rejected->push_back(claims[i]);
-        }
+  // Phase 3: apply the accepted claims atomically, one Allocate each in
+  // claim order — the order the reference model applies them in.
+  for (size_t i = 0; i < claims.size(); ++i) {
+    if (accept[i] != 0) {
+      Allocate(claims[i].machine, claims[i].resources);
+      ++result.accepted;
+      if (accepted != nullptr) {
+        accepted->push_back(claims[i]);
       }
-    }
-    std::sort(commit_scratch_.begin(), commit_scratch_.end());
-    for (size_t i = 0; i < commit_scratch_.size();) {
-      size_t j = i + 1;
-      while (j < commit_scratch_.size() &&
-             commit_scratch_[j] == commit_scratch_[i]) {
-        ++j;
-      }
-      AllocateBatch(commit_scratch_[i], claims[0].resources,
-                    static_cast<uint32_t>(j - i));
-      i = j;
-    }
-  } else {
-    for (size_t i = 0; i < claims.size(); ++i) {
-      if (accept[i] != 0) {
-        Allocate(claims[i].machine, claims[i].resources);
-        ++result.accepted;
-      } else {
-        ++result.conflicted;
-        if (rejected != nullptr) {
-          rejected->push_back(claims[i]);
-        }
+    } else {
+      ++result.conflicted;
+      if (rejected != nullptr) {
+        rejected->push_back(claims[i]);
       }
     }
   }

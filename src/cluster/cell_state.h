@@ -58,17 +58,6 @@ struct CommitResult {
   bool AllAccepted() const { return conflicted == 0; }
 };
 
-// Reconstructs the accepted subset of `claims` after a Commit that rejected
-// some of them. Commit reports rejected claims in claim order, so a single
-// forward merge suffices; entries are matched on (machine,
-// seqnum_at_placement, resources), which also handles duplicate identical
-// claims with partial rejection (the first matching occurrences are dropped).
-// CHECK-fails if `rejected` is not an in-order subsequence of `claims` or the
-// result does not hold exactly `expected_accepted` claims.
-std::vector<TaskClaim> ReconstructAcceptedClaims(
-    std::span<const TaskClaim> claims, std::span<const TaskClaim> rejected,
-    int expected_accepted);
-
 class CellState {
  public:
   // Builds a homogeneous cell of `num_machines` machines with the given
@@ -108,29 +97,17 @@ class CellState {
   void Allocate(MachineId id, const Resources& request);
   void Free(MachineId id, const Resources& request);
 
-  // Applies `count` identical allocations (frees) on machine `id` as one
-  // batched mutation: the floating-point arithmetic is replayed per task so
-  // the resulting state is bit-identical to `count` single calls, but the
-  // sequence number advances once by `+count`, the capacity check runs once
-  // (sound: allocation grows monotonically across the batch), and the SoA
-  // mirror is written once per batch instead of per task. With the
-  // availability index enabled, bucket-list order is observable through
-  // VisitByAvailability, so both fall back to the per-task sequence — state
-  // stays bit-identical there too, just without the batching win. See
-  // DESIGN.md §10.
-  void AllocateBatch(MachineId id, const Resources& per_task, uint32_t count);
-  void FreeBatch(MachineId id, const Resources& per_task, uint32_t count);
-
   // Atomically commits a set of claims placed against an earlier snapshot.
-  // Accepted claims are allocated; conflicting claims (per `conflict_mode`,
-  // `commit_mode`) are reported in `rejected` if non-null. Claims within one
-  // transaction never conflict with each other on sequence numbers. On a cell
-  // without the availability index, a transaction of identical claims is
-  // applied with one AllocateBatch per machine, bit-identical to per-claim
-  // application (DESIGN.md §10).
+  // Claims are decided against the current state plus the claims accepted
+  // before them in this transaction (same-transaction claims never conflict
+  // on sequence numbers), then the accepted ones are applied one Allocate
+  // each, in claim order (§3.4). Conflicting claims (per `conflict_mode`,
+  // `commit_mode`) are reported in `rejected` and accepted claims in
+  // `accepted`, each in claim order, when non-null.
   CommitResult Commit(std::span<const TaskClaim> claims, ConflictMode conflict_mode,
                       CommitMode commit_mode,
-                      std::vector<TaskClaim>* rejected = nullptr);
+                      std::vector<TaskClaim>* rejected = nullptr,
+                      std::vector<TaskClaim>* accepted = nullptr);
 
   // Observer invoked after every non-empty Commit with the transaction's
   // claims and outcome — the state-store-side tracing seam (every writer
@@ -234,11 +211,9 @@ class CellState {
   std::vector<double> soa_fit_mem_;
 
   CommitObserver commit_observer_;
-  // Commit scratch, reused across transactions: the per-machine grouping
-  // list, the per-claim accept flags, and the pending same-transaction sums
-  // (the placers' PendingClaims: an array read per claim, and a new
-  // transaction is an O(1) epoch bump).
-  std::vector<MachineId> commit_scratch_;
+  // Commit scratch, reused across transactions: the per-claim accept flags
+  // and the pending same-transaction sums (the placers' PendingClaims: an
+  // array read per claim, and a new transaction is an O(1) epoch bump).
   std::vector<char> accept_scratch_;
   PendingClaims pending_scratch_;
 

@@ -34,31 +34,7 @@ void MapReduceScheduler::BeginAttempt(const JobPtr& job) {
   placer_.PlaceTasks(harness_.cell(), *job, remaining, rng_, claims.get());
 
   harness_.sim().ScheduleAfter(decision, [this, job, claims] {
-    std::vector<TaskClaim> rejected;
-    const CommitResult result =
-        harness_.cell().Commit(*claims, config_.conflict_mode,
-                               config_.commit_mode, &rejected);
-    metrics_.RecordTransaction(result.accepted, result.conflicted);
-    if (TraceRecorder* trace = harness_.trace()) {
-      const SimTime now = harness_.sim().Now();
-      if (!claims->empty()) {
-        trace->TxnCommit(now, TraceTrack(), job->id, result.accepted,
-                         result.conflicted);
-      }
-      for (const TaskClaim& claim : rejected) {
-        trace->ClaimConflict(now, TraceTrack(), job->id, claim.machine,
-                             claim.seqnum_at_placement,
-                             harness_.cell().machine(claim.machine).seqnum);
-      }
-    }
-    if (result.accepted > 0) {
-      if (result.conflicted == 0) {
-        StartPlacedTasks(*job, *claims);
-      } else {
-        StartPlacedTasks(*job, ReconstructAcceptedClaims(*claims, rejected,
-                                                         result.accepted));
-      }
-    }
+    const CommitResult result = CommitAndStart(*job, *claims);
     CompleteAttempt(job, static_cast<uint32_t>(result.accepted),
                     result.conflicted > 0);
   });

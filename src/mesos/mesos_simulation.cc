@@ -87,9 +87,10 @@ void MesosFramework::FinishAttempt(const JobPtr& job,
   // tasks launched onto a dead slave in the real system. Any rejection on a
   // healthy machine would be a genuine offer-lifecycle bug.
   std::vector<TaskClaim> rejected;
+  std::vector<TaskClaim> accepted;
   const CommitResult result =
       sim_.cell().Commit(claims, ConflictMode::kFineGrained,
-                         CommitMode::kIncremental, &rejected);
+                         CommitMode::kIncremental, &rejected, &accepted);
   for (const TaskClaim& loss : rejected) {
     OMEGA_CHECK(sim_.MachineIsDown(loss.machine))
         << "offer-locked resources must commit cleanly";
@@ -98,10 +99,8 @@ void MesosFramework::FinishAttempt(const JobPtr& job,
     // The locked share of a failed machine is spent either way, so debit the
     // offer ledger for the full claim set before dropping the losses.
     sim_.allocator().OnOfferResourcesUsed(claims);
-    if (!rejected.empty()) {
-      claims = ReconstructAcceptedClaims(claims, rejected, result.accepted);
-    }
   }
+  claims = std::move(accepted);
   metrics_.RecordTransaction(result.accepted, 0);
   if (TraceRecorder* trace = sim_.trace()) {
     const SimTime when = sim_.sim().Now();

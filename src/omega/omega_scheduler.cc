@@ -52,37 +52,7 @@ void OmegaScheduler::BeginAttempt(const JobPtr& job) {
   harness_.sim().ScheduleAfter(decision, [this, job, claims] {
     // Commit: at most one conflicting transaction succeeds; non-conflicting
     // incremental changes are accepted (§3.4).
-    std::vector<TaskClaim> rejected;
-    const CommitResult result = harness_.cell().Commit(
-        *claims, config_.conflict_mode, config_.commit_mode, &rejected);
-    metrics_.RecordTransaction(result.accepted, result.conflicted);
-    if (TraceRecorder* trace = harness_.trace()) {
-      const SimTime now = harness_.sim().Now();
-      if (!claims->empty()) {
-        trace->TxnCommit(now, TraceTrack(), job->id, result.accepted,
-                         result.conflicted);
-      }
-      for (const TaskClaim& claim : rejected) {
-        trace->ClaimConflict(now, TraceTrack(), job->id, claim.machine,
-                             claim.seqnum_at_placement,
-                             harness_.cell().machine(claim.machine).seqnum);
-      }
-      if (config_.commit_mode == CommitMode::kAllOrNothing &&
-          result.conflicted > 0) {
-        trace->GangAbort(now, TraceTrack(), job->id, result.conflicted,
-                         /*at_commit=*/true);
-      }
-    }
-    if (result.accepted > 0) {
-      // Accepted claims are prefix-stable only for incremental commits where
-      // rejected entries were removed; reconstruct the accepted set.
-      if (result.conflicted == 0) {
-        StartPlacedTasks(*job, *claims);
-      } else {
-        StartPlacedTasks(*job, ReconstructAcceptedClaims(*claims, rejected,
-                                                         result.accepted));
-      }
-    }
+    const CommitResult result = CommitAndStart(*job, *claims);
     uint32_t placed_total = static_cast<uint32_t>(result.accepted);
     if (config_.enable_preemption && placed_total < job->TasksRemaining()) {
       // Lay claim to resources other schedulers have already acquired: evict

@@ -289,15 +289,15 @@ void ClusterSimulation::StartTasks(const Job& job,
   const JobId job_id = job.id;
   const SimTime end = sim_->Now() + job.task_duration;
   const CohortStore::CohortId cohort =
-      cohorts_.Create(job_id, job.task_resources, std::move(on_task_end));
+      cohorts_.Create(job_id, std::move(on_task_end));
   Cohort& c = cohorts_.Get(cohort);
   c.member_claims.assign(claims.begin(), claims.end());
   if (options_.track_running_tasks) {
     c.member_tasks.reserve(claims.size());
   }
   for (const TaskClaim& claim : claims) {
-    // FinishCohort frees (task_resources, count) per machine; a claim that
-    // deviated from the job's uniform task shape would corrupt the cell.
+    // Every task of a job has the job's task shape (§2.1); a claim that
+    // deviates from it was not placed for this job.
     OMEGA_CHECK(claim.resources == job.task_resources)
         << "claim resources diverge from the job's task shape";
     if (trace_ != nullptr) {
@@ -330,33 +330,9 @@ void ClusterSimulation::FinishCohort(CohortStore::CohortId cohort_id) {
       registry_.Remove(c.member_tasks[i]);
     }
   }
-  if (cell_.HasAvailabilityIndex()) {
-    // Bucket-list permutations are order-sensitive; replay per-task frees in
-    // claim order (the cohort still saved n-1 heap events).
-    for (const TaskClaim& claim : c.member_claims) {
-      cell_.Free(claim.machine, claim.resources);
-      OnMachineChanged(claim.machine, /*wake=*/true);
-    }
-  } else {
-    // One batched free per distinct machine. Sorting reorders frees across
-    // machines, which is state-identical because members share per-task
-    // resources (DESIGN.md §10).
-    cohort_scratch_.clear();
-    for (const TaskClaim& claim : c.member_claims) {
-      cohort_scratch_.push_back(claim.machine);
-    }
-    std::sort(cohort_scratch_.begin(), cohort_scratch_.end());
-    for (size_t i = 0; i < cohort_scratch_.size();) {
-      size_t j = i + 1;
-      while (j < cohort_scratch_.size() &&
-             cohort_scratch_[j] == cohort_scratch_[i]) {
-        ++j;
-      }
-      cell_.FreeBatch(cohort_scratch_[i], c.task_resources,
-                      static_cast<uint32_t>(j - i));
-      OnMachineChanged(cohort_scratch_[i], /*wake=*/true);
-      i = j;
-    }
+  for (const TaskClaim& claim : c.member_claims) {
+    cell_.Free(claim.machine, claim.resources);
+    OnMachineChanged(claim.machine, /*wake=*/true);
   }
 }
 

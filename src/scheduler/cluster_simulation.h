@@ -90,10 +90,9 @@ class ClusterSimulation {
   // resources are freed (Mesos uses it to update allocator bookkeeping; the
   // MapReduce scheduler to track job completion). The whole batch is one
   // cohort sharing one end event — all claims come from one commit of one
-  // job, so they share a start time, duration, and per-task resources — and
-  // the end-time frees are applied per machine as (resources, count) batches;
-  // results are bit-identical to giving every task its own end event
-  // (DESIGN.md §10).
+  // job, so they share a start time and duration — whose firing frees the
+  // members one by one in claim order; results are bit-identical to giving
+  // every task its own end event (DESIGN.md §10).
   void StartTasks(const Job& job, std::span<const TaskClaim> claims,
                   std::function<void(const TaskClaim&)> on_task_end = nullptr);
 
@@ -187,7 +186,7 @@ class ClusterSimulation {
   void RunEndCallbackForKill(const RunningTask& task);
 
   // Fires a cohort's shared end event: per-member callback/trace/registry
-  // work in claim order, then per-machine batched frees.
+  // work in claim order, then one Free per member in claim order.
   void FinishCohort(CohortStore::CohortId cohort_id);
   // Cancels a running task's pending end: its private event (initial-fill
   // tasks), or its cohort membership (cancelling the shared event only when
@@ -210,8 +209,6 @@ class ClusterSimulation {
 
   TaskRegistry registry_;
   CohortStore cohorts_;
-  // Scratch for FinishCohort's per-machine grouping, reused across cohorts.
-  std::vector<MachineId> cohort_scratch_;
   int64_t tasks_preempted_ = 0;
   TraceRecorder* trace_ = nullptr;
   std::string trace_scope_;

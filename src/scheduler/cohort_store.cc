@@ -5,8 +5,7 @@
 namespace omega {
 
 CohortStore::CohortId CohortStore::Create(
-    JobId job, const Resources& task_resources,
-    std::function<void(const TaskClaim&)> on_task_end) {
+    JobId job, std::function<void(const TaskClaim&)> on_task_end) {
   uint32_t slot;
   if (free_head_ != kNoSlot) {
     slot = free_head_;
@@ -17,7 +16,6 @@ CohortStore::CohortId CohortStore::Create(
   }
   Slot& s = slots_[slot];
   s.cohort.job = job;
-  s.cohort.task_resources = task_resources;
   s.cohort.end_event = kInvalidEventId;
   s.cohort.on_task_end = std::move(on_task_end);
   s.live = true;

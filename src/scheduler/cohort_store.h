@@ -1,14 +1,14 @@
-// Cohorts: batched task lifecycles for a placement batch (DESIGN.md §10).
+// Cohorts: one shared end event per placement batch (DESIGN.md §10).
 //
 // The workload model guarantees that all tasks of a job are identical (§2.1),
 // so every task started by one StartTasks call — one committed placement
-// batch — shares a start time, a duration, and per-task resources. A cohort
-// coalesces those tasks into a single end event that frees their resources
-// with per-machine batched mutations, instead of one heap event, closure and
-// CellState::Free per task. Machine failures and preemption can still kill
-// individual members: RemoveMember shrinks the cohort's pending free (the
-// caller frees the victim's resources immediately, as before), and only when
-// the last member is gone does the shared end event get cancelled.
+// batch — shares a start time and a duration, and therefore an end time. A
+// cohort gives those tasks a single end event, instead of one heap event and
+// closure per task; when it fires, the members are freed one by one in claim
+// order. Machine failures and preemption can still kill individual members:
+// RemoveMember drops the victim from the cohort (the caller frees the
+// victim's resources immediately, as before), and only when the last member
+// is gone does the shared end event get cancelled.
 #pragma once
 
 #include <cstdint>
@@ -25,16 +25,12 @@ namespace omega {
 // One placement batch's worth of running tasks sharing an end time.
 struct Cohort {
   JobId job = 0;
-  // Per-task resources, identical across members (§2.1); the end-time frees
-  // aggregate per machine as (resources, count).
-  Resources task_resources;
   EventId end_event = kInvalidEventId;
   // Runs per member, in claim order, before the member's resources are freed
   // (Mesos allocator bookkeeping, MapReduce job completion).
   std::function<void(const TaskClaim&)> on_task_end;
-  // Members in claim order. Claims keep per-member machines (and resources,
-  // for the availability-index fallback); member_tasks holds the parallel
-  // TaskRegistry ids and is empty when the registry is off.
+  // Members in claim order: the claims the end event frees, and the parallel
+  // TaskRegistry ids (empty when the registry is off).
   std::vector<TaskClaim> member_claims;
   std::vector<uint64_t> member_tasks;
 };
@@ -48,8 +44,7 @@ class CohortStore {
   static constexpr CohortId kNoCohort = 0;
 
   // Creates an empty cohort; members are added as claims are started.
-  CohortId Create(JobId job, const Resources& task_resources,
-                  std::function<void(const TaskClaim&)> on_task_end);
+  CohortId Create(JobId job, std::function<void(const TaskClaim&)> on_task_end);
 
   Cohort& Get(CohortId id) {
     const uint32_t slot = CheckedSlot(id);

@@ -1,6 +1,7 @@
 #include "src/scheduler/queue_scheduler.h"
 
 #include <algorithm>
+#include <vector>
 
 #include "src/common/logging.h"
 
@@ -86,6 +87,37 @@ void QueueScheduler::StartPlacedTasks(const Job& job,
     held_ -= claim.resources;
     held_ = held_.ClampNonNegative();
   });
+}
+
+CommitResult QueueScheduler::CommitAndStart(const Job& job,
+                                            std::span<const TaskClaim> claims) {
+  std::vector<TaskClaim> rejected;
+  std::vector<TaskClaim> accepted;
+  const CommitResult result =
+      harness_.cell().Commit(claims, config_.conflict_mode, config_.commit_mode,
+                             &rejected, &accepted);
+  metrics_.RecordTransaction(result.accepted, result.conflicted);
+  if (TraceRecorder* trace = harness_.trace()) {
+    const SimTime now = harness_.sim().Now();
+    if (!claims.empty()) {
+      trace->TxnCommit(now, TraceTrack(), job.id, result.accepted,
+                       result.conflicted);
+    }
+    for (const TaskClaim& claim : rejected) {
+      trace->ClaimConflict(now, TraceTrack(), job.id, claim.machine,
+                           claim.seqnum_at_placement,
+                           harness_.cell().machine(claim.machine).seqnum);
+    }
+    if (config_.commit_mode == CommitMode::kAllOrNothing &&
+        result.conflicted > 0) {
+      trace->GangAbort(now, TraceTrack(), job.id, result.conflicted,
+                       /*at_commit=*/true);
+    }
+  }
+  if (!accepted.empty()) {
+    StartPlacedTasks(job, accepted);
+  }
+  return result;
 }
 
 void QueueScheduler::CompleteAttempt(const JobPtr& job, uint32_t tasks_placed,

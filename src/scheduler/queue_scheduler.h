@@ -57,6 +57,13 @@ class QueueScheduler {
   // resource limit is configured.
   void StartPlacedTasks(const Job& job, std::span<const TaskClaim> claims);
 
+  // The optimistic-commit epilogue of the shared-state schedulers: commits
+  // `claims` (placed against an earlier snapshot of the cell) under the
+  // configured conflict and commit modes, records the transaction, traces
+  // the commit, every conflicting claim and an at-commit gang abort, and
+  // starts the accepted tasks. Returns the commit's outcome.
+  CommitResult CommitAndStart(const Job& job, std::span<const TaskClaim> claims);
+
   void TryStartNext();
 
   // Trace track for this scheduler, registered lazily under config_.name.

@@ -197,6 +197,44 @@ TEST(CommitTest, AllOrNothingCleanCommits) {
   EXPECT_EQ(r.accepted, 2);
 }
 
+TEST(CommitTest, ReportsAcceptedAndRejectedClaimsInClaimOrder) {
+  // A competing commit fills machine 0 so that only one of the three
+  // identical claims stacked there still fits: the first one is accepted,
+  // the later two conflict, and machine 1's claim goes through.
+  CellState cell(2, kMachine);
+  const Resources r{1.5, 1.0};
+  const std::vector<TaskClaim> claims{Claim(cell, 0, r), Claim(cell, 0, r),
+                                      Claim(cell, 1, r), Claim(cell, 0, r)};
+  cell.Allocate(0, Resources{2.0, 1.0});
+  std::vector<TaskClaim> rejected;
+  std::vector<TaskClaim> accepted;
+  const CommitResult result =
+      cell.Commit(claims, ConflictMode::kFineGrained, CommitMode::kIncremental,
+                  &rejected, &accepted);
+  EXPECT_EQ(result.accepted, 2);
+  EXPECT_EQ(result.conflicted, 2);
+  ASSERT_EQ(accepted.size(), 2u);
+  EXPECT_EQ(accepted[0].machine, 0u);
+  EXPECT_EQ(accepted[1].machine, 1u);
+  ASSERT_EQ(rejected.size(), 2u);
+  EXPECT_EQ(rejected[0].machine, 0u);
+  EXPECT_EQ(rejected[1].machine, 0u);
+  EXPECT_EQ(cell.machine(0).allocated, (Resources{3.5, 2.0}));
+}
+
+TEST(CommitTest, AllOrNothingConflictAcceptsNothing) {
+  CellState cell(2, kMachine);
+  const std::vector<TaskClaim> claims{Claim(cell, 0, kTask),
+                                      Claim(cell, 1, kTask)};
+  cell.Allocate(1, kTask);
+  std::vector<TaskClaim> accepted;
+  const CommitResult result =
+      cell.Commit(claims, ConflictMode::kCoarseGrained,
+                  CommitMode::kAllOrNothing, nullptr, &accepted);
+  EXPECT_EQ(result.accepted, 0);
+  EXPECT_TRUE(accepted.empty());
+}
+
 TEST(CommitTest, EmptyTransactionIsNoop) {
   CellState cell(1, kMachine);
   const CommitResult r = cell.Commit({}, ConflictMode::kFineGrained,
@@ -437,79 +475,6 @@ TEST(SoAScanTest, HeadroomPolicyUsesUsableCapacity) {
   cell.Allocate(0, ok);
   EXPECT_EQ(cell.FindFirstFit(0, cell.NumMachines(), ok), 1u);
   EXPECT_TRUE(cell.CheckInvariants());
-}
-
-// --- accepted-set reconstruction after partial commits ---
-
-TEST(ReconstructAcceptedClaimsTest, RemovesRejectedInOrder) {
-  const std::vector<TaskClaim> claims = {
-      {0, kTask, 1}, {1, kTask, 2}, {2, kTask, 3}, {3, kTask, 4}};
-  const std::vector<TaskClaim> rejected = {{1, kTask, 2}, {3, kTask, 4}};
-  const auto accepted = ReconstructAcceptedClaims(claims, rejected, 2);
-  ASSERT_EQ(accepted.size(), 2u);
-  EXPECT_EQ(accepted[0].machine, 0u);
-  EXPECT_EQ(accepted[1].machine, 2u);
-}
-
-TEST(ReconstructAcceptedClaimsTest, DuplicateIdenticalClaimsPartialRejection) {
-  // Three byte-identical claims on one machine, only the last two rejected
-  // (the machine had room for one). The merge drops exactly as many
-  // occurrences as were rejected and keeps the rest.
-  const std::vector<TaskClaim> claims = {
-      {5, kTask, 7}, {5, kTask, 7}, {5, kTask, 7}};
-  const std::vector<TaskClaim> rejected = {{5, kTask, 7}, {5, kTask, 7}};
-  const auto accepted = ReconstructAcceptedClaims(claims, rejected, 1);
-  ASSERT_EQ(accepted.size(), 1u);
-  EXPECT_EQ(accepted[0].machine, 5u);
-  EXPECT_EQ(accepted[0].seqnum_at_placement, 7u);
-}
-
-TEST(ReconstructAcceptedClaimsTest, SeqnumDistinguishesSameMachineClaims) {
-  // Two claims on the same machine with the same resources but different
-  // placement seqnums: the rejected entry must match the right one. (The
-  // MapReduce scheduler's former copy of this loop ignored seqnums.)
-  const std::vector<TaskClaim> claims = {{4, kTask, 10}, {4, kTask, 11}};
-  const std::vector<TaskClaim> rejected = {{4, kTask, 11}};
-  const auto accepted = ReconstructAcceptedClaims(claims, rejected, 1);
-  ASSERT_EQ(accepted.size(), 1u);
-  EXPECT_EQ(accepted[0].seqnum_at_placement, 10u);
-}
-
-TEST(ReconstructAcceptedClaimsTest, MatchesCommitOutput) {
-  // End-to-end against a real partial commit: fill machine 0 behind the
-  // claimant's back so its claim conflicts, then reconstruct.
-  CellState cell(2, kMachine);
-  std::vector<TaskClaim> claims;
-  claims.push_back({0, Resources{3.0, 3.0}, cell.machine(0).seqnum});
-  claims.push_back({1, Resources{3.0, 3.0}, cell.machine(1).seqnum});
-  cell.Allocate(0, Resources{2.0, 2.0});  // competing commit wins machine 0
-  std::vector<TaskClaim> rejected;
-  const CommitResult result = cell.Commit(claims, ConflictMode::kFineGrained,
-                                          CommitMode::kIncremental, &rejected);
-  ASSERT_EQ(result.accepted, 1);
-  ASSERT_EQ(result.conflicted, 1);
-  const auto accepted = ReconstructAcceptedClaims(claims, rejected, result.accepted);
-  ASSERT_EQ(accepted.size(), 1u);
-  EXPECT_EQ(accepted[0].machine, 1u);
-}
-
-using ReconstructAcceptedClaimsDeathTest = ::testing::Test;
-
-TEST(ReconstructAcceptedClaimsDeathTest, RejectedOrderMismatchAborts) {
-  // `rejected` out of claim order is a contract violation (Commit emits
-  // rejections in order): the merge cannot match the first rejected entry and
-  // must abort rather than silently start the wrong tasks.
-  const std::vector<TaskClaim> claims = {{0, kTask, 1}, {1, kTask, 2}};
-  const std::vector<TaskClaim> out_of_order = {{1, kTask, 2}, {0, kTask, 1}};
-  EXPECT_DEATH(ReconstructAcceptedClaims(claims, out_of_order, 0),
-               "reject_idx == rejected.size");
-}
-
-TEST(ReconstructAcceptedClaimsDeathTest, WrongAcceptedCountAborts) {
-  const std::vector<TaskClaim> claims = {{0, kTask, 1}, {1, kTask, 2}};
-  const std::vector<TaskClaim> rejected = {{0, kTask, 1}};
-  EXPECT_DEATH(ReconstructAcceptedClaims(claims, rejected, 2),
-               "accepted.size");
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
-// Cohort task-lifecycle batching (DESIGN.md §10).
+// Cohort task lifecycles (DESIGN.md §10).
 //
-// Unit tests for the batched CellState mutations, the cohort lifecycle edge
-// cases (partial cancel, full eviction, callback order), and the TaskRegistry
-// slab against a naive reference model. The randomized differentials against
-// the per-task reference model live in reference_diff_test.cc.
+// Unit tests for the cohort lifecycle edge cases (partial cancel, full
+// eviction, callback order) and the TaskRegistry slab against a naive
+// reference model. The randomized differentials against the per-task
+// reference model live in reference_diff_test.cc.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,113 +18,6 @@
 
 namespace omega {
 namespace {
-
-// ---------------------------------------------------------------------------
-// CellState batched mutations vs. the per-task reference.
-// ---------------------------------------------------------------------------
-
-TEST(CellStateBatchTest, AllocateAndFreeBatchMatchPerTaskLoops) {
-  const Resources cap{16.0, 64.0};
-  CellState batched(64, cap);
-  CellState reference(64, cap);
-  Rng rng(99);
-  // Random interleaving of batch allocations and frees; the reference applies
-  // the same operations as per-task loops. States must match bitwise.
-  std::vector<std::pair<MachineId, std::pair<Resources, uint32_t>>> live;
-  for (int step = 0; step < 2000; ++step) {
-    const bool do_free = !live.empty() && rng.NextBounded(2) == 0;
-    if (do_free) {
-      const size_t pick = rng.NextBounded(live.size());
-      const auto [m, rc] = live[pick];
-      batched.FreeBatch(m, rc.first, rc.second);
-      for (uint32_t i = 0; i < rc.second; ++i) {
-        reference.Free(m, rc.first);
-      }
-      live[pick] = live.back();
-      live.pop_back();
-    } else {
-      const auto m = static_cast<MachineId>(rng.NextBounded(64));
-      const Resources r{0.1 + 0.1 * static_cast<double>(rng.NextBounded(5)),
-                        0.3 + 0.3 * static_cast<double>(rng.NextBounded(5))};
-      const auto count = static_cast<uint32_t>(1 + rng.NextBounded(6));
-      if (!batched.CanFit(m, r * static_cast<double>(count))) {
-        continue;
-      }
-      batched.AllocateBatch(m, r, count);
-      for (uint32_t i = 0; i < count; ++i) {
-        reference.Allocate(m, r);
-      }
-      live.push_back({m, {r, count}});
-    }
-    ASSERT_TRUE(batched.CheckInvariants());
-  }
-  for (MachineId m = 0; m < 64; ++m) {
-    ASSERT_EQ(batched.machine(m).allocated, reference.machine(m).allocated);
-    ASSERT_EQ(batched.machine(m).seqnum, reference.machine(m).seqnum);
-  }
-  EXPECT_EQ(batched.TotalAllocated(), reference.TotalAllocated());
-}
-
-TEST(CellStateBatchTest, BatchOfOneEqualsSingleCall) {
-  CellState a(4, Resources{8.0, 32.0});
-  CellState b(4, Resources{8.0, 32.0});
-  a.AllocateBatch(2, Resources{1.5, 3.0}, 1);
-  b.Allocate(2, Resources{1.5, 3.0});
-  EXPECT_EQ(a.machine(2).allocated, b.machine(2).allocated);
-  EXPECT_EQ(a.machine(2).seqnum, b.machine(2).seqnum);
-  a.FreeBatch(2, Resources{1.5, 3.0}, 1);
-  b.Free(2, Resources{1.5, 3.0});
-  EXPECT_EQ(a.machine(2).allocated, b.machine(2).allocated);
-  EXPECT_EQ(a.machine(2).seqnum, b.machine(2).seqnum);
-}
-
-TEST(CellStateBatchTest, ZeroCountBatchIsNoop) {
-  CellState cell(4, Resources{8.0, 32.0});
-  cell.AllocateBatch(1, Resources{1.0, 1.0}, 0);
-  cell.FreeBatch(1, Resources{1.0, 1.0}, 0);
-  EXPECT_EQ(cell.machine(1).seqnum, 0u);
-  EXPECT_EQ(cell.TotalAllocated(), Resources::Zero());
-}
-
-TEST(CellStateBatchTest, BatchSeqnumAdvanceEqualsCount) {
-  CellState cell(4, Resources{8.0, 32.0});
-  cell.AllocateBatch(3, Resources{0.5, 1.0}, 7);
-  EXPECT_EQ(cell.machine(3).seqnum, 7u);
-  cell.FreeBatch(3, Resources{0.5, 1.0}, 7);
-  EXPECT_EQ(cell.machine(3).seqnum, 14u);
-}
-
-TEST(CellStateBatchTest, BatchedOpsWithAvailabilityIndexMatchReference) {
-  // With the index enabled, batched ops fall back to the per-task sequence so
-  // bucket-list order (observable via VisitByAvailability) stays identical.
-  CellState batched(64, Resources{16.0, 64.0});
-  CellState reference(64, Resources{16.0, 64.0});
-  batched.EnableAvailabilityIndex();
-  reference.EnableAvailabilityIndex();
-  Rng rng(7);
-  for (int step = 0; step < 300; ++step) {
-    const auto m = static_cast<MachineId>(rng.NextBounded(64));
-    const Resources r{0.5, 2.0};
-    const auto count = static_cast<uint32_t>(1 + rng.NextBounded(4));
-    if (batched.CanFit(m, r * static_cast<double>(count))) {
-      batched.AllocateBatch(m, r, count);
-      for (uint32_t i = 0; i < count; ++i) {
-        reference.Allocate(m, r);
-      }
-    }
-  }
-  std::vector<MachineId> order_batched;
-  std::vector<MachineId> order_reference;
-  batched.VisitByAvailability(Resources{0.5, 2.0}, [&](MachineId m) {
-    order_batched.push_back(m);
-    return true;
-  });
-  reference.VisitByAvailability(Resources{0.5, 2.0}, [&](MachineId m) {
-    order_reference.push_back(m);
-    return true;
-  });
-  EXPECT_EQ(order_batched, order_reference);
-}
 
 // ---------------------------------------------------------------------------
 // Harness-level cohort lifecycle edge cases.
@@ -185,7 +78,7 @@ TEST(CohortLifecycleTest, CohortEndFreesAggregatedResourcesPerMachine) {
   EXPECT_EQ(sim.task_registry().NumRunning(), 0u);
   EXPECT_EQ(sim.cell().machine(1).allocated, Resources::Zero());
   EXPECT_EQ(sim.cell().machine(4).allocated, Resources::Zero());
-  // 3 allocs + one batched free advancing by 3.
+  // 3 allocs + 3 frees on machine 1, 2 + 2 on machine 4.
   EXPECT_EQ(sim.cell().machine(1).seqnum, 6u);
   EXPECT_EQ(sim.cell().machine(4).seqnum, 4u);
   EXPECT_TRUE(sim.cell().CheckInvariants());

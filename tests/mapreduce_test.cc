@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/common/stats.h"
 #include "src/mapreduce/perf_model.h"
 #include "src/mapreduce/policy.h"
+#include "src/trace/trace_recorder.h"
 #include "src/workload/cluster_config.h"
 
 namespace omega {
@@ -225,6 +228,52 @@ TEST(MapReduceSimulationTest, MaxParallelismBeatsRelativeJobSize) {
   EXPECT_GE(max_par, rel_size * 0.9);
   EXPECT_LE(rel_size, 4.0 + 1e-9);
   EXPECT_GT(max_par, 1.0);
+}
+
+TEST(MapReduceSimulationTest, AllOrNothingConflictTracesAtCommitGangAbort) {
+  // Coarse-grained all-or-nothing commits: a MapReduce transaction conflicts
+  // whenever a task end or another scheduler's commit touched one of its
+  // machines since placement. Each such transaction is discarded whole and,
+  // as for the Omega schedulers, traced as an at-commit gang abort on the
+  // MapReduce scheduler's own track.
+  ClusterConfig cfg = TestCluster(64);
+  cfg.mapreduce_fraction = 0.5;
+  SchedulerConfig gang;
+  gang.commit_mode = CommitMode::kAllOrNothing;
+  gang.conflict_mode = ConflictMode::kCoarseGrained;
+  SimOptions options = ShortRun();
+  options.horizon = Duration::FromHours(1);  // keeps the whole trace retained
+  MapReduceSimulation sim(cfg, options, gang, SchedulerConfig{},
+                          Policy(MapReducePolicy::kMaxParallelism));
+  TraceRecorder trace;
+  sim.SetTraceRecorder(&trace);
+  sim.Run();
+  ASSERT_EQ(trace.Dropped(), 0);
+  const std::vector<std::string>& names = trace.track_names();
+  const auto it = std::find(names.begin(), names.end(), "mapreduce");
+  ASSERT_NE(it, names.end());
+  const auto mr_track = static_cast<uint16_t>(it - names.begin());
+  int64_t conflicted_txns = 0;
+  int64_t claims_conflicted = 0;
+  int64_t aborts = 0;
+  int64_t claims_discarded = 0;
+  trace.ForEachRetained([&](const TraceEvent& e) {
+    if (e.track != mr_track) {
+      return;
+    }
+    if (e.type == TraceEventType::kTxnCommit && e.arg1 > 0) {
+      ++conflicted_txns;
+      claims_conflicted += e.arg1;
+    }
+    if (e.type == TraceEventType::kGangAbort) {
+      EXPECT_EQ(e.arg1, 1) << "MapReduce gang aborts happen at commit";
+      ++aborts;
+      claims_discarded += e.arg0;
+    }
+  });
+  EXPECT_GT(conflicted_txns, 0);
+  EXPECT_EQ(aborts, conflicted_txns);
+  EXPECT_EQ(claims_discarded, claims_conflicted);
 }
 
 }  // namespace

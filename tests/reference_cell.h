@@ -1,13 +1,12 @@
 // A naive reference model of the shared cell state (§3.4) and of randomized
 // first fit (Table 2), for the differential tests.
 //
-// CellState carries struct-of-arrays mirrors, a chunked first-fit sweep,
-// batched mutations and grouped Commit application; the harness batches task
-// lifecycles into cohorts. None of that is here: ReferenceCell is per-machine
-// loops over Machine structs, one mutation per task, and a Commit that decides
-// and applies claim by claim in claim order. Its arithmetic is the
-// specification the optimized paths must reproduce bit for bit
-// (tests/reference_diff_test.cc).
+// CellState carries struct-of-arrays mirrors and a chunked first-fit sweep;
+// the harness gives each placement batch one shared end event (a cohort).
+// None of that is here: ReferenceCell is per-machine loops over Machine
+// structs, one mutation per task, and a Commit that decides and applies claim
+// by claim in claim order. Its arithmetic is the specification the optimized
+// paths must reproduce bit for bit (tests/reference_diff_test.cc).
 #pragma once
 
 #include <cstdint>

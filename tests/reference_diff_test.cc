@@ -1,12 +1,12 @@
 // Differential tests against the naive reference model in
 // tests/reference_cell.h (DESIGN.md §11, "The reference model").
 //
-// Each hot mechanism has one implementation in src/: the summarized,
-// struct-of-arrays cell with batched mutations and grouped Commit, the
-// FindFirstFit sweep inside randomized first fit, and cohort task lifecycles.
-// The suites here drive that implementation and the per-machine, per-task,
-// per-claim reference with the same inputs and demand bit-identical results:
-//   1. cell op streams (Allocate/Free, batches, Commit, FindFirstFit);
+// Each hot mechanism has one implementation in src/: the struct-of-arrays
+// cell, the FindFirstFit sweep inside randomized first fit, and cohort task
+// lifecycles. The suites here drive that implementation and the
+// per-machine, per-task, per-claim reference with the same inputs and demand
+// bit-identical results:
+//   1. cell op streams (Allocate/Free, Commit, FindFirstFit);
 //   2. RandomizedFirstFitPlacer vs ReferenceFirstFit on twin cells;
 //   3. whole Omega runs with the default placer vs the reference placer;
 //   4. cohort lifecycles vs a per-task oracle (one end time per task).
@@ -65,7 +65,10 @@ void ExpectSameClaims(const std::vector<TaskClaim>& a,
     ASSERT_EQ(a[i].machine, b[i].machine) << where << ": claim " << i;
     ASSERT_EQ(a[i].seqnum_at_placement, b[i].seqnum_at_placement)
         << where << ": claim " << i;
-    ASSERT_EQ(a[i].resources, b[i].resources) << where << ": claim " << i;
+    ASSERT_TRUE(SameBits(a[i].resources.cpus, b[i].resources.cpus))
+        << where << ": claim " << i;
+    ASSERT_TRUE(SameBits(a[i].resources.mem_gb, b[i].resources.mem_gb))
+        << where << ": claim " << i;
   }
 }
 
@@ -114,9 +117,10 @@ void RunOpStream(uint32_t num_machines, FullnessPolicy fullness, uint64_t seed,
     const Resources r = RandomTask(rng);
     while (level > 0 && ref.CanFit(m, r * 2.0) &&
            (level > 1 || ref.machine(m).allocated.cpus < 1.6)) {
-      cell.AllocateBatch(m, r, 2);
-      ref.Allocate(m, r);
-      ref.Allocate(m, r);
+      for (int i = 0; i < 2; ++i) {
+        cell.Allocate(m, r);
+        ref.Allocate(m, r);
+      }
       live.push_back({m, r, 2});
     }
     if (level == 3) {
@@ -135,7 +139,7 @@ void RunOpStream(uint32_t num_machines, FullnessPolicy fullness, uint64_t seed,
     const uint64_t kind = rng.NextBounded(10);
     const MachineId m = random_machine();
     if (kind < 2) {
-      // Single or batched allocation (the reference replays single calls).
+      // `count` tasks of one shape on one machine.
       const Resources r = rng.NextBounded(4) == 0 ? ExactFitRequest(ref, m, rng)
                                                   : RandomTask(rng);
       const auto count = static_cast<uint32_t>(1 + rng.NextBounded(5));
@@ -146,17 +150,13 @@ void RunOpStream(uint32_t num_machines, FullnessPolicy fullness, uint64_t seed,
       if (!after.FitsIn(ref.UsableCapacity(m))) {
         continue;
       }
-      if (count == 1 && rng.NextBounded(2) == 0) {
-        cell.Allocate(m, r);
-      } else {
-        cell.AllocateBatch(m, r, count);
-      }
       for (uint32_t i = 0; i < count; ++i) {
+        cell.Allocate(m, r);
         ref.Allocate(m, r);
       }
       live.push_back({m, r, count});
     } else if (kind < 4) {
-      // Free one live allocation, batched or one task at a time.
+      // Free one live allocation, one task at a time.
       if (live.empty()) {
         continue;
       }
@@ -164,20 +164,14 @@ void RunOpStream(uint32_t num_machines, FullnessPolicy fullness, uint64_t seed,
       const Live l = live[pick];
       live[pick] = live.back();
       live.pop_back();
-      if (rng.NextBounded(2) == 0) {
-        cell.FreeBatch(l.machine, l.per_task, l.count);
-      } else {
-        for (uint32_t i = 0; i < l.count; ++i) {
-          cell.Free(l.machine, l.per_task);
-        }
-      }
       for (uint32_t i = 0; i < l.count; ++i) {
+        cell.Free(l.machine, l.per_task);
         ref.Free(l.machine, l.per_task);
       }
     } else if (kind < 7) {
-      // A transaction: uniform (grouped path) or mixed (per-claim path)
-      // claims stacked on a small window of machines, with fresh and stale
-      // seqnums, under every conflict x commit mode.
+      // A transaction: uniform (one job's cohort) or mixed claims stacked on
+      // a small window of machines, with fresh and stale seqnums, under
+      // every conflict x commit mode.
       const bool uniform = rng.NextBounded(4) != 0;
       const Resources shape = RandomTask(rng);
       const auto window = static_cast<uint32_t>(1 + rng.NextBounded(8));
@@ -199,15 +193,17 @@ void RunOpStream(uint32_t num_machines, FullnessPolicy fullness, uint64_t seed,
                                                   : CommitMode::kAllOrNothing;
       std::vector<TaskClaim> rejected_cell;
       std::vector<TaskClaim> rejected_ref;
-      std::vector<TaskClaim> accepted;
+      std::vector<TaskClaim> accepted_cell;
+      std::vector<TaskClaim> accepted_ref;
       const CommitResult a =
-          cell.Commit(claims, conflict, commit, &rejected_cell);
+          cell.Commit(claims, conflict, commit, &rejected_cell, &accepted_cell);
       const CommitResult b =
-          ref.Commit(claims, conflict, commit, &rejected_ref, &accepted);
+          ref.Commit(claims, conflict, commit, &rejected_ref, &accepted_ref);
       ASSERT_EQ(a.accepted, b.accepted) << "op " << op;
       ASSERT_EQ(a.conflicted, b.conflicted) << "op " << op;
       ExpectSameClaims(rejected_cell, rejected_ref, "rejected");
-      for (const TaskClaim& c : accepted) {
+      ExpectSameClaims(accepted_cell, accepted_ref, "accepted");
+      for (const TaskClaim& c : accepted_ref) {
         live.push_back({c.machine, c.resources, 1});
       }
     } else {
