@@ -16,7 +16,7 @@
 
 namespace omega {
 
-// Base seed shared by the Figure 5/6 sweeps (they render the same grid).
+// Base seed of the Figure 5/6 sweep (fig5_wait_time prints both figures).
 inline constexpr uint64_t kFig56BaseSeed = 1000;
 
 struct SweepResult {

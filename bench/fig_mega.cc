@@ -101,7 +101,7 @@ struct StressResult {
 StressResult RunPlacementStress(int placements) {
   CellState cell(kStressMachines, Resources{16.0, 64.0});
   for (MachineId m = 0; m < kStressMachines; ++m) {
-    cell.mutable_machine(m).attributes = {m % kStressMatchStride == 7 ? 1 : 0};
+    cell.SetAttributes(m, {m % kStressMatchStride == 7 ? 1 : 0});
   }
   RandomizedFirstFitPlacer placer(/*max_random_probes=*/0,
                                   /*respect_constraints=*/true);

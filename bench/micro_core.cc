@@ -287,8 +287,8 @@ BENCHMARK(BM_PlacerAtUtilization)->Arg(50)->Arg(85)->Arg(95)->Arg(99)->Arg(100);
 
 // No-fit scan at mega-cell scale (100k machines). With max_random_probes=0
 // every placement goes straight to the phase-2 linear fallback, so this
-// isolates the scan itself: the SoA sweep over the contiguous per-resource
-// arrays (the 8-wide chunked fit kernel, DESIGN.md §11). Arg is the percent
+// isolates the scan itself: the sweep over the cell's allocation slots (the
+// 8-wide chunked fit kernel, DESIGN.md §11). Arg is the percent
 // of machines that cannot fit the probe task: the first Arg% of the cell is
 // packed solid and the rest left empty, so every scan must sweep past a
 // controlled no-fit span before its first fit (at 100, every scan is a

@@ -20,61 +20,51 @@ CellState::CellState(std::vector<Resources> machine_capacities,
   OMEGA_CHECK(!machine_capacities.empty());
   OMEGA_CHECK(machines_per_domain > 0);
   OMEGA_CHECK(headroom_fraction >= 0.0 && headroom_fraction < 1.0);
-  machines_.resize(machine_capacities.size());
+  const size_t n = machine_capacities.size();
+  slots_.resize(n);
+  seqnum_.assign(n, 0);
+  info_.resize(n);
   total_allocated_ = Resources::Zero();
-  for (uint32_t i = 0; i < machine_capacities.size(); ++i) {
-    machines_[i].id = i;
-    machines_[i].capacity = machine_capacities[i];
-    machines_[i].failure_domain = static_cast<int32_t>(i / machines_per_domain);
+  for (uint32_t i = 0; i < n; ++i) {
+    info_[i].capacity = machine_capacities[i];
+    info_[i].failure_domain = static_cast<int32_t>(i / machines_per_domain);
     total_capacity_ += machine_capacities[i];
-  }
-  InitSoA();
-}
-
-void CellState::InitSoA() {
-  const size_t n = machines_.size();
-  soa_alloc_cpu_.assign(n, 0.0);
-  soa_alloc_mem_.assign(n, 0.0);
-  soa_fit_cpu_.resize(n);
-  soa_fit_mem_.resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    // Precompute the fit limit so the scan predicate is a pure compare:
-    // `alloc + request <= usable + epsilon` is componentwise exactly the
-    // FitsIn test CanFit evaluates (with zero pending, x + 0.0 == x bitwise
-    // for the values that occur here).
-    const Resources usable = UsableCapacity(static_cast<MachineId>(i));
-    soa_fit_cpu_[i] = usable.cpus + kResourceEpsilon;
-    soa_fit_mem_[i] = usable.mem_gb + kResourceEpsilon;
+    // The fit limit is the right-hand side of FitsIn(UsableCapacity(i)),
+    // computed once: `used <= fit` is then bitwise the same test.
+    const Resources usable = UsableCapacity(i);
+    slots_[i].fit = Resources{usable.cpus + kResourceEpsilon,
+                              usable.mem_gb + kResourceEpsilon};
   }
 }
 
 MachineId CellState::FindFirstFit(MachineId begin, MachineId end,
                                   const Resources& request) const {
   const MachineId to = std::min(end, NumMachines());
-  const double* __restrict acpu = soa_alloc_cpu_.data();
-  const double* __restrict amem = soa_alloc_mem_.data();
-  const double* __restrict fcpu = soa_fit_cpu_.data();
-  const double* __restrict fmem = soa_fit_mem_.data();
+  const Slot* __restrict slots = slots_.data();
   const double rc = request.cpus;
   const double rm = request.mem_gb;
+  // CanFit's test with no pending claims (see CanFitWithPending), without
+  // short-circuiting so the chunk loop below stays branch-free.
+  auto fits = [rc, rm](const Slot& s) {
+    return static_cast<uint32_t>(s.allocated.cpus + rc <= s.fit.cpus) &
+           static_cast<uint32_t>(s.allocated.mem_gb + rm <= s.fit.mem_gb);
+  };
   // Branchless 8-wide chunks first: an early-exit loop defeats
   // auto-vectorization, so accumulate a chunk-level "any machine fits" mask
-  // and only drop to the scalar rescan once a chunk reports a hit. The
-  // predicate is componentwise exactly CanFit's FitsIn test (see InitSoA).
+  // and only drop to the scalar rescan once a chunk reports a hit.
   constexpr uint32_t kChunk = 8;
   uint32_t i = begin;
   for (; i + kChunk <= to; i += kChunk) {
     uint32_t any = 0;
     for (uint32_t k = 0; k < kChunk; ++k) {
-      any += static_cast<uint32_t>(acpu[i + k] + rc <= fcpu[i + k]) &
-             static_cast<uint32_t>(amem[i + k] + rm <= fmem[i + k]);
+      any += fits(slots[i + k]);
     }
     if (any != 0) {
       break;
     }
   }
   for (; i < to; ++i) {
-    if (acpu[i] + rc <= fcpu[i] && amem[i] + rm <= fmem[i]) {
+    if (fits(slots[i]) != 0) {
       return i;
     }
   }
@@ -82,11 +72,11 @@ MachineId CellState::FindFirstFit(MachineId begin, MachineId end,
 }
 
 Resources CellState::UsableCapacity(MachineId id) const {
-  const Machine& m = machines_[id];
+  const Resources& capacity = info_[id].capacity;
   if (fullness_ == FullnessPolicy::kExact) {
-    return m.capacity;
+    return capacity;
   }
-  return m.capacity * (1.0 - headroom_fraction_);
+  return capacity * (1.0 - headroom_fraction_);
 }
 
 bool CellState::CanFit(MachineId id, const Resources& request) const {
@@ -95,41 +85,39 @@ bool CellState::CanFit(MachineId id, const Resources& request) const {
 
 bool CellState::CanFitWithPending(MachineId id, const Resources& request,
                                   const Resources& extra) const {
-  const Machine& m = machines_[id];
-  const Resources used = m.allocated + extra + request;
-  return used.FitsIn(UsableCapacity(id));
+  // used.FitsIn(UsableCapacity(id)) against the precomputed limit, so the
+  // test reads one slot. FindFirstFit's `alloc + request` is the same sum
+  // with extra = 0 (x + 0.0 == x bitwise for the values that occur here).
+  const Slot& slot = slots_[id];
+  const Resources used = slot.allocated + extra + request;
+  return used.cpus <= slot.fit.cpus && used.mem_gb <= slot.fit.mem_gb;
 }
 
-void CellState::Allocate(MachineId id, const Resources& request_ref) {
-  // Copy first: callers may pass a reference into this very machine (e.g.
-  // Free(m, cell.machine(m).allocated)), which the updates below would alias.
-  const Resources request = request_ref;
-  Machine& m = machines_[id];
-  OMEGA_CHECK((m.allocated + request).FitsIn(m.capacity))
-      << "overcommit on machine " << id << ": allocated=" << m.allocated
-      << " request=" << request << " capacity=" << m.capacity;
+void CellState::Allocate(MachineId id, Resources request) {
+  Resources& allocated = slots_[id].allocated;
+  const Resources& capacity = info_[id].capacity;
+  OMEGA_CHECK((allocated + request).FitsIn(capacity))
+      << "overcommit on machine " << id << ": allocated=" << allocated
+      << " request=" << request << " capacity=" << capacity;
   const size_t old_bucket = HasAvailabilityIndex() ? BucketFor(id) : 0;
-  m.allocated += request;
-  ++m.seqnum;
+  allocated += request;
+  ++seqnum_[id];
   total_allocated_ += request;
-  SyncSoA(id);
   if (HasAvailabilityIndex()) {
     IndexUpdate(id, old_bucket);
   }
 }
 
-void CellState::Free(MachineId id, const Resources& request_ref) {
-  const Resources request = request_ref;  // see Allocate: aliasing hazard
-  Machine& m = machines_[id];
+void CellState::Free(MachineId id, Resources request) {
+  Resources& allocated = slots_[id].allocated;
   const size_t old_bucket = HasAvailabilityIndex() ? BucketFor(id) : 0;
-  m.allocated -= request;
-  OMEGA_CHECK(!m.allocated.IsNegative())
+  allocated -= request;
+  OMEGA_CHECK(!allocated.IsNegative())
       << "negative allocation on machine " << id << " after freeing " << request;
-  m.allocated = m.allocated.ClampNonNegative();
-  ++m.seqnum;
+  allocated = allocated.ClampNonNegative();
+  ++seqnum_[id];
   total_allocated_ -= request;
   total_allocated_ = total_allocated_.ClampNonNegative();
-  SyncSoA(id);
   if (HasAvailabilityIndex()) {
     IndexUpdate(id, old_bucket);
   }
@@ -139,18 +127,18 @@ void CellState::EnableAvailabilityIndex(uint32_t num_buckets) {
   OMEGA_CHECK(num_buckets > 0);
   double max_cpus = 0.0;
   double max_mem = 0.0;
-  for (const Machine& m : machines_) {
-    max_cpus = std::max(max_cpus, m.capacity.cpus);
-    max_mem = std::max(max_mem, m.capacity.mem_gb);
+  for (const MachineInfo& info : info_) {
+    max_cpus = std::max(max_cpus, info.capacity.cpus);
+    max_mem = std::max(max_mem, info.capacity.mem_gb);
   }
   OMEGA_CHECK(max_cpus > 0.0);
   mem_per_cpu_ = max_mem > 0.0 ? max_mem / max_cpus : 1.0;
   bucket_scale_ = static_cast<double>(num_buckets) / max_cpus;
   buckets_.assign(num_buckets + 1, {});
-  bucket_of_.assign(machines_.size(), 0);
-  pos_in_bucket_.assign(machines_.size(), 0);
-  for (const Machine& m : machines_) {
-    IndexInsert(m.id);
+  bucket_of_.assign(NumMachines(), 0);
+  pos_in_bucket_.assign(NumMachines(), 0);
+  for (MachineId id = 0; id < NumMachines(); ++id) {
+    IndexInsert(id);
   }
 }
 
@@ -164,7 +152,7 @@ double CellState::EffectiveKey(const Resources& r) const {
 }
 
 size_t CellState::BucketFor(MachineId id) const {
-  const Resources available = machines_[id].Available();
+  const Resources available = info_[id].capacity - slots_[id].allocated;
   const double mem_in_cpu_units =
       mem_per_cpu_ > 0.0 ? available.mem_gb / mem_per_cpu_ : available.cpus;
   const double effective = std::min(available.cpus, mem_in_cpu_units);
@@ -243,7 +231,6 @@ CommitResult CellState::Commit(std::span<const TaskClaim> claims,
 
   for (size_t i = 0; i < claims.size(); ++i) {
     const TaskClaim& claim = claims[i];
-    const Machine& m = machines_[claim.machine];
     bool ok = false;
     switch (conflict_mode) {
       case ConflictMode::kFineGrained: {
@@ -257,7 +244,7 @@ CommitResult CellState::Commit(std::span<const TaskClaim> claims,
         // Conflict if the machine changed at all since the scheduler's local
         // copy was synced — even if the change was a *free* that still
         // leaves room (a spurious conflict, §5.2).
-        ok = m.seqnum == claim.seqnum_at_placement;
+        ok = seqnum_[claim.machine] == claim.seqnum_at_placement;
         if (ok) {
           // Unchanged machine: the placement was computed against exactly
           // this state, so the claim must still fit (pending claims
@@ -335,22 +322,12 @@ double CellState::MaxUtilization() const {
 
 bool CellState::CheckInvariants() const {
   Resources sum;
-  for (const Machine& m : machines_) {
-    if (m.allocated.IsNegative()) {
+  for (MachineId id = 0; id < NumMachines(); ++id) {
+    const Resources& allocated = slots_[id].allocated;
+    if (allocated.IsNegative() || !allocated.FitsIn(info_[id].capacity)) {
       return false;
     }
-    if (!m.allocated.FitsIn(m.capacity)) {
-      return false;
-    }
-    sum += m.allocated;
-    // The SoA mirrors must be bitwise-equal to the Machine structs (they are
-    // maintained by plain assignment, so any divergence is a missed sync).
-    if (soa_alloc_cpu_[m.id] != m.allocated.cpus ||
-        soa_alloc_mem_[m.id] != m.allocated.mem_gb ||
-        soa_fit_cpu_[m.id] != UsableCapacity(m.id).cpus + kResourceEpsilon ||
-        soa_fit_mem_[m.id] != UsableCapacity(m.id).mem_gb + kResourceEpsilon) {
-      return false;
-    }
+    sum += allocated;
   }
   const Resources diff = sum - total_allocated_;
   return std::abs(diff.cpus) < 1e-3 && std::abs(diff.mem_gb) < 1e-3;

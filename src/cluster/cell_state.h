@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <functional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "src/cluster/machine.h"
@@ -73,9 +74,31 @@ class CellState {
             FullnessPolicy fullness = FullnessPolicy::kExact,
             double headroom_fraction = 0.0, uint32_t machines_per_domain = 40);
 
-  uint32_t NumMachines() const { return static_cast<uint32_t>(machines_.size()); }
-  const Machine& machine(MachineId id) const { return machines_[id]; }
-  Machine& mutable_machine(MachineId id) { return machines_[id]; }
+  uint32_t NumMachines() const {
+    return static_cast<uint32_t>(slots_.size());
+  }
+
+  // A by-value snapshot of machine `id`; its `attributes` view stays valid
+  // until the next SetAttributes(id, ...).
+  Machine machine(MachineId id) const {
+    const MachineInfo& info = info_[id];
+    return {id,          info.capacity,       slots_[id].allocated,
+            seqnum_[id], info.failure_domain, info.attributes};
+  }
+
+  // Per-field reads for the hot paths, which need one field of many machines.
+  Resources Capacity(MachineId id) const { return info_[id].capacity; }
+  Resources Allocated(MachineId id) const { return slots_[id].allocated; }
+  uint64_t Seqnum(MachineId id) const { return seqnum_[id]; }
+  int32_t FailureDomain(MachineId id) const { return info_[id].failure_domain; }
+  std::span<const int32_t> Attributes(MachineId id) const {
+    return info_[id].attributes;
+  }
+
+  // Sets machine `id`'s placement-constraint attributes (§5).
+  void SetAttributes(MachineId id, std::vector<int32_t> attributes) {
+    info_[id].attributes = std::move(attributes);
+  }
 
   FullnessPolicy fullness_policy() const { return fullness_; }
   double headroom_fraction() const { return headroom_fraction_; }
@@ -94,8 +117,8 @@ class CellState {
   // Immediately allocates/frees (bumping the machine's sequence number).
   // Allocate CHECK-fails if the claim does not fit; Free CHECK-fails if it
   // would drive the allocation negative.
-  void Allocate(MachineId id, const Resources& request);
-  void Free(MachineId id, const Resources& request);
+  void Allocate(MachineId id, Resources request);
+  void Free(MachineId id, Resources request);
 
   // Atomically commits a set of claims placed against an earlier snapshot.
   // Claims are decided against the current state plus the claims accepted
@@ -129,25 +152,20 @@ class CellState {
   // MapReduce global-cap policy thresholds on (§6.1).
   double MaxUtilization() const;
 
-  // Verifies internal consistency (per-machine sums vs. totals, SoA mirrors
-  // vs. Machine structs); used by tests and debug builds. Returns true when
-  // consistent.
+  // Verifies internal consistency (per-machine allocations within capacity,
+  // their sum vs. the totals); used by tests and debug builds. Returns true
+  // when consistent.
   bool CheckInvariants() const;
 
-  // --- struct-of-arrays placement core (DESIGN.md §11) ---
+  // --- first-fit scan (DESIGN.md §11) ---
   //
-  // The per-machine allocation and fit-limit values are mirrored into
-  // contiguous double arrays so the no-fit scans that dominate near-full
-  // placement become branch-light linear sweeps over packed doubles (the
-  // vector bin-packing layout). Every mutation writes the machine's allocated
-  // components through, so the mirrors are bitwise-equal to the Machine
-  // structs by construction; tests/reference_cell.h states the same scan as a
-  // plain per-machine loop.
-
   // First machine id in [begin, end) whose current allocation can fit
   // `request` under the fullness policy, ignoring pending claims and
   // placement constraints — the same predicate as CanFit, evaluated as an
-  // 8-wide chunked sweep over the SoA arrays. `end` is clamped to the cell.
+  // 8-wide chunked sweep over the allocation slots, so the no-fit scans that
+  // dominate near-full placement stay branch-light.
+  // tests/reference_cell.h states the same scan as a plain per-machine loop.
+  // `end` is clamped to the cell.
   // Returns kInvalidMachineId if no machine in the range fits. Callers
   // re-check candidates with constraints and pending claims: a machine this
   // sweep skips fails those stricter checks too (pending only shrinks
@@ -184,31 +202,31 @@ class CellState {
   void IndexInsert(MachineId id);
   void IndexUpdate(MachineId id, size_t old_bucket);
 
-  // Writes machine `id`'s allocated components through to the SoA mirrors.
-  void SyncSoA(MachineId id) {
-    soa_alloc_cpu_[id] = machines_[id].allocated.cpus;
-    soa_alloc_mem_[id] = machines_[id].allocated.mem_gb;
-  }
-  // Fills the SoA fit-limit arrays from the (immutable) usable capacities;
-  // called once from both constructors.
-  void InitSoA();
+  // Static per-machine data, fixed at construction except the attributes.
+  struct MachineInfo {
+    Resources capacity;
+    int32_t failure_domain = 0;
+    std::vector<int32_t> attributes;
+  };
 
-  std::vector<Machine> machines_;
+  // The master copy of per-machine state, indexed by id (DESIGN.md §11).
+  // A slot pairs the machine's allocation (the only copy; Allocate and Free
+  // are its only writers) with its fit limit UsableCapacity + kResourceEpsilon
+  // per component, a constant since capacity and the fullness policy never
+  // change. Every fit test — CanFitWithPending's and FindFirstFit's sweep —
+  // then reads one 32-byte slot and compares, with no recomputation.
+  struct Slot {
+    Resources allocated;
+    Resources fit;
+  };
+  std::vector<Slot> slots_;
+  std::vector<uint64_t> seqnum_;
+  std::vector<MachineInfo> info_;
+
   Resources total_capacity_;
   Resources total_allocated_;
   FullnessPolicy fullness_;
   double headroom_fraction_;
-
-  // SoA mirrors of per-machine state (always maintained, bitwise-equal to the
-  // Machine structs): allocated components, and the fit limit
-  // UsableCapacity + kResourceEpsilon per component — precomputed so the scan
-  // predicate `alloc + request <= fit` needs no per-machine recomputation.
-  // The fit arrays are fixed at construction (capacity and fullness policy
-  // are immutable after construction).
-  std::vector<double> soa_alloc_cpu_;
-  std::vector<double> soa_alloc_mem_;
-  std::vector<double> soa_fit_cpu_;
-  std::vector<double> soa_fit_mem_;
 
   CommitObserver commit_observer_;
   // Commit scratch, reused across transactions: the per-claim accept flags

@@ -2,7 +2,7 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
+#include <span>
 
 #include "src/cluster/resources.h"
 
@@ -11,6 +11,9 @@ namespace omega {
 using MachineId = uint32_t;
 inline constexpr MachineId kInvalidMachineId = ~0u;
 
+// A read-only snapshot of one machine, assembled by CellState::machine() from
+// the cell's per-machine arrays (CellState holds the only copy). Hot paths
+// read single fields through CellState's accessors instead.
 struct Machine {
   MachineId id = kInvalidMachineId;
   Resources capacity;
@@ -25,11 +28,10 @@ struct Machine {
   int32_t failure_domain = 0;
 
   // Attribute value per attribute key; task placement constraints (§5) are
-  // predicates over these.
-  std::vector<int32_t> attributes;
+  // predicates over these. Views the cell's storage.
+  std::span<const int32_t> attributes;
 
   Resources Available() const { return capacity - allocated; }
 };
 
 }  // namespace omega
-

@@ -27,27 +27,26 @@ uint32_t ScoringPlacer::PlaceTasks(const CellState& cell, const Job& job,
 
     // consider() scores one candidate and keeps it if it beats the running
     // best; it returns false (touching nothing) when the machine is
-    // infeasible.
+    // infeasible. The fit test goes first: it reads only the machine's
+    // allocation slot, so most rejected candidates never touch the
+    // attributes (both tests are pure, so the order decides nothing).
     auto consider = [&](MachineId m) -> bool {
-      const Machine& machine = cell.machine(m);
-      if (!MachineSatisfiesConstraints(machine, job)) {
-        return false;
-      }
       const Resources extra = pending.On(m);
-      if (!cell.CanFitWithPending(m, job.task_resources, extra)) {
+      if (!cell.CanFitWithPending(m, job.task_resources, extra) ||
+          !MachineSatisfiesConstraints(cell.Attributes(m), job)) {
         return false;
       }
       // Best-fit term: utilization of the machine after placement, in the
       // dominant dimension. Scoring the fullest feasible machine packs tightly
       // and leaves large holes for big tasks.
-      const Resources after = machine.allocated + extra + job.task_resources;
+      const Resources after = cell.Allocated(m) + extra + job.task_resources;
       const Resources usable = cell.UsableCapacity(m);
       const double fit = std::max(
           usable.cpus > 0.0 ? after.cpus / usable.cpus : 0.0,
           usable.mem_gb > 0.0 ? after.mem_gb / usable.mem_gb : 0.0);
       // Spreading term: reward failure domains this job does not occupy yet.
       const double spread =
-          domains_used.Contains(machine.failure_domain) ? 0.0 : 1.0;
+          domains_used.Contains(cell.FailureDomain(m)) ? 0.0 : 1.0;
       const double score =
           options_.best_fit_weight * fit + options_.spreading_weight * spread;
       if (score > best_score) {
@@ -82,9 +81,9 @@ uint32_t ScoringPlacer::PlaceTasks(const CellState& cell, const Job& job,
       break;
     }
     claims->push_back(
-        TaskClaim{best, job.task_resources, cell.machine(best).seqnum});
+        TaskClaim{best, job.task_resources, cell.Seqnum(best)});
     pending.Add(best, job.task_resources);
-    domains_used.Insert(cell.machine(best).failure_domain);
+    domains_used.Insert(cell.FailureDomain(best));
     ++placed;
   }
   return placed;

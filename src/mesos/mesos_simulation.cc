@@ -310,13 +310,12 @@ void MesosAllocator::RunAllocationRound() {
   const CellState& cell = sim_.cell();
   dirty_.ForEach([&](MachineId m) {
     ++counters_.machines_examined;
-    const Resources available =
-        (cell.machine(m).Available() - offered_[m]).ClampNonNegative();
+    const Resources unused = cell.Capacity(m) - cell.Allocated(m);
+    const Resources available = (unused - offered_[m]).ClampNonNegative();
     if (available.IsZero()) {
       // Stays zero until the machine or its ledger changes; both re-dirty it.
       dirty_.Erase(m);
-    } else if (HasStableCycle(cell.machine(m).Available(), offered_[m],
-                              available)) {
+    } else if (HasStableCycle(unused, offered_[m], available)) {
       spare_[m] = available;
       offer.held.Insert(m);
       dirty_.Erase(m);

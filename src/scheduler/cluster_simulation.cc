@@ -32,7 +32,7 @@ ClusterSimulation::ClusterSimulation(const ClusterConfig& config,
     assignment.seed = options.seed ^ 0x5151515151515151ULL;
     auto attributes = GenerateMachineAttributes(config.num_machines, assignment);
     for (uint32_t m = 0; m < config.num_machines; ++m) {
-      cell_.mutable_machine(m).attributes = std::move(attributes[m]);
+      cell_.SetAttributes(m, std::move(attributes[m]));
     }
   }
 }
@@ -47,10 +47,10 @@ void ClusterSimulation::PlaceInitialFill() {
   const double hi = std::min(0.95, target + (target - lo));
   for (MachineId m = 0; m < cell_.NumMachines(); ++m) {
     const double machine_target = rng_.NextRange(lo, hi);
-    const Resources cap = cell_.machine(m).capacity;
+    const Resources cap = cell_.Capacity(m);
     // Bail out of a machine after a few tasks in a row fail to fit.
     int misses = 0;
-    while (cell_.machine(m).allocated.cpus < machine_target * cap.cpus &&
+    while (cell_.Allocated(m).cpus < machine_target * cap.cpus &&
            misses < 8) {
       const WorkloadGenerator::InitialTask task = generator_.SampleInitialTask();
       if (!cell_.CanFit(m, task.resources)) {
@@ -241,8 +241,7 @@ void ClusterSimulation::FailMachine(MachineId machine) {
   // Take the machine out of service by reserving all remaining capacity; the
   // sequence-number bump doubles as the state change other schedulers see.
   const Resources reservation =
-      (cell_.machine(machine).capacity - cell_.machine(machine).allocated)
-          .ClampNonNegative();
+      (cell_.Capacity(machine) - cell_.Allocated(machine)).ClampNonNegative();
   if (!reservation.IsZero()) {
     cell_.Allocate(machine, reservation);
   }
@@ -356,11 +355,11 @@ MachineId ClusterSimulation::PreemptAndPlace(const Job& job, Rng& rng,
   const uint32_t num_machines = cell_.NumMachines();
   auto try_machine = [&](MachineId m) -> bool {
     if (!job.constraints.empty() &&
-        !MachineSatisfiesConstraints(cell_.machine(m), job)) {
+        !MachineSatisfiesConstraints(cell_.Attributes(m), job)) {
       return false;
     }
     const Resources available =
-        (cell_.UsableCapacity(m) - cell_.machine(m).allocated).ClampNonNegative();
+        (cell_.UsableCapacity(m) - cell_.Allocated(m)).ClampNonNegative();
     const Resources shortfall = (job.task_resources - available).ClampNonNegative();
     if (shortfall.IsZero()) {
       // Fits without eviction (resources freed since the placement attempt).

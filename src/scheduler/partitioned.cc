@@ -41,8 +41,8 @@ double PartitionedSimulation::PartitionCpuUtilization(
   Resources capacity;
   Resources allocated;
   for (MachineId m = range.begin; m < range.end; ++m) {
-    capacity += cell().machine(m).capacity;
-    allocated += cell().machine(m).allocated;
+    capacity += cell().Capacity(m);
+    allocated += cell().Allocated(m);
   }
   return capacity.cpus > 0.0 ? allocated.cpus / capacity.cpus : 0.0;
 }

@@ -2,10 +2,11 @@
 
 namespace omega {
 
-bool MachineSatisfiesConstraints(const Machine& machine, const Job& job) {
+bool MachineSatisfiesConstraints(std::span<const int32_t> attributes,
+                                 const Job& job) {
   for (const PlacementConstraint& c : job.constraints) {
     if (c.attribute_key < 0 ||
-        static_cast<size_t>(c.attribute_key) >= machine.attributes.size()) {
+        static_cast<size_t>(c.attribute_key) >= attributes.size()) {
       // Machines without the attribute fail equality constraints and satisfy
       // inequality constraints.
       if (c.must_equal) {
@@ -13,7 +14,7 @@ bool MachineSatisfiesConstraints(const Machine& machine, const Job& job) {
       }
       continue;
     }
-    const bool equal = machine.attributes[c.attribute_key] == c.attribute_value;
+    const bool equal = attributes[c.attribute_key] == c.attribute_value;
     if (equal != c.must_equal) {
       return false;
     }
@@ -38,7 +39,7 @@ uint32_t RandomizedFirstFitPlacer::PlaceTasks(const CellState& cell, const Job& 
       const MachineId m =
           range_.Nth(static_cast<uint32_t>(rng.NextBounded(num_machines)));
       if (respect_constraints_ &&
-          !MachineSatisfiesConstraints(cell.machine(m), job)) {
+          !MachineSatisfiesConstraints(cell.Attributes(m), job)) {
         continue;
       }
       if (cell.CanFitWithPending(m, job.task_resources, pending.On(m))) {
@@ -69,7 +70,7 @@ uint32_t RandomizedFirstFitPlacer::PlaceTasks(const CellState& cell, const Job& 
         }
         i += hit - m;
         if (respect_constraints_ &&
-            !MachineSatisfiesConstraints(cell.machine(hit), job)) {
+            !MachineSatisfiesConstraints(cell.Attributes(hit), job)) {
           ++i;
           continue;
         }
@@ -83,8 +84,8 @@ uint32_t RandomizedFirstFitPlacer::PlaceTasks(const CellState& cell, const Job& 
     if (chosen == kInvalidMachineId) {
       break;  // No machine fits: the remaining tasks cannot be placed now.
     }
-    claims->push_back(TaskClaim{chosen, job.task_resources,
-                                cell.machine(chosen).seqnum});
+    claims->push_back(
+        TaskClaim{chosen, job.task_resources, cell.Seqnum(chosen)});
     pending.Add(chosen, job.task_resources);
     ++placed;
   }

@@ -5,6 +5,7 @@
 // the same interface (src/hifi/scoring_placer.h).
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "src/cluster/cell_state.h"
@@ -14,8 +15,10 @@
 
 namespace omega {
 
-// True if `machine` satisfies every placement constraint of `job`.
-bool MachineSatisfiesConstraints(const Machine& machine, const Job& job);
+// True if a machine with `attributes` satisfies every placement constraint of
+// `job`.
+bool MachineSatisfiesConstraints(std::span<const int32_t> attributes,
+                                 const Job& job);
 
 // Interface: place up to `count` tasks of `job` against the current state of
 // `cell`, appending one TaskClaim per placed task (with the machine's current

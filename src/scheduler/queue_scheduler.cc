@@ -106,7 +106,7 @@ CommitResult QueueScheduler::CommitAndStart(const Job& job,
     for (const TaskClaim& claim : rejected) {
       trace->ClaimConflict(now, TraceTrack(), job.id, claim.machine,
                            claim.seqnum_at_placement,
-                           harness_.cell().machine(claim.machine).seqnum);
+                           harness_.cell().Seqnum(claim.machine));
     }
     if (config_.commit_mode == CommitMode::kAllOrNothing &&
         result.conflicted > 0) {

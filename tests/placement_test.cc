@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <span>
+#include <vector>
 
 #include "src/hifi/scoring_placer.h"
 
@@ -89,8 +91,8 @@ TEST(RandomizedFirstFitTest, ClaimsCaptureSeqnums) {
 }
 
 TEST(ConstraintTest, EqualityAndInequality) {
-  Machine m;
-  m.attributes = {1, 2, 3};
+  const std::vector<int32_t> attrs{1, 2, 3};
+  const std::span<const int32_t> m(attrs);
   Job job;
   job.constraints = {{0, 1, true}};
   EXPECT_TRUE(MachineSatisfiesConstraints(m, job));
@@ -105,8 +107,8 @@ TEST(ConstraintTest, EqualityAndInequality) {
 }
 
 TEST(ConstraintTest, MissingAttributeKey) {
-  Machine m;
-  m.attributes = {1};
+  const std::vector<int32_t> attrs{1};
+  const std::span<const int32_t> m(attrs);
   Job job;
   job.constraints = {{5, 1, true}};  // key out of range
   EXPECT_FALSE(MachineSatisfiesConstraints(m, job));
@@ -117,7 +119,7 @@ TEST(ConstraintTest, MissingAttributeKey) {
 TEST(ConstraintTest, RandomizedFirstFitRespectsConstraintsWhenAsked) {
   CellState cell(16, kMachine);
   for (MachineId m = 0; m < 16; ++m) {
-    cell.mutable_machine(m).attributes = {static_cast<int32_t>(m % 4)};
+    cell.SetAttributes(m, {static_cast<int32_t>(m % 4)});
   }
   Job job = MakeJob(8, Resources{0.5, 0.5});
   job.constraints = {{0, 2, true}};
@@ -149,7 +151,7 @@ TEST(ScoringPlacerTest, RespectsConstraints) {
   CellState cell(16, kMachine);
   cell.EnableAvailabilityIndex();
   for (MachineId m = 0; m < 16; ++m) {
-    cell.mutable_machine(m).attributes = {static_cast<int32_t>(m % 2)};
+    cell.SetAttributes(m, {static_cast<int32_t>(m % 2)});
   }
   Job job = MakeJob(6, Resources{1.0, 1.0});
   job.constraints = {{0, 1, true}};

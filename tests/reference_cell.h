@@ -1,15 +1,17 @@
 // A naive reference model of the shared cell state (§3.4) and of randomized
 // first fit (Table 2), for the differential tests.
 //
-// CellState carries struct-of-arrays mirrors and a chunked first-fit sweep;
-// the harness gives each placement batch one shared end event (a cohort).
-// None of that is here: ReferenceCell is per-machine loops over Machine
-// structs, one mutation per task, and a Commit that decides and applies claim
-// by claim in claim order. Its arithmetic is the specification the optimized
-// paths must reproduce bit for bit (tests/reference_diff_test.cc).
+// CellState keeps per-machine state in flat arrays swept by a chunked
+// first-fit scan; the harness gives each placement batch one shared end event
+// (a cohort). None of that is here: ReferenceCell is per-machine loops over
+// plain RefMachine records (its own layout, which owns its attributes), one
+// mutation per task, and a Commit that decides and applies claim by claim in
+// claim order. Its arithmetic is the specification the optimized paths must
+// reproduce bit for bit (tests/reference_diff_test.cc).
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "src/cluster/cell_state.h"
@@ -20,6 +22,16 @@
 #include "src/workload/job.h"
 
 namespace omega {
+
+// One machine's complete state, independent of CellState's storage.
+struct RefMachine {
+  MachineId id = kInvalidMachineId;
+  Resources capacity;
+  Resources allocated;
+  uint64_t seqnum = 0;
+  int32_t failure_domain = 0;
+  std::vector<int32_t> attributes;
+};
 
 class ReferenceCell {
  public:
@@ -36,12 +48,19 @@ class ReferenceCell {
   }
 
   // Copies the per-machine state (capacity, allocation, seqnum, attributes)
-  // and fullness policy of a live cell — none of its mirrors or scratch.
+  // and fullness policy of a live cell — none of its fit limits or scratch.
   static ReferenceCell Snapshot(const CellState& cell) {
     ReferenceCell ref(cell.NumMachines(), Resources::Zero(),
                       cell.fullness_policy(), cell.headroom_fraction());
     for (MachineId m = 0; m < cell.NumMachines(); ++m) {
-      ref.machines_[m] = cell.machine(m);
+      const Machine snapshot = cell.machine(m);
+      RefMachine& copy = ref.machines_[m];
+      copy.capacity = snapshot.capacity;
+      copy.allocated = snapshot.allocated;
+      copy.seqnum = snapshot.seqnum;
+      copy.failure_domain = snapshot.failure_domain;
+      copy.attributes.assign(snapshot.attributes.begin(),
+                             snapshot.attributes.end());
     }
     ref.total_allocated_ = cell.TotalAllocated();
     return ref;
@@ -50,12 +69,14 @@ class ReferenceCell {
   uint32_t NumMachines() const {
     return static_cast<uint32_t>(machines_.size());
   }
-  const Machine& machine(MachineId id) const { return machines_[id]; }
-  Machine& mutable_machine(MachineId id) { return machines_[id]; }
+  const RefMachine& machine(MachineId id) const { return machines_[id]; }
+  void SetAttributes(MachineId id, std::vector<int32_t> attributes) {
+    machines_[id].attributes = std::move(attributes);
+  }
   Resources TotalAllocated() const { return total_allocated_; }
 
   Resources UsableCapacity(MachineId id) const {
-    const Machine& m = machines_[id];
+    const RefMachine& m = machines_[id];
     if (fullness_ == FullnessPolicy::kExact) {
       return m.capacity;
     }
@@ -79,7 +100,7 @@ class ReferenceCell {
   }
 
   void Free(MachineId id, const Resources& request) {
-    Machine& m = machines_[id];
+    RefMachine& m = machines_[id];
     m.allocated -= request;
     m.allocated = m.allocated.ClampNonNegative();
     ++m.seqnum;
@@ -146,7 +167,7 @@ class ReferenceCell {
   }
 
  private:
-  std::vector<Machine> machines_;
+  std::vector<RefMachine> machines_;
   Resources total_allocated_;
   FullnessPolicy fullness_;
   double headroom_fraction_;
@@ -169,7 +190,7 @@ inline uint32_t ReferenceFirstFit(const ReferenceCell& cell, const Job& job,
   std::vector<Resources> pending(cell.NumMachines());
   auto fits = [&](MachineId m) {
     if (respect_constraints &&
-        !MachineSatisfiesConstraints(cell.machine(m), job)) {
+        !MachineSatisfiesConstraints(cell.machine(m).attributes, job)) {
       return false;
     }
     return cell.CanFitWithPending(m, job.task_resources, pending[m]);

@@ -32,18 +32,23 @@ namespace {
 
 const Resources kCapacity{4.0, 16.0};
 
-// Bitwise per-machine allocation, seqnums and totals. The plain compare runs
-// first because this is called after every operation on 4,097-machine cells.
+// Bitwise per-machine allocation, seqnums and totals, each machine read both
+// through the CellState::machine() snapshot and through the per-field
+// accessors. The plain compare runs first because this is called after every
+// operation on 4,097-machine cells.
 void ExpectSameState(const CellState& cell, const ReferenceCell& ref,
                      const char* where) {
   ASSERT_EQ(cell.NumMachines(), ref.NumMachines());
   auto bits = [](double x) { return std::bit_cast<uint64_t>(x); };
   for (MachineId m = 0; m < cell.NumMachines(); ++m) {
-    const Machine& a = cell.machine(m);
-    const Machine& b = ref.machine(m);
+    const Machine a = cell.machine(m);
+    const Resources a_alloc = cell.Allocated(m);
+    const RefMachine& b = ref.machine(m);
     if (bits(a.allocated.cpus) == bits(b.allocated.cpus) &&
         bits(a.allocated.mem_gb) == bits(b.allocated.mem_gb) &&
-        a.seqnum == b.seqnum) {
+        bits(a_alloc.cpus) == bits(b.allocated.cpus) &&
+        bits(a_alloc.mem_gb) == bits(b.allocated.mem_gb) &&
+        a.seqnum == b.seqnum && cell.Seqnum(m) == b.seqnum) {
       continue;
     }
     ASSERT_TRUE(SameBits(a.allocated.cpus, b.allocated.cpus))
@@ -51,6 +56,12 @@ void ExpectSameState(const CellState& cell, const ReferenceCell& ref,
     ASSERT_TRUE(SameBits(a.allocated.mem_gb, b.allocated.mem_gb))
         << where << ": machine " << m << " mem";
     ASSERT_EQ(a.seqnum, b.seqnum) << where << ": machine " << m << " seqnum";
+    ASSERT_TRUE(SameBits(a_alloc.cpus, b.allocated.cpus))
+        << where << ": machine " << m << " Allocated().cpus";
+    ASSERT_TRUE(SameBits(a_alloc.mem_gb, b.allocated.mem_gb))
+        << where << ": machine " << m << " Allocated().mem";
+    ASSERT_EQ(cell.Seqnum(m), b.seqnum)
+        << where << ": machine " << m << " Seqnum()";
   }
   const Resources a = cell.TotalAllocated();
   const Resources b = ref.TotalAllocated();
@@ -270,8 +281,8 @@ void RunPlacerDiff(uint32_t num_machines) {
     for (MachineId m = 0; m < num_machines; ++m) {
       const std::vector<int32_t> attrs{static_cast<int32_t>(m % 5),
                                        static_cast<int32_t>(m % 3)};
-      cell.mutable_machine(m).attributes = attrs;
-      ref.mutable_machine(m).attributes = attrs;
+      cell.SetAttributes(m, attrs);
+      ref.SetAttributes(m, attrs);
     }
     Rng fill(1234);
     const auto target =
@@ -593,7 +604,7 @@ class LifecycleOracle {
       expected_.push_back({now.micros(), tasks_[i].job, m});
       Kill(i);
     }
-    const Machine& machine = cell_.machine(m);
+    const RefMachine& machine = cell_.machine(m);
     const Resources reservation =
         (machine.capacity - machine.allocated).ClampNonNegative();
     if (!reservation.IsZero()) {

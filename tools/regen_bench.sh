@@ -12,7 +12,7 @@ set -euo pipefail
 
 root=$(git -C "$(dirname "$0")" rev-parse --show-toplevel)
 build=${1:-"$root/build-release"}
-figures=(fig5_wait_time fig6_busyness fig8_load_scaling fig9_multi_scheduler
+figures=(fig5_wait_time fig8_load_scaling fig9_multi_scheduler
          fig10_surface fig14_conflict_modes fig_mega fig_federation)
 
 cmake -S "$root" -B "$build" -DCMAKE_BUILD_TYPE=Release
