@@ -4,14 +4,8 @@
 
 namespace omega {
 
-uint32_t TaskRegistry::SlotOf(uint64_t task_id) const {
-  auto it = slot_of_.find(task_id);
-  return it == slot_of_.end() ? kNoSlot : it->second;
-}
-
 uint64_t TaskRegistry::Add(MachineId machine, const Resources& resources,
-                           int32_t precedence, uint64_t end_event,
-                           uint64_t cohort) {
+                           int32_t precedence, uint64_t cohort) {
   const uint64_t id = next_id_++;
   uint32_t slot;
   if (free_head_ != kNoSlot) {
@@ -22,7 +16,7 @@ uint64_t TaskRegistry::Add(MachineId machine, const Resources& resources,
     slots_.emplace_back();
   }
   Slot& s = slots_[slot];
-  s.task = RunningTask{id, machine, resources, precedence, end_event, cohort};
+  s.task = RunningTask{id, machine, resources, precedence, cohort};
   s.live = true;
   s.next_free = kNoSlot;
   if (machine >= by_machine_.size()) {
@@ -56,13 +50,6 @@ bool TaskRegistry::Remove(uint64_t task_id) {
   return true;
 }
 
-void TaskRegistry::SetEndEvent(uint64_t task_id, uint64_t end_event) {
-  const uint32_t slot = SlotOf(task_id);
-  if (slot != kNoSlot) {
-    slots_[slot].task.end_event = end_event;
-  }
-}
-
 Resources TaskRegistry::PreemptibleOn(MachineId machine,
                                       int32_t precedence) const {
   Resources total;
@@ -78,9 +65,8 @@ Resources TaskRegistry::PreemptibleOn(MachineId machine,
   return total;
 }
 
-std::vector<RunningTask> TaskRegistry::SelectVictims(MachineId machine,
-                                                     int32_t precedence,
-                                                     const Resources& needed) const {
+std::vector<RunningTask> TaskRegistry::SelectVictims(
+    MachineId machine, int32_t precedence, const Resources& needed) const {
   if (machine >= by_machine_.size()) {
     return {};
   }

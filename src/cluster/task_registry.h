@@ -32,26 +32,22 @@ struct RunningTask {
   // Precedence: the common scale for the relative importance of work all
   // schedulers must agree on (§3.4). Higher preempts lower.
   int32_t precedence = 0;
-  // Opaque handle the harness uses to cancel the task's end event. Zero for
-  // cohort members, whose end event is shared (see `cohort`).
-  uint64_t end_event = 0;
   // Cohort membership (DESIGN.md §10): non-zero when the task's end is
-  // batched into a shared cohort event; evicting it must go through
-  // CohortStore::RemoveMember instead of cancelling `end_event`.
+  // batched into a shared cohort event; evicting it must also go through
+  // CohortStore::RemoveMember. Zero for initial-fill tasks, whose private end
+  // event finds the task gone from the registry after a kill.
   uint64_t cohort = 0;
 };
 
 class TaskRegistry {
  public:
-  // Registers a running task; returns its id.
-  uint64_t Add(MachineId machine, const Resources& resources, int32_t precedence,
-               uint64_t end_event, uint64_t cohort = 0);
+  // Registers a running task; returns its id. Ids are never reused.
+  uint64_t Add(MachineId machine, const Resources& resources,
+               int32_t precedence, uint64_t cohort = 0);
 
-  // Removes a task (normal completion). Returns false if unknown.
+  // Removes a task (completion, failure kill or eviction). Returns false if
+  // unknown, e.g. when the task was already killed.
   bool Remove(uint64_t task_id);
-
-  // Records the end-event handle once the caller has scheduled it.
-  void SetEndEvent(uint64_t task_id, uint64_t end_event);
 
   // Total resources on `machine` held by tasks with precedence strictly below
   // `precedence` (the preemptible pool).
@@ -81,9 +77,6 @@ class TaskRegistry {
     uint32_t next_free = kNoSlot;
     bool live = false;
   };
-
-  // Slot of a live task id, or kNoSlot.
-  uint32_t SlotOf(uint64_t task_id) const;
 
   std::vector<Slot> slots_;
   std::unordered_map<uint64_t, uint32_t> slot_of_;

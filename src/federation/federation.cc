@@ -13,15 +13,6 @@ namespace {
 // Same job-id mixer the Omega harness uses to shard batch work (§4.3).
 constexpr uint64_t kHashMult = 0x9e3779b97f4a7c15ULL;
 
-// Event-lane layout on the master queue (DESIGN.md §13): federation events
-// (arrivals, gossip, transfers, watchdogs) run on lane 0, cell i's events on
-// lane i + 1. At equal times the comparator runs lower lanes first, so
-// same-time events order by stream — federation events, then each cell's in
-// index order — rather than by global push order. The fig_federation golden
-// pins this tie order.
-constexpr uint32_t kMasterLane = 0;
-constexpr uint32_t CellLane(uint32_t cell) { return cell + 1; }
-
 // Disables a cell's own arrival streams: every job in a federation enters
 // through the front door.
 SimOptions CellOptions(const SimOptions& options, uint64_t base_seed,
@@ -103,11 +94,9 @@ FederationSim::FederationSim(const ClusterConfig& cell_config,
 }
 
 void FederationSim::Run() {
-  // Cell-index order fixes the initial event sequence on the master queue.
-  // Each cell's events carry its lane, so same-time events from different
-  // streams order by (lane, insertion).
+  // Cell-index order fixes the initial event sequence on the master queue;
+  // same-time events then fire in insertion order.
   for (auto& cell : cells_) {
-    ScopedLane lane(sim_, CellLane(cell->index()));
     cell->PrepareRun();
   }
   ScheduleNextArrival(JobType::kBatch);
@@ -157,7 +146,8 @@ CellSummary FederationSim::LiveSummary(uint32_t cell) const {
   s.cell = cell;
   const Resources available = c.cell().TotalAvailable();
   const Resources capacity = c.cell().TotalCapacity();
-  s.free_cpu_fraction = capacity.cpus > 0.0 ? available.cpus / capacity.cpus : 0.0;
+  s.free_cpu_fraction =
+      capacity.cpus > 0.0 ? available.cpus / capacity.cpus : 0.0;
   s.free_mem_fraction =
       capacity.mem_gb > 0.0 ? available.mem_gb / capacity.mem_gb : 0.0;
   const auto [accepted, conflicted] = CellClaimCounters(c);
@@ -287,10 +277,6 @@ void FederationSim::RouteNewJob(const JobPtr& job) {
 
 void FederationSim::SendToCell(PendingJob& pending) {
   ++metrics_.routed_per_cell[pending.cell];
-  // A spill triggered by a synchronous admission reject runs inside a cell
-  // event (on that cell's lane); the transfer is a federation event and must
-  // carry the master lane in every case.
-  ScopedLane lane(sim_, kMasterLane);
   sim_.ScheduleAfter(fed_options_.transfer_delay,
                     [this, id = pending.job->id, epoch = pending.epoch] {
                       DeliverJob(id, epoch);
@@ -322,8 +308,6 @@ void FederationSim::DeliverJob(JobId id, uint32_t epoch) {
   // mid-call.
   const uint32_t cell_index = pending.cell;
   const JobPtr job = pending.job;
-  // The injected job's scheduler events belong to the cell's stream.
-  ScopedLane lane(sim_, CellLane(cell_index));
   cells_[cell_index]->InjectJob(job);
 }
 

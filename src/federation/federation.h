@@ -12,8 +12,8 @@
 // first-class events on one master discrete-event queue shared by every cell
 // (ClusterSimulation::UseSharedSimulator), so the N-cell interleaving is a
 // single deterministic event order: results are bit-identical for any sweep
-// thread count. Each cell's events carry their own event-queue lane, which
-// fixes the tie order of same-time events across cells. See DESIGN.md §13.
+// thread count. Same-time events fire in insertion order, whichever cell or
+// federation stream pushed them. See DESIGN.md §13.
 #pragma once
 
 #include <cstdint>
@@ -109,7 +109,11 @@ struct FederationMetrics {
   int64_t spill_timeouts = 0;        //   ...triggered by the pending watchdog
   int64_t spill_rejections = 0;      //   ...triggered by abandonment/reject
   int64_t jobs_fully_scheduled = 0;  // reached FullyScheduled in some cell
-  int64_t jobs_lost = 0;             // rejected with no spill budget left
+  // Jobs the front door gave up on: an abandonment/reject or a pending
+  // timeout with no spill budget or no untried cell left (or no spillover).
+  // A timed-out job stays queued in its last cell and may still run there;
+  // the front door no longer tracks it.
+  int64_t jobs_lost = 0;
   int64_t summaries_published = 0;
   int64_t summaries_delivered = 0;
   int64_t hash_fallback_routes = 0;  // decisions made with no usable summary

@@ -16,11 +16,9 @@ CohortStore::CohortId CohortStore::Create(
   }
   Slot& s = slots_[slot];
   s.cohort.job = job;
-  s.cohort.end_event = kInvalidEventId;
   s.cohort.on_task_end = std::move(on_task_end);
   s.live = true;
   s.next_free = kNoSlot;
-  ++live_;
   // Slot+1 keeps 0 free for kNoCohort; the generation tag invalidates ids
   // after slot reuse.
   return (static_cast<uint64_t>(s.generation) << 32) |
@@ -36,7 +34,6 @@ void CohortStore::ReleaseSlot(uint32_t slot) {
   ++s.generation;
   s.next_free = free_head_;
   free_head_ = slot;
-  --live_;
 }
 
 Cohort CohortStore::Take(CohortId id) {
@@ -46,7 +43,7 @@ Cohort CohortStore::Take(CohortId id) {
   return out;
 }
 
-EventId CohortStore::RemoveMember(CohortId id, uint64_t task_id) {
+void CohortStore::RemoveMember(CohortId id, uint64_t task_id) {
   const uint32_t slot = CheckedSlot(id);
   Cohort& c = slots_[slot].cohort;
   OMEGA_CHECK(!c.member_tasks.empty())
@@ -59,12 +56,6 @@ EventId CohortStore::RemoveMember(CohortId id, uint64_t task_id) {
       << "task " << task_id << " is not a member of cohort " << id;
   c.member_claims.erase(c.member_claims.begin() + static_cast<int64_t>(pos));
   c.member_tasks.erase(c.member_tasks.begin() + static_cast<int64_t>(pos));
-  if (!c.member_claims.empty()) {
-    return kInvalidEventId;
-  }
-  const EventId end_event = c.end_event;
-  ReleaseSlot(slot);
-  return end_event;
 }
 
 }  // namespace omega

@@ -7,8 +7,8 @@
 // closure per task; when it fires, the members are freed one by one in claim
 // order. Machine failures and preemption can still kill individual members:
 // RemoveMember drops the victim from the cohort (the caller frees the
-// victim's resources immediately, as before), and only when the last member
-// is gone does the shared end event get cancelled.
+// victim's resources immediately). A cohort emptied by kills stays live until
+// its shared end event fires, which then frees nothing.
 #pragma once
 
 #include <cstdint>
@@ -17,7 +17,6 @@
 
 #include "src/cluster/cell_state.h"
 #include "src/common/logging.h"
-#include "src/sim/event_queue.h"
 #include "src/workload/job.h"
 
 namespace omega {
@@ -25,9 +24,8 @@ namespace omega {
 // One placement batch's worth of running tasks sharing an end time.
 struct Cohort {
   JobId job = 0;
-  EventId end_event = kInvalidEventId;
   // Runs per member, in claim order, before the member's resources are freed
-  // (Mesos allocator bookkeeping, MapReduce job completion).
+  // (Mesos allocator bookkeeping, QueueScheduler's resource_limit account).
   std::function<void(const TaskClaim&)> on_task_end;
   // Members in claim order: the claims the end event frees, and the parallel
   // TaskRegistry ids (empty when the registry is off).
@@ -35,9 +33,8 @@ struct Cohort {
   std::vector<uint64_t> member_tasks;
 };
 
-// Slab of live cohorts with generation-tagged ids (same recycling scheme as
-// the event queue): id 0 is reserved as "no cohort" so RunningTask::cohort
-// can use 0 as its null value.
+// Slab of live cohorts with generation-tagged ids: id 0 is reserved as "no
+// cohort" so RunningTask::cohort can use 0 as its null value.
 class CohortStore {
  public:
   using CohortId = uint64_t;
@@ -56,13 +53,10 @@ class CohortStore {
   // create new cohorts (slab growth would invalidate references).
   Cohort Take(CohortId id);
 
-  // Evicts one member (machine failure or preemption); the caller has already
-  // freed the victim's resources. Returns the cohort's end event when the
-  // last member was removed — the caller cancels it and the cohort is
-  // released — and kInvalidEventId otherwise.
-  EventId RemoveMember(CohortId id, uint64_t task_id);
-
-  size_t LiveCount() const { return live_; }
+  // Evicts one member (machine failure or preemption); the caller frees the
+  // victim's resources. The cohort stays live, even when emptied, until its
+  // end event takes it.
+  void RemoveMember(CohortId id, uint64_t task_id);
 
  private:
   struct Slot {
@@ -84,7 +78,6 @@ class CohortStore {
 
   std::vector<Slot> slots_;
   uint32_t free_head_ = kNoSlot;
-  size_t live_ = 0;
 };
 
 }  // namespace omega

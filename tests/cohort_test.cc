@@ -1,6 +1,6 @@
 // Cohort task lifecycles (DESIGN.md §10).
 //
-// Unit tests for the cohort lifecycle edge cases (partial cancel, full
+// Unit tests for the cohort lifecycle edge cases (member kills, full
 // eviction, callback order) and the TaskRegistry slab against a naive
 // reference model. The randomized differentials against the per-task
 // reference model live in reference_diff_test.cc.
@@ -107,7 +107,7 @@ TEST(CohortLifecycleTest, MemberKilledByFailureShrinksPendingFree) {
   EXPECT_TRUE(sim.cell().CheckInvariants());
 }
 
-TEST(CohortLifecycleTest, FullyEvictedCohortCancelsItsEndEvent) {
+TEST(CohortLifecycleTest, FullyEvictedCohortEndEventFreesNothing) {
   HarnessSim sim(TestCluster(8), TrackedOpts());
   const Job job = UniformJob(3);
   std::vector<TaskClaim> claims;
@@ -118,8 +118,9 @@ TEST(CohortLifecycleTest, FullyEvictedCohortCancelsItsEndEvent) {
   sim.StartTasks(job, claims);
   sim.sim().ScheduleAt(SimTime::Zero() + Duration::FromSeconds(100),
                        [&sim] { sim.FailMachine(6); });
-  // Run well past the cohort's end time: the cancelled end event must not
-  // double-free (Free would CHECK-fail on negative allocation).
+  // Run well past the cohort's end time: the emptied cohort's end event still
+  // fires and must not double-free (Free would CHECK-fail on negative
+  // allocation).
   sim.sim().RunUntil(SimTime::Zero() + Duration::FromSeconds(2000));
   EXPECT_EQ(sim.TasksKilledByFailures(), 3);
   EXPECT_EQ(sim.task_registry().NumRunning(), 0u);
@@ -153,7 +154,7 @@ class ReferenceRegistry {
   uint64_t Add(MachineId machine, const Resources& resources,
                int32_t precedence) {
     const uint64_t id = next_id_++;
-    tasks_.emplace(id, RunningTask{id, machine, resources, precedence, 0, 0});
+    tasks_.emplace(id, RunningTask{id, machine, resources, precedence, 0});
     by_machine_[machine].push_back(id);
     return id;
   }
@@ -206,7 +207,7 @@ TEST(TaskRegistryChurnTest, MatchesReferenceModelUnderRandomizedChurn) {
       const Resources r{0.5 + 0.5 * static_cast<double>(rng.NextBounded(4)),
                         1.0 + static_cast<double>(rng.NextBounded(4))};
       const auto prec = static_cast<int32_t>(rng.NextBounded(3));
-      const uint64_t id = registry.Add(m, r, prec, 0);
+      const uint64_t id = registry.Add(m, r, prec);
       const uint64_t ref_id = reference.Add(m, r, prec);
       ASSERT_EQ(id, ref_id);  // sequential ids are observable in traces
       live.push_back(id);
@@ -241,10 +242,10 @@ TEST(TaskRegistryChurnTest, MatchesReferenceModelUnderRandomizedChurn) {
 
 TEST(TaskRegistryChurnTest, SlotReuseKeepsIdsUniqueAndSequential) {
   TaskRegistry registry;
-  const uint64_t a = registry.Add(0, Resources{1.0, 1.0}, 0, 0);
-  const uint64_t b = registry.Add(1, Resources{1.0, 1.0}, 0, 0);
+  const uint64_t a = registry.Add(0, Resources{1.0, 1.0}, 0);
+  const uint64_t b = registry.Add(1, Resources{1.0, 1.0}, 0);
   EXPECT_TRUE(registry.Remove(a));
-  const uint64_t c = registry.Add(0, Resources{1.0, 1.0}, 0, 0);  // reuses slot
+  const uint64_t c = registry.Add(0, Resources{1.0, 1.0}, 0);  // reuses slot
   EXPECT_NE(c, a);
   EXPECT_EQ(c, b + 1);
   EXPECT_FALSE(registry.Remove(a));  // stale id does not resolve

@@ -67,7 +67,8 @@ TEST(HeterogeneityTest, SimulationRunsOnMixedCell) {
   opts.seed = 11;
   OmegaSimulation sim(cfg, opts, SchedulerConfig{}, SchedulerConfig{});
   sim.Run();
-  EXPECT_GT(sim.batch_scheduler(0).metrics().JobsScheduled(JobType::kBatch), 50);
+  EXPECT_GT(sim.batch_scheduler(0).metrics().JobsScheduled(JobType::kBatch),
+            50);
   EXPECT_TRUE(sim.cell().CheckInvariants());
 }
 
@@ -93,7 +94,8 @@ TEST(FailureInjectionTest, FailuresOccurAtConfiguredRate) {
 
 TEST(FailureInjectionTest, NoFailuresWhenDisabled) {
   SimOptions opts = FailureOpts(2, 0.0);
-  OmegaSimulation sim(TestCluster(64), opts, SchedulerConfig{}, SchedulerConfig{});
+  OmegaSimulation sim(TestCluster(64), opts, SchedulerConfig{},
+                      SchedulerConfig{});
   sim.Run();
   EXPECT_EQ(sim.MachineFailures(), 0);
   EXPECT_EQ(sim.TasksKilledByFailures(), 0);
@@ -131,10 +133,53 @@ TEST(FailureInjectionTest, WorkloadStillSchedules) {
   EXPECT_GT(scheduled, 100);
 }
 
+// Failures and preemption kill tasks while their end events stay queued; a
+// killed task's end event must then free nothing. After every slice, each
+// machine that is up holds exactly the resources of the tasks the registry
+// says run there. A stale end event that freed again would leave an up
+// machine's allocation below that sum, or, on a machine that is down, make
+// the repair's release of its reservation fail the negative-allocation CHECK.
+TEST(FailureInjectionTest, KilledTasksEndEventsFreeNothing) {
+  ClusterConfig cfg = TestCluster(32);
+  cfg.initial_utilization = 0.8;
+  // Long batch tasks keep the cell full, so service jobs must preempt.
+  cfg.batch.task_duration_secs = std::make_shared<ConstantDist>(3 * 3600.0);
+  SimOptions opts = FailureOpts(7, 12.0);
+  opts.machine_repair_time = Duration::FromMinutes(5);
+  SchedulerConfig service;
+  service.enable_preemption = true;
+  OmegaSimulation sim(cfg, opts, SchedulerConfig{}, service);
+  const auto expect_allocation_matches_registry = [&sim] {
+    for (MachineId m = 0; m < sim.cell().NumMachines(); ++m) {
+      if (sim.MachineIsDown(m)) {
+        continue;
+      }
+      Resources running;
+      for (const RunningTask& task : sim.task_registry().TasksOn(m)) {
+        running += task.resources;
+      }
+      const Resources allocated = sim.cell().Allocated(m);
+      EXPECT_NEAR(allocated.cpus, running.cpus, 1e-6) << "machine " << m;
+      EXPECT_NEAR(allocated.mem_gb, running.mem_gb, 1e-6) << "machine " << m;
+    }
+  };
+  sim.PrepareRun();
+  // Ten-minute slices to the 6 h horizon; stop at the first mismatch.
+  for (int slice = 1; slice <= 36 && !HasFailure(); ++slice) {
+    sim.sim().RunUntil(SimTime::Zero() + Duration::FromMinutes(10 * slice));
+    expect_allocation_matches_registry();
+  }
+  EXPECT_EQ(sim.sim().Now(), sim.EndTime());
+  EXPECT_GT(sim.TasksKilledByFailures(), 0);
+  EXPECT_GT(sim.TasksPreempted(), 0);
+  EXPECT_TRUE(sim.cell().CheckInvariants());
+}
+
 TEST(FailureInjectionDeathTest, RequiresRegistry) {
   SimOptions opts = FailureOpts(6, 1.0);
   opts.track_running_tasks = false;
-  OmegaSimulation sim(TestCluster(16), opts, SchedulerConfig{}, SchedulerConfig{});
+  OmegaSimulation sim(TestCluster(16), opts, SchedulerConfig{},
+                      SchedulerConfig{});
   EXPECT_DEATH(sim.Run(), "track_running_tasks");
 }
 

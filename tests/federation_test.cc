@@ -304,9 +304,10 @@ TEST(FederationSpilloverTest, StaleWatchdogIsNoOpAfterSpill) {
   EXPECT_EQ(m.spills, m.spill_rejections);
 }
 
-// A watchdog and a cell completion at the same instant: the watchdog is a
-// federation event on the master lane, so it runs first and withdraws the
-// job; the completion of the withdrawn incarnation is then ignored. With a
+// A watchdog and a cell completion at the same instant: DeliverJob pushes the
+// watchdog before injecting the job, so it precedes the incarnation's first
+// attempt event in insertion order, runs first and withdraws the job; the
+// completion of the withdrawn incarnation is then ignored. With a
 // constant decision time equal to the pending timeout, no attempt can finish
 // before its watchdog, so nothing is ever fully scheduled.
 TEST(FederationSpilloverTest, WatchdogWinsSameInstantCompletion) {

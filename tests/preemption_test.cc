@@ -10,8 +10,8 @@ namespace {
 
 TEST(TaskRegistryTest, AddRemove) {
   TaskRegistry reg;
-  const uint64_t a = reg.Add(0, Resources{1.0, 2.0}, 4, 11);
-  const uint64_t b = reg.Add(0, Resources{0.5, 1.0}, 10, 12);
+  const uint64_t a = reg.Add(0, Resources{1.0, 2.0}, 4);
+  const uint64_t b = reg.Add(0, Resources{0.5, 1.0}, 10);
   EXPECT_EQ(reg.NumRunning(), 2u);
   EXPECT_EQ(reg.NumRunningOn(0), 2u);
   EXPECT_TRUE(reg.Remove(a));
@@ -22,9 +22,9 @@ TEST(TaskRegistryTest, AddRemove) {
 
 TEST(TaskRegistryTest, PreemptibleSumsBelowPrecedence) {
   TaskRegistry reg;
-  reg.Add(3, Resources{1.0, 1.0}, 4, 0);   // batch
-  reg.Add(3, Resources{2.0, 2.0}, 4, 0);   // batch
-  reg.Add(3, Resources{1.0, 4.0}, 10, 0);  // service: not preemptible by 10
+  reg.Add(3, Resources{1.0, 1.0}, 4);   // batch
+  reg.Add(3, Resources{2.0, 2.0}, 4);   // batch
+  reg.Add(3, Resources{1.0, 4.0}, 10);  // service: not preemptible by 10
   const Resources pool = reg.PreemptibleOn(3, 10);
   EXPECT_DOUBLE_EQ(pool.cpus, 3.0);
   EXPECT_DOUBLE_EQ(pool.mem_gb, 3.0);
@@ -34,8 +34,8 @@ TEST(TaskRegistryTest, PreemptibleSumsBelowPrecedence) {
 
 TEST(TaskRegistryTest, SelectVictimsLowestPrecedenceFirst) {
   TaskRegistry reg;
-  reg.Add(0, Resources{1.0, 1.0}, 2, 0);
-  reg.Add(0, Resources{1.0, 1.0}, 6, 0);
+  reg.Add(0, Resources{1.0, 1.0}, 2);
+  reg.Add(0, Resources{1.0, 1.0}, 6);
   const auto victims = reg.SelectVictims(0, 10, Resources{1.0, 1.0});
   ASSERT_EQ(victims.size(), 1u);
   EXPECT_EQ(victims[0].precedence, 2);
@@ -43,7 +43,7 @@ TEST(TaskRegistryTest, SelectVictimsLowestPrecedenceFirst) {
 
 TEST(TaskRegistryTest, SelectVictimsEmptyWhenInsufficient) {
   TaskRegistry reg;
-  reg.Add(0, Resources{1.0, 1.0}, 2, 0);
+  reg.Add(0, Resources{1.0, 1.0}, 2);
   EXPECT_TRUE(reg.SelectVictims(0, 10, Resources{5.0, 1.0}).empty());
   // Equal precedence is never preemptible.
   EXPECT_TRUE(reg.SelectVictims(0, 2, Resources{0.5, 0.5}).empty());
@@ -52,7 +52,7 @@ TEST(TaskRegistryTest, SelectVictimsEmptyWhenInsufficient) {
 TEST(TaskRegistryTest, SelectVictimsCoversNeedExactly) {
   TaskRegistry reg;
   for (int i = 0; i < 5; ++i) {
-    reg.Add(0, Resources{1.0, 1.0}, 1, 0);
+    reg.Add(0, Resources{1.0, 1.0}, 1);
   }
   const auto victims = reg.SelectVictims(0, 10, Resources{2.5, 0.0});
   Resources freed;
@@ -101,7 +101,8 @@ TEST(PreemptionTest, ServicePreemptsBatchWhenEnabled) {
   OmegaSimulation sim(SaturatedCell(), PreemptRun(), batch, service);
   sim.Run();
   EXPECT_GT(sim.TasksPreempted(), 0);
-  EXPECT_GT(sim.service_scheduler().metrics().JobsScheduled(JobType::kService), 0);
+  EXPECT_GT(
+      sim.service_scheduler().metrics().JobsScheduled(JobType::kService), 0);
   EXPECT_TRUE(sim.cell().CheckInvariants());
 }
 
@@ -123,13 +124,17 @@ TEST(PreemptionTest, PreemptionImprovesServiceOutcomes) {
   service_preempt.enable_preemption = true;
 
   OmegaSimulation plain(SaturatedCell(), PreemptRun(3), batch, service_plain);
-  OmegaSimulation preempt(SaturatedCell(), PreemptRun(3), batch, service_preempt);
+  OmegaSimulation preempt(SaturatedCell(), PreemptRun(3), batch,
+                          service_preempt);
   plain.Run();
   preempt.Run();
-  EXPECT_GE(preempt.service_scheduler().metrics().JobsScheduled(JobType::kService),
-            plain.service_scheduler().metrics().JobsScheduled(JobType::kService));
-  EXPECT_LE(preempt.service_scheduler().metrics().JobsAbandonedTotal(),
-            plain.service_scheduler().metrics().JobsAbandonedTotal());
+  const SchedulerMetrics& preempt_metrics =
+      preempt.service_scheduler().metrics();
+  const SchedulerMetrics& plain_metrics = plain.service_scheduler().metrics();
+  EXPECT_GE(preempt_metrics.JobsScheduled(JobType::kService),
+            plain_metrics.JobsScheduled(JobType::kService));
+  EXPECT_LE(preempt_metrics.JobsAbandonedTotal(),
+            plain_metrics.JobsAbandonedTotal());
 }
 
 TEST(PreemptionTest, BatchNeverEvictsService) {
