@@ -10,8 +10,8 @@ namespace omega {
 CellState::CellState(uint32_t num_machines, const Resources& machine_capacity,
                      FullnessPolicy fullness, double headroom_fraction,
                      uint32_t machines_per_domain)
-    : CellState(std::vector<Resources>(num_machines, machine_capacity), fullness,
-                headroom_fraction, machines_per_domain) {}
+    : CellState(std::vector<Resources>(num_machines, machine_capacity),
+                fullness, headroom_fraction, machines_per_domain) {}
 
 CellState::CellState(std::vector<Resources> machine_capacities,
                      FullnessPolicy fullness, double headroom_fraction,
@@ -113,7 +113,8 @@ void CellState::Free(MachineId id, Resources request) {
   const size_t old_bucket = HasAvailabilityIndex() ? BucketFor(id) : 0;
   allocated -= request;
   OMEGA_CHECK(!allocated.IsNegative())
-      << "negative allocation on machine " << id << " after freeing " << request;
+      << "negative allocation on machine " << id << " after freeing "
+      << request;
   allocated = allocated.ClampNonNegative();
   ++seqnum_[id];
   total_allocated_ -= request;
@@ -157,8 +158,8 @@ size_t CellState::BucketFor(MachineId id) const {
       mem_per_cpu_ > 0.0 ? available.mem_gb / mem_per_cpu_ : available.cpus;
   const double effective = std::min(available.cpus, mem_in_cpu_units);
   const auto bucket = static_cast<int64_t>(effective * bucket_scale_);
-  return static_cast<size_t>(
-      std::clamp<int64_t>(bucket, 0, static_cast<int64_t>(buckets_.size()) - 1));
+  return static_cast<size_t>(std::clamp<int64_t>(
+      bucket, 0, static_cast<int64_t>(buckets_.size()) - 1));
 }
 
 void CellState::IndexInsert(MachineId id) {
@@ -196,8 +197,9 @@ void CellState::VisitByAvailability(
   // never fit — skip them (best-fit packing piles machines up exactly there).
   const double max_cpus =
       static_cast<double>(buckets_.size() - 1) / bucket_scale_;
-  const double headroom_key =
-      fullness_ == FullnessPolicy::kHeadroom ? headroom_fraction_ * max_cpus : 0.0;
+  const double headroom_key = fullness_ == FullnessPolicy::kHeadroom
+                                  ? headroom_fraction_ * max_cpus
+                                  : 0.0;
   const double min_key = EffectiveKey(min_request) + headroom_key;
   auto start = static_cast<size_t>(
       std::clamp<int64_t>(static_cast<int64_t>(min_key * bucket_scale_), 0,
@@ -212,7 +214,8 @@ void CellState::VisitByAvailability(
 }
 
 CommitResult CellState::Commit(std::span<const TaskClaim> claims,
-                               ConflictMode conflict_mode, CommitMode commit_mode,
+                               ConflictMode conflict_mode,
+                               CommitMode commit_mode,
                                std::vector<TaskClaim>* rejected,
                                std::vector<TaskClaim>* accepted) {
   CommitResult result;
@@ -306,8 +309,9 @@ CommitResult CellState::Commit(std::span<const TaskClaim> claims,
 }
 
 double CellState::CpuUtilization() const {
-  return total_capacity_.cpus > 0.0 ? total_allocated_.cpus / total_capacity_.cpus
-                                    : 0.0;
+  return total_capacity_.cpus > 0.0
+             ? total_allocated_.cpus / total_capacity_.cpus
+             : 0.0;
 }
 
 double CellState::MemUtilization() const {

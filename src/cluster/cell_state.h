@@ -127,8 +127,8 @@ class CellState {
   // each, in claim order (§3.4). Conflicting claims (per `conflict_mode`,
   // `commit_mode`) are reported in `rejected` and accepted claims in
   // `accepted`, each in claim order, when non-null.
-  CommitResult Commit(std::span<const TaskClaim> claims, ConflictMode conflict_mode,
-                      CommitMode commit_mode,
+  CommitResult Commit(std::span<const TaskClaim> claims,
+                      ConflictMode conflict_mode, CommitMode commit_mode,
                       std::vector<TaskClaim>* rejected = nullptr,
                       std::vector<TaskClaim>* accepted = nullptr);
 
@@ -144,7 +144,9 @@ class CellState {
 
   Resources TotalCapacity() const { return total_capacity_; }
   Resources TotalAllocated() const { return total_allocated_; }
-  Resources TotalAvailable() const { return total_capacity_ - total_allocated_; }
+  Resources TotalAvailable() const {
+    return total_capacity_ - total_allocated_;
+  }
 
   double CpuUtilization() const;
   double MemUtilization() const;

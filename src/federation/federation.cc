@@ -75,6 +75,7 @@ FederationSim::FederationSim(const ClusterConfig& cell_config,
     : cell_config_(cell_config),
       options_(options),
       fed_options_(fed_options),
+      sim_(EndTime()),
       generator_(cell_config, GeneratorOptions{},
                  SubstreamSeed(options.seed, fed_options.num_cells)),
       arrival_rng_(SubstreamSeed(options.seed, fed_options.num_cells + 1)),
@@ -129,11 +130,7 @@ void FederationSim::ScheduleNextArrival(JobType type) {
   // interarrival mean divided by N (plus the usual rate multipliers).
   ExponentialDist interarrival(params.interarrival_mean_secs / multiplier);
   const Duration gap = Duration::FromSeconds(interarrival.Sample(arrival_rng_));
-  const SimTime when = sim_.Now() + gap;
-  if (when > EndTime()) {
-    return;
-  }
-  sim_.ScheduleAt(when, [this, type] {
+  sim_.ScheduleAt(sim_.Now() + gap, [this, type] {
     auto job = std::make_shared<Job>(generator_.GenerateJob(type, sim_.Now()));
     RouteNewJob(job);
     ScheduleNextArrival(type);
@@ -163,11 +160,7 @@ CellSummary FederationSim::LiveSummary(uint32_t cell) const {
 }
 
 void FederationSim::SchedulePublish(uint32_t cell) {
-  const SimTime next = sim_.Now() + fed_options_.gossip_interval;
-  if (next > EndTime()) {
-    return;
-  }
-  sim_.ScheduleAt(next, [this, cell] {
+  sim_.ScheduleAt(sim_.Now() + fed_options_.gossip_interval, [this, cell] {
     PublishSummary(cell);
     SchedulePublish(cell);
   });

@@ -65,8 +65,9 @@ class ClusterSimulation {
   // layer's shared-queue mode runs N cells on one master event queue so
   // gossip, transfers, and cell events interleave deterministically). Must
   // be called before any event is scheduled, i.e. before
-  // Run()/PrepareRun()/RunTrace(). `sim` must be non-null; it is borrowed,
-  // not owned, and must outlive this simulation.
+  // Run()/PrepareRun()/RunTrace(). `sim` must be non-null, and its horizon
+  // must be EndTime(); it is borrowed, not owned, and must outlive this
+  // simulation.
   void UseSharedSimulator(Simulator* sim);
 
   // --- per-job lifecycle hooks (called by the schedulers) ---

@@ -22,8 +22,9 @@ bool MachineSatisfiesConstraints(std::span<const int32_t> attributes,
   return true;
 }
 
-uint32_t RandomizedFirstFitPlacer::PlaceTasks(const CellState& cell, const Job& job,
-                                              uint32_t count, Rng& rng,
+uint32_t RandomizedFirstFitPlacer::PlaceTasks(const CellState& cell,
+                                              const Job& job, uint32_t count,
+                                              Rng& rng,
                                               std::vector<TaskClaim>* claims) {
   const uint32_t num_machines = range_.SizeIn(cell.NumMachines());
   if (num_machines == 0 || count == 0) {
@@ -63,7 +64,8 @@ uint32_t RandomizedFirstFitPlacer::PlaceTasks(const CellState& cell, const Job& 
         const MachineId m = range_.Nth(idx);
         // Machine ids ascend until the scan wraps at the range end.
         const uint32_t span = num_machines - idx;
-        const MachineId hit = cell.FindFirstFit(m, m + span, job.task_resources);
+        const MachineId hit =
+            cell.FindFirstFit(m, m + span, job.task_resources);
         if (hit == kInvalidMachineId) {
           i += span;
           continue;

@@ -29,8 +29,9 @@ class TaskPlacer {
  public:
   virtual ~TaskPlacer() = default;
 
-  virtual uint32_t PlaceTasks(const CellState& cell, const Job& job, uint32_t count,
-                              Rng& rng, std::vector<TaskClaim>* claims) = 0;
+  virtual uint32_t PlaceTasks(const CellState& cell, const Job& job,
+                              uint32_t count, Rng& rng,
+                              std::vector<TaskClaim>* claims) = 0;
 };
 
 // A contiguous range of machine ids a placer may use. The default (empty)

@@ -7,6 +7,9 @@ namespace omega {
 void Simulator::ScheduleAt(SimTime when, std::function<void()> fn) {
   OMEGA_CHECK(when >= now_)
       << "scheduling into the past: " << when << " < " << now_;
+  if (when > horizon_) {
+    return;
+  }
   queue_.Push(when, std::move(fn));
 }
 

@@ -16,14 +16,18 @@ namespace omega {
 
 class Simulator {
  public:
-  Simulator() = default;
+  // `horizon` is the last time an event can run: ScheduleAt drops every event
+  // after it. The default keeps every event.
+  explicit Simulator(SimTime horizon = SimTime::Max()) : horizon_(horizon) {}
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
   SimTime Now() const { return now_; }
+  SimTime horizon() const { return horizon_; }
 
   // Schedules `fn` to run at absolute time `when` (>= Now()). Events at the
-  // same time run in the order they were scheduled.
+  // same time run in the order they were scheduled. An event after the
+  // horizon is dropped: it never runs and is not counted by PendingEvents().
   void ScheduleAt(SimTime when, std::function<void()> fn);
 
   // Schedules `fn` to run `delay` after Now().
@@ -43,6 +47,7 @@ class Simulator {
 
  private:
   SimTime now_ = SimTime::Zero();
+  SimTime horizon_;
   EventQueue queue_;
 };
 

@@ -42,7 +42,8 @@ TEST(HarnessTest, ArrivalRateMatchesConfig) {
   ClusterConfig cfg = TestCluster();
   RecordingSimulation sim(cfg, Opts(24, 2));
   sim.Run();
-  const double expected_batch = 24.0 * 3600.0 / cfg.batch.interarrival_mean_secs;
+  const double expected_batch =
+      24.0 * 3600.0 / cfg.batch.interarrival_mean_secs;
   EXPECT_NEAR(static_cast<double>(sim.JobsSubmitted(JobType::kBatch)),
               expected_batch, expected_batch * 0.1);
   EXPECT_EQ(sim.JobsSubmittedTotal(),
@@ -124,6 +125,38 @@ TEST(HarnessDeathTest, UseSharedSimulatorRejectsNull) {
   EXPECT_DEATH(sim.UseSharedSimulator(nullptr), "needs a simulator");
 }
 
+// A shared queue must end where the cell does: with another horizon the cell
+// would keep or lose events that its own horizon treats otherwise.
+TEST(HarnessDeathTest, UseSharedSimulatorRejectsOtherHorizon) {
+  RecordingSimulation sim(TestCluster(8), Opts(0.001, 8));
+  Simulator unbounded;
+  EXPECT_DEATH(sim.UseSharedSimulator(&unbounded), "horizon");
+  Simulator same(sim.EndTime());
+  sim.UseSharedSimulator(&same);
+  EXPECT_EQ(&sim.sim(), &same);
+}
+
+// Nothing past the horizon is queued: fill ends, cohort ends, arrivals,
+// samples, failures and repairs that would fire later are all dropped, so a
+// run to the horizon leaves an empty queue.
+TEST(HarnessTest, RunToHorizonLeavesNoPendingEvents) {
+  for (const bool track : {false, true}) {
+    SCOPED_TRACE(track ? "registry on" : "registry off");
+    SimOptions opts = Opts(1, 9);
+    opts.track_running_tasks = track;
+    opts.utilization_sample_interval = Duration::FromMinutes(7);
+    if (track) {
+      opts.machine_failure_rate_per_day = 2.0;
+    }
+    SchedulerConfig sched;
+    OmegaSimulation sim(TestCluster(64), opts, sched, sched, 1);
+    sim.Run();
+    EXPECT_GT(sim.JobsSubmittedTotal(), 0);
+    EXPECT_EQ(sim.sim().Now(), sim.EndTime());
+    EXPECT_EQ(sim.sim().PendingEvents(), 0u);
+  }
+}
+
 // Accounting identity across architectures and seeds: every submitted job is
 // scheduled, abandoned, queued, or in flight — never lost.
 class AccountingPropertyTest : public ::testing::TestWithParam<uint64_t> {};
@@ -136,11 +169,13 @@ TEST_P(AccountingPropertyTest, OmegaJobsNeverLost) {
   OmegaSimulation sim(cfg, Opts(3, seed), sched, sched, 1 + seed % 4);
   sim.Run();
   int64_t accounted = sim.TotalJobsAbandoned();
-  accounted += sim.service_scheduler().metrics().JobsScheduled(JobType::kService);
+  accounted +=
+      sim.service_scheduler().metrics().JobsScheduled(JobType::kService);
   accounted += static_cast<int64_t>(sim.service_scheduler().QueueDepth());
   accounted += sim.service_scheduler().busy() ? 1 : 0;
   for (uint32_t i = 0; i < sim.NumBatchSchedulers(); ++i) {
-    accounted += sim.batch_scheduler(i).metrics().JobsScheduled(JobType::kBatch);
+    accounted +=
+        sim.batch_scheduler(i).metrics().JobsScheduled(JobType::kBatch);
     accounted += static_cast<int64_t>(sim.batch_scheduler(i).QueueDepth());
     accounted += sim.batch_scheduler(i).busy() ? 1 : 0;
   }
@@ -156,7 +191,8 @@ TEST_P(AccountingPropertyTest, MesosJobsNeverLost) {
   MesosSimulation sim(cfg, Opts(3, seed), sched, sched);
   sim.Run();
   int64_t accounted = sim.TotalJobsAbandoned();
-  for (MesosFramework* fw : {&sim.batch_framework(), &sim.service_framework()}) {
+  for (MesosFramework* fw :
+       {&sim.batch_framework(), &sim.service_framework()}) {
     accounted += fw->metrics().JobsScheduled(JobType::kBatch);
     accounted += fw->metrics().JobsScheduled(JobType::kService);
     accounted += static_cast<int64_t>(fw->QueueDepth());

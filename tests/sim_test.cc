@@ -149,6 +149,53 @@ TEST(SimulatorTest, EventAtHorizonExecutes) {
   EXPECT_TRUE(fired);
 }
 
+// A simulator built with a horizon keeps events at exactly the horizon and
+// drops every later one at ScheduleAt.
+TEST(SimulatorTest, EventAtExactHorizonRuns) {
+  Simulator sim(SimTime::FromSeconds(5));
+  bool fired = false;
+  sim.ScheduleAt(SimTime::FromSeconds(5), [&] { fired = true; });
+  EXPECT_EQ(sim.PendingEvents(), 1u);
+  sim.Run();
+  EXPECT_TRUE(fired);
+}
+
+TEST(SimulatorTest, EventAfterHorizonIsDropped) {
+  Simulator sim(SimTime::FromSeconds(5));
+  std::vector<int> order;
+  sim.ScheduleAt(SimTime::FromSeconds(5) + Duration(1),
+                 [&] { order.push_back(0); });
+  sim.ScheduleAt(SimTime::FromSeconds(1), [&] {
+    order.push_back(1);
+    sim.ScheduleAfter(Duration::FromSeconds(10), [&] { order.push_back(2); });
+  });
+  EXPECT_EQ(sim.PendingEvents(), 1u);
+  sim.Run();
+  EXPECT_EQ(order, (std::vector<int>{1}));
+  EXPECT_EQ(sim.PendingEvents(), 0u);
+}
+
+TEST(SimulatorTest, RunUntilPastHorizonFiresNothing) {
+  Simulator sim(SimTime::FromSeconds(5));
+  int fired = 0;
+  sim.ScheduleAt(SimTime::FromSeconds(6), [&] { ++fired; });
+  sim.ScheduleAt(SimTime::FromSeconds(9), [&] { ++fired; });
+  EXPECT_EQ(sim.RunUntil(SimTime::FromSeconds(10)), 0);
+  EXPECT_EQ(fired, 0);
+  EXPECT_EQ(sim.Now(), SimTime::FromSeconds(10));
+}
+
+TEST(SimulatorTest, DefaultSimulatorKeepsEveryEvent) {
+  Simulator sim;
+  EXPECT_EQ(sim.horizon(), SimTime::Max());
+  int fired = 0;
+  sim.ScheduleAt(SimTime::FromDays(10000), [&] { ++fired; });
+  sim.ScheduleAt(SimTime::Max(), [&] { ++fired; });
+  EXPECT_EQ(sim.PendingEvents(), 2u);
+  sim.Run();
+  EXPECT_EQ(fired, 2);
+}
+
 TEST(SimulatorTest, EventsScheduledDuringRunExecuteInOrder) {
   Simulator sim;
   std::vector<int> order;
