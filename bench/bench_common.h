@@ -2,6 +2,8 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <functional>
@@ -9,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "src/cluster/cell_state.h"
 #include "src/exp/experiment.h"
 #include "src/exp/sweep.h"
 #include "src/scheduler/config.h"
@@ -123,6 +126,25 @@ inline int CheckSmokeGolden(const SmokeGolden& golden,
   }
   std::cout << golden.bench << ": OK (" << n << " lines bit-identical)\n";
   return 0;
+}
+
+// FNV-1a over every machine's allocation and sequence number, for a golden
+// line: aggregate metrics do not see where tasks were placed; this does.
+inline uint64_t CellFingerprint(const CellState& cell) {
+  auto mix = [](uint64_t h, uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h = (h ^ ((v >> (8 * i)) & 0xff)) * 0x100000001b3ULL;
+    }
+    return h;
+  };
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (MachineId m = 0; m < cell.NumMachines(); ++m) {
+    const Resources allocated = cell.Allocated(m);
+    h = mix(h, std::bit_cast<uint64_t>(allocated.cpus));
+    h = mix(h, std::bit_cast<uint64_t>(allocated.mem_gb));
+    h = mix(h, cell.Seqnum(m));
+  }
+  return h;
 }
 
 // main() of a bench with a smoke golden:

@@ -14,7 +14,6 @@
 //   fig7_mesos --smoke-check <golden> short run, bit-exact diff vs the golden
 //
 // The smoke modes are the golden harness in bench_common.h.
-#include <bit>
 #include <cstdio>
 #include <iostream>
 #include <sstream>
@@ -144,26 +143,6 @@ constexpr SmokeCase kSmokeCases[] = {
     {"A-hoarding", "A", 1.0, true, false},
     {"A-failures", "A", 1.0, false, true},
 };
-
-uint64_t Fnv1a(uint64_t h, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h = (h ^ ((v >> (8 * i)) & 0xff)) * 0x100000001b3ULL;
-  }
-  return h;
-}
-
-// FNV-1a over every machine's allocation and sequence number: the aggregates
-// do not see where tasks were placed; this does.
-uint64_t CellFingerprint(const CellState& cell) {
-  uint64_t h = 0xcbf29ce484222325ULL;
-  for (MachineId m = 0; m < cell.NumMachines(); ++m) {
-    const Machine& machine = cell.machine(m);
-    h = Fnv1a(h, std::bit_cast<uint64_t>(machine.allocated.cpus));
-    h = Fnv1a(h, std::bit_cast<uint64_t>(machine.allocated.mem_gb));
-    h = Fnv1a(h, machine.seqnum);
-  }
-  return h;
-}
 
 std::string RunSmokeCase(const SmokeCase& c, uint64_t seed) {
   SimOptions opts;
