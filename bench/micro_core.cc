@@ -128,6 +128,33 @@ void BM_ScoringPlacer(benchmark::State& state) {
 }
 BENCHMARK(BM_ScoringPlacer)->Arg(1000)->Arg(12000);
 
+// One 1,000-task job on a packed cluster-C-sized cell (12,500 machines under
+// the high-fidelity 4% headroom): every machine holds a random 40-95% load,
+// so each task's tightest feasible machines fill after one or a few tasks
+// and the job's later tasks must walk past them.
+void BM_ScoringPlacerPacked(benchmark::State& state) {
+  CellState cell(12500, kMachine, FullnessPolicy::kHeadroom, 0.04);
+  Rng fill(BenchSeed(11));
+  for (MachineId m = 0; m < cell.NumMachines(); ++m) {
+    const double load = 0.4 + 0.55 * fill.NextDouble();
+    cell.Allocate(m, Resources{kMachine.cpus * load, kMachine.mem_gb * load});
+  }
+  cell.EnableAvailabilityIndex();
+  Job job;
+  job.num_tasks = 1000;
+  job.task_resources = kTask;
+  ScoringPlacer placer;
+  Rng rng(BenchSeed(3));
+  std::vector<TaskClaim> claims;
+  for (auto _ : state) {
+    claims.clear();
+    benchmark::DoNotOptimize(
+        placer.PlaceTasks(cell, job, job.num_tasks, rng, &claims));
+  }
+  state.SetItemsProcessed(state.iterations() * job.num_tasks);
+}
+BENCHMARK(BM_ScoringPlacerPacked);
+
 void BM_EventQueuePushPop(benchmark::State& state) {
   EventQueue q;
   Rng rng(BenchSeed(5));

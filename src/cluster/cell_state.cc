@@ -188,9 +188,7 @@ void CellState::IndexUpdate(MachineId id, size_t old_bucket) {
   IndexInsert(id);
 }
 
-void CellState::VisitByAvailability(
-    const Resources& min_request,
-    const std::function<bool(MachineId)>& visitor) const {
+size_t CellState::AvailabilityStartBucket(const Resources& min_request) const {
   OMEGA_CHECK(HasAvailabilityIndex());
   // Under the headroom policy a machine must keep headroom_fraction of its
   // capacity free *beyond* the request, so buckets below that offset can
@@ -201,16 +199,9 @@ void CellState::VisitByAvailability(
                                   ? headroom_fraction_ * max_cpus
                                   : 0.0;
   const double min_key = EffectiveKey(min_request) + headroom_key;
-  auto start = static_cast<size_t>(
+  return static_cast<size_t>(
       std::clamp<int64_t>(static_cast<int64_t>(min_key * bucket_scale_), 0,
                           static_cast<int64_t>(buckets_.size()) - 1));
-  for (size_t b = start; b < buckets_.size(); ++b) {
-    for (const MachineId id : buckets_[b]) {
-      if (!visitor(id)) {
-        return;
-      }
-    }
-  }
 }
 
 CommitResult CellState::Commit(std::span<const TaskClaim> claims,

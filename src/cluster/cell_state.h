@@ -192,11 +192,17 @@ class CellState {
   // fit the request in at least one dimension.
   double EffectiveKey(const Resources& r) const;
 
-  // Visits machines in order of increasing effective availability (tightest
-  // feasible bucket first), starting from the lowest bucket that can contain
-  // a machine able to fit `min_request`. The visitor returns false to stop.
-  void VisitByAvailability(const Resources& min_request,
-                           const std::function<bool(MachineId)>& visitor) const;
+  // The best-fit walk for `min_request` reads buckets
+  // AvailabilityStartBucket(min_request) .. NumAvailabilityBuckets() - 1 in
+  // order, each bucket's machines in stored order: increasing effective
+  // availability, tightest feasible bucket first. Buckets below the start
+  // hold no machine able to fit `min_request`. The order within a bucket
+  // changes only through Allocate and Free.
+  size_t AvailabilityStartBucket(const Resources& min_request) const;
+  size_t NumAvailabilityBuckets() const { return buckets_.size(); }
+  std::span<const MachineId> AvailabilityBucket(size_t bucket) const {
+    return buckets_[bucket];
+  }
 
  private:
   size_t BucketFor(MachineId id) const;

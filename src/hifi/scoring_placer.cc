@@ -6,7 +6,8 @@
 
 namespace omega {
 
-ScoringPlacer::ScoringPlacer(ScoringPlacerOptions options) : options_(options) {}
+ScoringPlacer::ScoringPlacer(ScoringPlacerOptions options)
+    : options_(options) {}
 
 uint32_t ScoringPlacer::PlaceTasks(const CellState& cell, const Job& job,
                                    uint32_t count, Rng& /*rng*/,
@@ -15,31 +16,77 @@ uint32_t ScoringPlacer::PlaceTasks(const CellState& cell, const Job& job,
       << "ScoringPlacer needs the cell's availability index: call "
          "CellState::EnableAvailabilityIndex() before placing (as "
          "MakeHifiSimulation does)";
+  const Resources& request = job.task_resources;
   PendingClaims& pending = pending_scratch_;
   pending.Reset(cell.NumMachines());
   EpochFlagSet& domains_used = domains_scratch_;
   domains_used.Reset();
-  uint32_t placed = 0;
 
+  // Global best-fit via the availability index: each task walks machines
+  // from the tightest feasible bucket upward; the first feasible candidates
+  // are the globally best-packing choices, which is exactly why careful
+  // placement algorithms concentrate onto the same machines and conflict
+  // (§5). A task scores up to max_feasible feasible machines and, once one
+  // is feasible, stops after max_visited walk entries.
+  //
+  // The cell is const for the whole call, so the walk's order is fixed and
+  // its feasible machines are read once, into `candidates` (DESIGN.md §11,
+  // "Scoring walk"). A walk entry is listed iff it fits with no pending
+  // claims and satisfies the constraints: pending claims only shrink
+  // availability, so no other entry is feasible for any task of the call.
+  // Only the chosen machine gains pending claims, and it leaves the list
+  // once it no longer fits, so every listed machine is feasible and a task's
+  // visit count at a listed machine is that machine's walk position.
+  std::vector<MachineId>& candidates = candidates_;
+  candidates.clear();
+  size_t bucket = cell.AvailabilityStartBucket(request);
+  size_t pos = 0;
+  uint32_t walked = 0;  // walk entries read so far
+  const uint32_t max_feasible = std::max(1u, options_.candidate_sample / 8);
+  const uint32_t max_visited = options_.candidate_sample * 4;
+  // Reads the walk up to its next candidate and lists it. A task that has
+  // scored a machine (`budgeted`) stops before entry max_visited; past the
+  // budget, a task keeps walking only until something feasible turns up
+  // (memory-bound or constrained tasks may need to reach looser buckets),
+  // and a full walk happens only when nothing fits at all. Only a task's
+  // first candidate can be read unbudgeted, so every later listed machine
+  // lies within the budget. Returns whether it listed one.
+  auto extend = [&](bool budgeted) {
+    for (; bucket < cell.NumAvailabilityBuckets(); ++bucket, pos = 0) {
+      const std::span<const MachineId> machines =
+          cell.AvailabilityBucket(bucket);
+      while (pos < machines.size()) {
+        if (budgeted && walked >= max_visited) {
+          return false;
+        }
+        const MachineId m = machines[pos++];
+        ++walked;
+        // The fit test goes first: it reads only the machine's allocation
+        // slot, so most rejected entries never touch the attributes.
+        if (cell.CanFit(m, request) &&
+            MachineSatisfiesConstraints(cell.Attributes(m), job)) {
+          candidates.push_back(m);
+          return true;
+        }
+      }
+    }
+    return false;
+  };
+
+  uint32_t placed = 0;
   for (uint32_t t = 0; t < count; ++t) {
     MachineId best = kInvalidMachineId;
+    size_t best_index = 0;
     double best_score = -1.0;
-
-    // consider() scores one candidate and keeps it if it beats the running
-    // best; it returns false (touching nothing) when the machine is
-    // infeasible. The fit test goes first: it reads only the machine's
-    // allocation slot, so most rejected candidates never touch the
-    // attributes (both tests are pure, so the order decides nothing).
-    auto consider = [&](MachineId m) -> bool {
-      const Resources extra = pending.On(m);
-      if (!cell.CanFitWithPending(m, job.task_resources, extra) ||
-          !MachineSatisfiesConstraints(cell.Attributes(m), job)) {
-        return false;
+    for (size_t k = 0; k < max_feasible; ++k) {
+      if (k == candidates.size() && !extend(/*budgeted=*/k > 0)) {
+        break;
       }
       // Best-fit term: utilization of the machine after placement, in the
-      // dominant dimension. Scoring the fullest feasible machine packs tightly
-      // and leaves large holes for big tasks.
-      const Resources after = cell.Allocated(m) + extra + job.task_resources;
+      // dominant dimension. Scoring the fullest feasible machine packs
+      // tightly and leaves large holes for big tasks.
+      const MachineId m = candidates[k];
+      const Resources after = cell.Allocated(m) + pending.On(m) + request;
       const Resources usable = cell.UsableCapacity(m);
       const double fit = std::max(
           usable.cpus > 0.0 ? after.cpus / usable.cpus : 0.0,
@@ -52,39 +99,19 @@ uint32_t ScoringPlacer::PlaceTasks(const CellState& cell, const Job& job,
       if (score > best_score) {
         best_score = score;
         best = m;
+        best_index = k;
       }
-      return true;
-    };
-
-    // Global best-fit via the availability index: visit machines from the
-    // tightest feasible bucket upward; the first feasible candidates are the
-    // globally best-packing choices, which is exactly why careful placement
-    // algorithms concentrate onto the same machines and conflict (§5).
-    uint32_t feasible = 0;
-    uint32_t visited = 0;
-    const uint32_t max_feasible = std::max(1u, options_.candidate_sample / 8);
-    const uint32_t max_visited = options_.candidate_sample * 4;
-    cell.VisitByAvailability(job.task_resources, [&](MachineId m) {
-      ++visited;
-      if (consider(m)) {
-        ++feasible;
-      }
-      if (feasible >= max_feasible) {
-        return false;  // enough tight candidates scored
-      }
-      // Past the visit budget, keep walking only until something feasible
-      // turns up (memory-bound or constrained tasks may need to reach
-      // looser buckets); a full walk happens only when nothing fits at all.
-      return feasible == 0 || visited < max_visited;
-    });
+    }
     if (best == kInvalidMachineId) {
       break;
     }
-    claims->push_back(
-        TaskClaim{best, job.task_resources, cell.Seqnum(best)});
-    pending.Add(best, job.task_resources);
+    claims->push_back(TaskClaim{best, request, cell.Seqnum(best)});
+    pending.Add(best, request);
     domains_used.Insert(cell.FailureDomain(best));
     ++placed;
+    if (!cell.CanFitWithPending(best, request, pending.On(best))) {
+      candidates.erase(candidates.begin() + best_index);
+    }
   }
   return placed;
 }

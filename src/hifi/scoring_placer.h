@@ -30,6 +30,15 @@ struct ScoringPlacerOptions {
 
 // Requires the cell's availability index (CellState::EnableAvailabilityIndex);
 // PlaceTasks CHECK-fails without it.
+//
+// Each task walks the index from the job's start bucket and scores the
+// feasible machines it visits (DESIGN.md §11, "Scoring walk"). One call
+// reads that walk once, into a lazily extended list of the machines that
+// fit the task with no pending claims and satisfy the job's constraints;
+// every task iterates the list instead of re-reading the index, and a
+// machine its own earlier tasks filled leaves the list. The placements are
+// those of a walk that re-reads the index per task
+// (tests/reference_scoring_placer.h).
 class ScoringPlacer final : public TaskPlacer {
  public:
   explicit ScoringPlacer(ScoringPlacerOptions options = {});
@@ -39,6 +48,9 @@ class ScoringPlacer final : public TaskPlacer {
 
  private:
   ScoringPlacerOptions options_;
+  // The current call's candidate list, in walk order; a member so that its
+  // storage is reused across calls.
+  std::vector<MachineId> candidates_;
   PendingClaims pending_scratch_;
   // Failure domains the current job already occupies — dense epoch-stamped
   // scratch (domains are small dense ints), replacing the former

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "src/common/random.h"
+#include "tests/reference_scoring_placer.h"
 
 namespace omega {
 namespace {
@@ -82,8 +83,10 @@ TEST(CellStateTest, HeadroomPolicyIsStricter) {
 
 TEST(CellStateTest, CanFitWithPendingStacks) {
   CellState cell(1, kMachine);
-  EXPECT_TRUE(cell.CanFitWithPending(0, Resources{2.0, 2.0}, Resources{2.0, 2.0}));
-  EXPECT_FALSE(cell.CanFitWithPending(0, Resources{2.5, 2.0}, Resources{2.0, 2.0}));
+  EXPECT_TRUE(
+      cell.CanFitWithPending(0, Resources{2.0, 2.0}, Resources{2.0, 2.0}));
+  EXPECT_FALSE(
+      cell.CanFitWithPending(0, Resources{2.5, 2.0}, Resources{2.0, 2.0}));
 }
 
 // --- transaction commit semantics (§3.4, §5.2) ---
@@ -277,8 +280,8 @@ TEST_P(ConflictModePropertyTest, FineAcceptsSupersetOfCoarse) {
         coarse.Allocate(m, r);
       }
     }
-    const CommitResult rf =
-        fine.Commit(claims, ConflictMode::kFineGrained, CommitMode::kIncremental);
+    const CommitResult rf = fine.Commit(claims, ConflictMode::kFineGrained,
+                                        CommitMode::kIncremental);
     const CommitResult rc = coarse.Commit(claims, ConflictMode::kCoarseGrained,
                                           CommitMode::kIncremental);
     EXPECT_GE(rf.accepted, rc.accepted);
@@ -292,8 +295,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ConflictModePropertyTest,
 
 // Property: after arbitrary random operations the availability index agrees
 // with a brute-force scan.
-class AvailabilityIndexPropertyTest : public ::testing::TestWithParam<uint64_t> {
-};
+class AvailabilityIndexPropertyTest
+    : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(AvailabilityIndexPropertyTest, IndexMatchesBruteForce) {
   Rng rng(GetParam());
@@ -320,7 +323,7 @@ TEST_P(AvailabilityIndexPropertyTest, IndexMatchesBruteForce) {
   double last_bucket_key = -1.0;
   int bucket_tolerant_inversions = 0;
   const double mem_per_cpu = kMachine.mem_gb / kMachine.cpus;
-  cell.VisitByAvailability(Resources::Zero(), [&](MachineId id) {
+  for (const MachineId id : AvailabilityWalk(cell, Resources::Zero())) {
     ++visits[id];
     const Resources avail = cell.machine(id).Available();
     const double key = std::min(avail.cpus, avail.mem_gb / mem_per_cpu);
@@ -328,8 +331,7 @@ TEST_P(AvailabilityIndexPropertyTest, IndexMatchesBruteForce) {
       ++bucket_tolerant_inversions;
     }
     last_bucket_key = std::max(last_bucket_key, key);
-    return true;
-  });
+  }
   for (int v : visits) {
     EXPECT_EQ(v, 1);
   }
@@ -345,11 +347,8 @@ TEST(AvailabilityIndexTest, MinRequestSkipsTightMachines) {
   cell.EnableAvailabilityIndex(16);
   cell.Allocate(0, Resources{3.9, 1.0});  // 0.1 cpu left
   cell.Allocate(1, Resources{2.0, 1.0});  // 2 cpus left
-  std::vector<MachineId> seen;
-  cell.VisitByAvailability(Resources{1.0, 0.0}, [&](MachineId id) {
-    seen.push_back(id);
-    return true;
-  });
+  const std::vector<MachineId> seen =
+      AvailabilityWalk(cell, Resources{1.0, 0.0});
   // Machine 0 (0.1 cpu) is below the 1-cpu threshold bucket and not visited.
   for (MachineId id : seen) {
     EXPECT_NE(id, 0u);
@@ -364,12 +363,9 @@ TEST(AvailabilityIndexTest, MemoryBoundMachinesSortTight) {
   CellState cell(3, kMachine);
   cell.EnableAvailabilityIndex(16);
   cell.Allocate(0, Resources{0.5, 15.5});  // 3.5 cpus, 0.5 GB left
-  std::vector<MachineId> seen;
   // Request needing 8 GB: machine 0's bucket (effective ~0.03 cpu) is skipped.
-  cell.VisitByAvailability(Resources{0.5, 8.0}, [&](MachineId id) {
-    seen.push_back(id);
-    return true;
-  });
+  const std::vector<MachineId> seen =
+      AvailabilityWalk(cell, Resources{0.5, 8.0});
   for (MachineId id : seen) {
     EXPECT_NE(id, 0u);
   }

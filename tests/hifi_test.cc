@@ -41,7 +41,8 @@ TEST(HifiTest, TraceCarriesConstraintsAndMapReduceSpecs) {
 }
 
 TEST(HifiTest, RoundTripTraceMatchesFile) {
-  const auto trace = GenerateHifiTrace(TestCluster(), Duration::FromHours(2), 6);
+  const auto trace =
+      GenerateHifiTrace(TestCluster(), Duration::FromHours(2), 6);
   const std::string path = ::testing::TempDir() + "/hifi_roundtrip.trace";
   const auto replayed = RoundTripTrace(trace, path);
   ASSERT_EQ(replayed.size(), trace.size());
@@ -58,7 +59,8 @@ TEST(HifiTest, ReplaySchedulesTrace) {
   int64_t scheduled =
       sim->service_scheduler().metrics().JobsScheduled(JobType::kService);
   for (uint32_t i = 0; i < sim->NumBatchSchedulers(); ++i) {
-    scheduled += sim->batch_scheduler(i).metrics().JobsScheduled(JobType::kBatch);
+    scheduled +=
+        sim->batch_scheduler(i).metrics().JobsScheduled(JobType::kBatch);
   }
   EXPECT_GE(scheduled + sim->TotalJobsAbandoned(), submitted - 10);
   EXPECT_TRUE(sim->cell().CheckInvariants());
@@ -97,7 +99,8 @@ TEST(HifiTest, MultipleBatchSchedulers) {
   sim->RunTrace(std::move(trace));
   EXPECT_EQ(sim->NumBatchSchedulers(), 3u);
   for (uint32_t i = 0; i < 3; ++i) {
-    EXPECT_GT(sim->batch_scheduler(i).metrics().JobsScheduled(JobType::kBatch), 0);
+    EXPECT_GT(
+        sim->batch_scheduler(i).metrics().JobsScheduled(JobType::kBatch), 0);
   }
 }
 
