@@ -6,7 +6,18 @@
 //     identical decision times.
 //  2. Statically partitioned vs shared cell: fragmentation cost (§3.2).
 //  3. Priority preemption on/off for the service scheduler on a packed cell.
+//
+// Usage:
+//   ablation_design_choices                        the three ablation tables
+//   ablation_design_choices --smoke-write <golden> regenerate the CI golden
+//   ablation_design_choices --smoke-check <golden> short run, bit-exact diff
+//
+// The smoke golden pins the Omega paths that kill running tasks: ablation
+// 3's cell with preemption off and on, and an Omega cell with machine
+// failures. The smoke modes are the golden harness in bench_common.h.
+#include <cstdio>
 #include <iostream>
+#include <sstream>
 
 #include "bench/bench_common.h"
 #include "src/hifi/scoring_placer.h"
@@ -105,8 +116,9 @@ void PartitionAblation() {
                "starves while the other idles (sec. 3.2).\n";
 }
 
-void PreemptionAblation() {
-  std::cout << "\n--- ablation 3: service preemption on a packed cell ---\n";
+// Ablation 3's cell: long 8-task batch jobs pack 16 machines, and service
+// jobs arrive too rarely to hold any room of their own.
+ClusterConfig PackedCell() {
   ClusterConfig cfg = TestCluster(16);
   cfg.initial_utilization = 0.05;
   cfg.batch.interarrival_mean_secs = 1.0;
@@ -117,7 +129,12 @@ void PreemptionAblation() {
   cfg.service.interarrival_mean_secs = 300.0;
   cfg.service.cpus_per_task = std::make_shared<ConstantDist>(2.0);
   cfg.service.mem_gb_per_task = std::make_shared<ConstantDist>(2.0);
+  return cfg;
+}
 
+void PreemptionAblation() {
+  std::cout << "\n--- ablation 3: service preemption on a packed cell ---\n";
+  const ClusterConfig cfg = PackedCell();
   SimOptions opts;
   opts.horizon = BenchHorizon(0.25);
   opts.seed = 23;
@@ -145,9 +162,7 @@ void PreemptionAblation() {
                "victims' lost work.\n";
 }
 
-}  // namespace
-
-int main() {
+int FullRun() {
   PrintBenchHeader("Ablations", "design-choice ablations (DESIGN.md sec. 5)",
                    "placement spread vs packing; static partitioning cost; "
                    "priority preemption");
@@ -155,4 +170,70 @@ int main() {
   PartitionAblation();
   PreemptionAblation();
   return 0;
+}
+
+constexpr double kSmokeHorizonDays = 0.05;
+
+// One golden line per Omega run: waits and busyness as hex floats, then
+// scheduled, abandoned, preempted and failure-killed counts and the cell
+// fingerprint.
+std::string SmokeLine(const char* label, OmegaSimulation& sim) {
+  sim.Run();
+  const SimTime end = sim.EndTime();
+  const SchedulerMetrics& bm = sim.batch_scheduler(0).metrics();
+  const SchedulerMetrics& sm = sim.service_scheduler().metrics();
+  char buf[512];
+  std::snprintf(
+      buf, sizeof(buf), "%s %a %a %a %a %lld %lld %lld %lld %lld %016llx",
+      label, bm.MeanWait(JobType::kBatch), sm.MeanWait(JobType::kService),
+      bm.Busyness(end).median, sm.Busyness(end).median,
+      static_cast<long long>(bm.JobsScheduled(JobType::kBatch)),
+      static_cast<long long>(sm.JobsScheduled(JobType::kService)),
+      static_cast<long long>(sim.TotalJobsAbandoned()),
+      static_cast<long long>(sim.TasksPreempted()),
+      static_cast<long long>(sim.TasksKilledByFailures()),
+      static_cast<unsigned long long>(CellFingerprint(sim.cell())));
+  return buf;
+}
+
+std::vector<std::string> RunSmoke() {
+  std::vector<std::string> lines;
+  SimOptions opts;
+  opts.horizon = Duration::FromDays(kSmokeHorizonDays);
+  opts.seed = 23;
+  opts.track_running_tasks = true;
+  SchedulerConfig batch;
+  batch.max_attempts = 20;
+  for (bool preempt : {false, true}) {
+    SchedulerConfig service = batch;
+    service.enable_preemption = preempt;
+    OmegaSimulation sim(PackedCell(), opts, batch, service);
+    lines.push_back(SmokeLine(preempt ? "preempt-on" : "preempt-off", sim));
+  }
+  // Failures kill tasks of every kind: initial fill, batch and service.
+  opts.seed = 24;
+  opts.machine_failure_rate_per_day = 5.0;
+  opts.machine_repair_time = Duration::FromMinutes(5);
+  SchedulerConfig sched;
+  OmegaSimulation sim(TestCluster(64), opts, sched, sched);
+  lines.push_back(SmokeLine("failures", sim));
+  return lines;
+}
+
+SmokeGolden Golden() {
+  std::ostringstream header;
+  header << "# ablation_design_choices smoke golden: Omega preemption and "
+            "machine failures, horizon_days="
+         << kSmokeHorizonDays << " seeds 23 (preempt-*) and 24 (failures)\n"
+         << "# fields: label batch_wait service_wait batch_busy service_busy "
+            "(hex floats) batch_scheduled service_scheduled abandoned "
+            "preempted killed_by_failures "
+            "fnv1a(allocated,seqnum of every machine)\n";
+  return SmokeGolden{"ablation_design_choices", header.str(), RunSmoke};
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return SmokeGoldenMain(argc, argv, Golden(), FullRun);
 }
