@@ -38,7 +38,8 @@ int64_t TotalConflicts(OmegaSimulation& sim) {
 }
 
 void PlacementAblation() {
-  std::cout << "\n--- ablation 1: randomized first fit vs scoring best-fit ---\n";
+  std::cout
+      << "\n--- ablation 1: randomized first fit vs scoring best-fit ---\n";
   ClusterConfig cfg = TestCluster(128);
   cfg.batch.interarrival_mean_secs = 0.5;
   cfg.service.interarrival_mean_secs = 20.0;
@@ -96,7 +97,8 @@ void PartitionAblation() {
     sim.Run();
     table.AddRow(
         {"partitioned 25/75",
-         std::to_string(sim.batch_scheduler().metrics().JobsScheduled(JobType::kBatch)),
+         std::to_string(
+             sim.batch_scheduler().metrics().JobsScheduled(JobType::kBatch)),
          FormatValue(sim.batch_scheduler().metrics().MeanWait(JobType::kBatch)),
          FormatValue(sim.PartitionCpuUtilization(sim.batch_range())),
          FormatValue(sim.PartitionCpuUtilization(sim.service_range()))});
@@ -106,7 +108,8 @@ void PartitionAblation() {
     sim.Run();
     table.AddRow(
         {"shared (monolithic)",
-         std::to_string(sim.scheduler().metrics().JobsScheduled(JobType::kBatch)),
+         std::to_string(
+             sim.scheduler().metrics().JobsScheduled(JobType::kBatch)),
          FormatValue(sim.scheduler().metrics().MeanWait(JobType::kBatch)),
          FormatValue(sim.cell().CpuUtilization()),
          FormatValue(sim.cell().CpuUtilization())});
@@ -138,7 +141,6 @@ void PreemptionAblation() {
   SimOptions opts;
   opts.horizon = BenchHorizon(0.25);
   opts.seed = 23;
-  opts.track_running_tasks = true;
 
   SchedulerConfig batch;
   batch.max_attempts = 20;
@@ -151,8 +153,8 @@ void PreemptionAblation() {
     sim.Run();
     table.AddRow(
         {preempt ? "on" : "off",
-         std::to_string(
-             sim.service_scheduler().metrics().JobsScheduled(JobType::kService)),
+         std::to_string(sim.service_scheduler().metrics().JobsScheduled(
+             JobType::kService)),
          std::to_string(sim.service_scheduler().metrics().JobsAbandonedTotal()),
          std::to_string(sim.TasksPreempted())});
   }
@@ -201,7 +203,6 @@ std::vector<std::string> RunSmoke() {
   SimOptions opts;
   opts.horizon = Duration::FromDays(kSmokeHorizonDays);
   opts.seed = 23;
-  opts.track_running_tasks = true;
   SchedulerConfig batch;
   batch.max_attempts = 20;
   for (bool preempt : {false, true}) {

@@ -85,9 +85,10 @@ int FullRun() {
                       "service wait [s]", "batch busy", "service busy",
                       "abandoned jobs"});
   for (const Row& r : rows) {
-    table.AddRow({r.p.cluster, FormatValue(r.p.t_job), FormatValue(r.batch_wait),
-                  FormatValue(r.service_wait), FormatValue(r.batch_busy),
-                  FormatValue(r.service_busy), std::to_string(r.abandoned)});
+    table.AddRow({r.p.cluster, FormatValue(r.p.t_job),
+                  FormatValue(r.batch_wait), FormatValue(r.service_wait),
+                  FormatValue(r.batch_busy), FormatValue(r.service_busy),
+                  std::to_string(r.abandoned)});
   }
   table.Print(std::cout);
   RunningStats batch_busy;
@@ -149,7 +150,6 @@ std::string RunSmokeCase(const SmokeCase& c, uint64_t seed) {
   opts.horizon = Duration::FromDays(kSmokeHorizonDays);
   opts.seed = seed;
   if (c.failures) {
-    opts.track_running_tasks = true;
     opts.machine_failure_rate_per_day = 2.0;
     opts.machine_repair_time = Duration::FromMinutes(5);
   }

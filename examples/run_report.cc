@@ -3,7 +3,8 @@
 // line. Optionally records the full scheduling-lifecycle trace and writes
 // both export formats next to the reports.
 //
-//   ./build/examples/run_report [monolithic|mesos|omega|hifi|all] [--trace-dir DIR]
+//   ./build/examples/run_report [monolithic|mesos|omega|hifi|all]
+//                               [--trace-dir DIR]
 //
 // With --trace-dir, each architecture's run additionally writes
 // DIR/<arch>.trace.json (Chrome trace-event format; open in Perfetto or
@@ -90,7 +91,6 @@ void RunArch(const std::string& arch, const std::string& trace_dir) {
   } else if (arch == "omega") {
     // Enable preemption so the report shows eviction-won placements accounted
     // separately from the optimistic-commit counters.
-    s.options.track_running_tasks = true;
     s.batch.enable_preemption = true;
     s.service.enable_preemption = true;
     OmegaSimulation sim(s.cluster, s.options, s.batch, s.service,
@@ -105,7 +105,8 @@ void RunArch(const std::string& arch, const std::string& trace_dir) {
     if (trace) {
       sim->SetTraceRecorder(trace.get());
     }
-    sim->RunTrace(GenerateHifiTrace(s.cluster, s.options.horizon, s.options.seed));
+    sim->RunTrace(
+        GenerateHifiTrace(s.cluster, s.options.horizon, s.options.seed));
     EmitReport(BuildRunReport(arch, *sim));
   } else {
     std::cerr << "unknown architecture: " << arch << "\n";

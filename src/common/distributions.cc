@@ -164,12 +164,6 @@ void ConstantDist::AppendRestricted(int k, double a, double b, double scale,
   law->AddAtom(scale * PartialMoment(k, a, b), value_);
 }
 
-UniformDist::UniformDist(double lo, double hi) : lo_(lo), hi_(hi) {
-  OMEGA_CHECK(lo <= hi) << "uniform [" << lo << ", " << hi << ")";
-}
-
-double UniformDist::Sample(Rng& rng) const { return rng.NextRange(lo_, hi_); }
-
 ExponentialDist::ExponentialDist(double mean) : mean_(mean) {
   OMEGA_CHECK(mean > 0.0) << "exponential mean " << mean;
 }
@@ -194,7 +188,9 @@ double LogNormalDist::Sample(Rng& rng) const {
   return std::exp(mu_ + sigma_ * z);
 }
 
-double LogNormalDist::Mean() const { return std::exp(mu_ + 0.5 * sigma_ * sigma_); }
+double LogNormalDist::Mean() const {
+  return std::exp(mu_ + 0.5 * sigma_ * sigma_);
+}
 
 double LogNormalDist::PartialMoment(int k, double a, double b) const {
   CheckMomentOrder(k);
@@ -247,50 +243,8 @@ double BoundedParetoDist::Mean() const {
   const double la = std::pow(lo_, alpha_);
   const double ha = std::pow(hi_, alpha_);
   return la / (1.0 - la / ha) * (alpha_ / (alpha_ - 1.0)) *
-         (1.0 / std::pow(lo_, alpha_ - 1.0) - 1.0 / std::pow(hi_, alpha_ - 1.0));
-}
-
-EmpiricalDist::EmpiricalDist(std::vector<Point> points) : points_(std::move(points)) {
-  OMEGA_CHECK(!points_.empty()) << "empirical distribution without points";
-  OMEGA_CHECK(std::is_sorted(points_.begin(), points_.end(),
-                             [](const Point& a, const Point& b) {
-                               return a.cumulative < b.cumulative;
-                             }))
-      << "empirical points not sorted by cumulative probability";
-  OMEGA_CHECK(points_.back().cumulative >= 1.0 - 1e-9)
-      << "empirical CDF ends at " << points_.back().cumulative;
-}
-
-double EmpiricalDist::Sample(Rng& rng) const {
-  const double u = rng.NextDouble();
-  auto it = std::lower_bound(
-      points_.begin(), points_.end(), u,
-      [](const Point& p, double value) { return p.cumulative < value; });
-  if (it == points_.begin()) {
-    return points_.front().value;
-  }
-  if (it == points_.end()) {
-    return points_.back().value;
-  }
-  const Point& hi = *it;
-  const Point& lo = *(it - 1);
-  const double span = hi.cumulative - lo.cumulative;
-  if (span <= 0.0) {
-    return hi.value;
-  }
-  const double frac = (u - lo.cumulative) / span;
-  return lo.value + frac * (hi.value - lo.value);
-}
-
-double EmpiricalDist::Mean() const {
-  // Mean of the piecewise-linear CDF: each segment contributes the midpoint
-  // value weighted by its probability mass.
-  double mean = points_.front().value * points_.front().cumulative;
-  for (size_t i = 1; i < points_.size(); ++i) {
-    const double mass = points_[i].cumulative - points_[i - 1].cumulative;
-    mean += 0.5 * (points_[i].value + points_[i - 1].value) * mass;
-  }
-  return mean;
+         (1.0 / std::pow(lo_, alpha_ - 1.0) -
+          1.0 / std::pow(hi_, alpha_ - 1.0));
 }
 
 MixtureDist::MixtureDist(std::vector<Component> components)

@@ -4,8 +4,7 @@
 // parameter distributions fitted to production traces (Table 2, "sampled").
 // These classes provide the distribution families used for that synthesis:
 // exponential inter-arrival times, log-normal durations and resource sizes,
-// bounded-Pareto task counts, and piecewise empirical distributions for cases
-// where a parametric family does not fit.
+// bounded-Pareto task counts, and clamps and mixtures of these.
 //
 // The duration families (constant, log-normal, clamped, mixture) also have a
 // closed-form length-biased law, which the initial cell fill draws standing
@@ -108,18 +107,6 @@ class ConstantDist final : public Distribution {
   double value_;
 };
 
-// Uniform on [lo, hi).
-class UniformDist final : public Distribution {
- public:
-  UniformDist(double lo, double hi);
-  double Sample(Rng& rng) const override;
-  double Mean() const override { return 0.5 * (lo_ + hi_); }
-
- private:
-  double lo_;
-  double hi_;
-};
-
 // Exponential with the given mean (= 1/rate). Used for inter-arrival times.
 class ExponentialDist final : public Distribution {
  public:
@@ -169,26 +156,6 @@ class BoundedParetoDist final : public Distribution {
   double lo_;
   double hi_;
   double alpha_;
-};
-
-// Piecewise-linear empirical distribution built from (value, cumulative
-// probability) points. Sampling inverts the CDF with linear interpolation.
-class EmpiricalDist final : public Distribution {
- public:
-  struct Point {
-    double value = 0.0;
-    double cumulative = 0.0;  // in [0, 1], non-decreasing across points
-  };
-
-  // `points` must be non-empty, sorted by cumulative probability, and end with
-  // cumulative == 1.0.
-  explicit EmpiricalDist(std::vector<Point> points);
-
-  double Sample(Rng& rng) const override;
-  double Mean() const override;
-
- private:
-  std::vector<Point> points_;
 };
 
 // Weighted mixture of component distributions. Used e.g. for service-job

@@ -66,7 +66,9 @@ double Percentile(std::vector<double> values, double q) {
   return values[lo] + frac * (values[hi] - values[lo]);
 }
 
-double Median(std::vector<double> values) { return Percentile(std::move(values), 0.5); }
+double Median(std::vector<double> values) {
+  return Percentile(std::move(values), 0.5);
+}
 
 double MedianAbsoluteDeviation(std::vector<double> values) {
   if (values.empty()) {
@@ -136,7 +138,9 @@ double Cdf::FractionAtOrBelow(double x) const {
   EnsureSorted();
   auto it = std::upper_bound(
       runs_.begin(), runs_.end(), x,
-      [](double v, const std::pair<double, int64_t>& run) { return v < run.first; });
+      [](double v, const std::pair<double, int64_t>& run) {
+        return v < run.first;
+      });
   if (it == runs_.begin()) {
     return 0.0;
   }
@@ -221,22 +225,5 @@ std::string Cdf::ToTable(const std::string& value_label, int num_points,
   }
   return os.str();
 }
-
-Histogram::Histogram(double lo, double hi, size_t bins)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(bins)), counts_(bins, 0) {
-  assert(hi > lo);
-  assert(bins > 0);
-}
-
-void Histogram::Add(double x) {
-  auto idx = static_cast<int64_t>((x - lo_) / width_);
-  idx = std::clamp<int64_t>(idx, 0, static_cast<int64_t>(counts_.size()) - 1);
-  ++counts_[static_cast<size_t>(idx)];
-  ++total_;
-}
-
-double Histogram::BucketLow(size_t i) const { return lo_ + width_ * static_cast<double>(i); }
-
-double Histogram::BucketHigh(size_t i) const { return BucketLow(i) + width_; }
 
 }  // namespace omega

@@ -94,26 +94,5 @@ class Cdf {
   int64_t total_ = 0;
 };
 
-// Fixed-width histogram over [lo, hi) with `bins` buckets; out-of-range
-// samples are clamped into the first/last bucket.
-class Histogram {
- public:
-  Histogram(double lo, double hi, size_t bins);
-
-  void Add(double x);
-  int64_t TotalCount() const { return total_; }
-  int64_t BucketCount(size_t i) const { return counts_.at(i); }
-  size_t NumBuckets() const { return counts_.size(); }
-  double BucketLow(size_t i) const;
-  double BucketHigh(size_t i) const;
-
- private:
-  double lo_;
-  double hi_;
-  double width_;
-  std::vector<int64_t> counts_;
-  int64_t total_ = 0;
-};
-
 }  // namespace omega
 

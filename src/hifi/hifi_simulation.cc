@@ -1,8 +1,5 @@
 #include "src/hifi/hifi_simulation.h"
 
-#include "src/common/logging.h"
-#include "src/workload/trace.h"
-
 namespace omega {
 
 std::unique_ptr<OmegaSimulation> MakeHifiSimulation(
@@ -30,8 +27,9 @@ std::unique_ptr<OmegaSimulation> MakeHifiSimulation(
   return sim;
 }
 
-std::vector<Job> GenerateHifiTrace(const ClusterConfig& cluster, Duration horizon,
-                                   uint64_t seed, const HifiOptions& hifi,
+std::vector<Job> GenerateHifiTrace(const ClusterConfig& cluster,
+                                   Duration horizon, uint64_t seed,
+                                   const HifiOptions& hifi,
                                    double batch_rate_multiplier,
                                    double service_rate_multiplier) {
   GeneratorOptions gen;
@@ -43,15 +41,6 @@ std::vector<Job> GenerateHifiTrace(const ClusterConfig& cluster, Duration horizo
   gen.service_rate_multiplier = service_rate_multiplier;
   WorkloadGenerator generator(cluster, gen, seed);
   return generator.GenerateArrivals(horizon);
-}
-
-std::vector<Job> RoundTripTrace(const std::vector<Job>& jobs,
-                                const std::string& path) {
-  OMEGA_CHECK(WriteTraceFile(jobs, path)) << "cannot write trace: " << path;
-  std::vector<Job> replayed;
-  std::string error;
-  OMEGA_CHECK(ReadTraceFile(path, &replayed, &error)) << error;
-  return replayed;
 }
 
 }  // namespace omega

@@ -1,8 +1,9 @@
 // High-fidelity trace-driven simulation of the Omega architecture (§5).
 //
 // Differences from the lightweight simulator (Table 2):
-//  - driven by a workload *trace* (materialized to a file and replayed via the
-//    trace reader) rather than by on-the-fly synthesis;
+//  - driven by a workload *trace* (a job list that GenerateHifiTrace
+//    materializes up front and RunTrace replays) rather than by on-the-fly
+//    synthesis;
 //  - placement constraints are obeyed; machines carry attributes;
 //  - the placement algorithm is the constraint-aware scoring placer;
 //  - machine fullness uses the stricter headroom policy, producing more
@@ -12,7 +13,6 @@
 #pragma once
 
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "src/hifi/scoring_placer.h"
@@ -44,16 +44,11 @@ std::unique_ptr<OmegaSimulation> MakeHifiSimulation(
 // Materializes a synthetic trace for `cluster` over `horizon` (with placement
 // constraints and MapReduce specs attached) — the stand-in for a production
 // workload trace. Deterministic given `seed`.
-std::vector<Job> GenerateHifiTrace(const ClusterConfig& cluster, Duration horizon,
-                                   uint64_t seed, const HifiOptions& hifi = {},
+std::vector<Job> GenerateHifiTrace(const ClusterConfig& cluster,
+                                   Duration horizon, uint64_t seed,
+                                   const HifiOptions& hifi = {},
                                    double batch_rate_multiplier = 1.0,
                                    double service_rate_multiplier = 1.0);
-
-// Round-trips a trace through the on-disk format (write + re-read), returning
-// the re-read jobs; exercises the same I/O path a real trace would use.
-// CHECK-fails on I/O errors.
-std::vector<Job> RoundTripTrace(const std::vector<Job>& jobs,
-                                const std::string& path);
 
 }  // namespace omega
 

@@ -94,8 +94,7 @@ uint32_t ScoringPlacer::PlaceTasks(const CellState& cell, const Job& job,
       // Spreading term: reward failure domains this job does not occupy yet.
       const double spread =
           domains_used.Contains(cell.FailureDomain(m)) ? 0.0 : 1.0;
-      const double score =
-          options_.best_fit_weight * fit + options_.spreading_weight * spread;
+      const double score = kBestFitWeight * fit + kSpreadingWeight * spread;
       if (score > best_score) {
         best_score = score;
         best = m;

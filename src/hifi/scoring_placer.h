@@ -21,11 +21,6 @@ struct ScoringPlacerOptions {
   // bounded on large cells): it stops after candidate_sample / 8 feasible
   // machines, or after 4 * candidate_sample visits once one is feasible.
   uint32_t candidate_sample = 64;
-  // Weight of the best-fit packing term (prefer fuller machines).
-  double best_fit_weight = 1.0;
-  // Weight of the failure-domain spreading term (prefer domains the job does
-  // not use yet, to resist coordinated failures).
-  double spreading_weight = 0.25;
 };
 
 // Requires the cell's availability index (CellState::EnableAvailabilityIndex);
@@ -41,6 +36,12 @@ struct ScoringPlacerOptions {
 // (tests/reference_scoring_placer.h).
 class ScoringPlacer final : public TaskPlacer {
  public:
+  // Weight of the best-fit packing term (prefer fuller machines).
+  static constexpr double kBestFitWeight = 1.0;
+  // Weight of the failure-domain spreading term (prefer domains the job does
+  // not use yet, to resist coordinated failures).
+  static constexpr double kSpreadingWeight = 0.25;
+
   explicit ScoringPlacer(ScoringPlacerOptions options = {});
 
   uint32_t PlaceTasks(const CellState& cell, const Job& job, uint32_t count,

@@ -115,7 +115,8 @@ void MesosFramework::FinishAttempt(const JobPtr& job,
   for (const TaskClaim& c : claims) {
     used += c.resources;
   }
-  const bool gang_by_hoarding = config_.commit_mode == CommitMode::kAllOrNothing;
+  const bool gang_by_hoarding =
+      config_.commit_mode == CommitMode::kAllOrNothing;
   const bool completes_job =
       job->TasksRemaining() == static_cast<uint32_t>(result.accepted);
   if (!claims.empty()) {
@@ -218,12 +219,6 @@ bool HasStableCycle(const Resources& available, const Resources& ledger,
 
 }  // namespace
 
-MesosAllocator::MesosAllocator(MesosSimulation& sim, Duration decision_time,
-                               Duration min_round_interval)
-    : sim_(sim),
-      decision_time_(decision_time),
-      min_round_interval_(min_round_interval) {}
-
 void MesosAllocator::RegisterFramework(MesosFramework* framework) {
   const uint32_t num_machines = sim_.cell().NumMachines();
   frameworks_.push_back(framework);
@@ -282,8 +277,8 @@ void MesosAllocator::Trigger() {
   }
   round_scheduled_ = true;
   const SimTime now = sim_.sim().Now();
-  SimTime when = now + decision_time_;
-  const SimTime paced = last_round_ + min_round_interval_;
+  SimTime when = now + kDecisionTime;
+  const SimTime paced = last_round_ + kMinRoundInterval;
   if (paced > when) {
     when = paced;
   }
@@ -371,7 +366,8 @@ void MesosAllocator::OnMachineChanged(MachineId machine) {
   MarkDirty(machine);
 }
 
-void MesosAllocator::OnOfferResourcesUsed(const std::vector<TaskClaim>& claims) {
+void MesosAllocator::OnOfferResourcesUsed(
+    const std::vector<TaskClaim>& claims) {
   for (const TaskClaim& claim : claims) {
     Materialise(claim.machine);
     offered_[claim.machine] -= claim.resources;
@@ -423,9 +419,10 @@ MesosSimulation::MesosSimulation(const ClusterConfig& config,
                                  const SchedulerConfig& batch_config,
                                  const SchedulerConfig& service_config)
     : ClusterSimulation(config, options), allocator_(*this) {
-  batch_ = std::make_unique<MesosFramework>(*this, batch_config, JobType::kBatch);
-  service_ =
-      std::make_unique<MesosFramework>(*this, service_config, JobType::kService);
+  batch_ =
+      std::make_unique<MesosFramework>(*this, batch_config, JobType::kBatch);
+  service_ = std::make_unique<MesosFramework>(*this, service_config,
+                                              JobType::kService);
   allocator_.RegisterFramework(batch_.get());
   allocator_.RegisterFramework(service_.get());
 }

@@ -78,8 +78,8 @@ class MesosFramework {
 
 // The centralized resource allocator. Decision time is modeled as 1 ms (§4.2:
 // "The DRF algorithm ... is quite fast"); successive allocation rounds are
-// additionally paced by `min_round_interval`, matching Mesos's batched
-// allocation cycle (and bounding simulation cost on large cells).
+// additionally paced 100 ms apart, matching Mesos's batched allocation cycle
+// (and bounding simulation cost on large cells).
 //
 // A round's work is proportional to the machines that changed since the
 // last round, not to the cell: a machine whose unused offer would return its
@@ -89,9 +89,7 @@ class MesosFramework {
 // each round.
 class MesosAllocator {
  public:
-  explicit MesosAllocator(MesosSimulation& sim,
-                          Duration decision_time = Duration::FromMillis(1),
-                          Duration min_round_interval = Duration::FromMillis(100));
+  explicit MesosAllocator(MesosSimulation& sim) : sim_(sim) {}
 
   void RegisterFramework(MesosFramework* framework);
 
@@ -100,7 +98,8 @@ class MesosAllocator {
   void Trigger();
 
   // Framework bookkeeping for DRF and offer locking.
-  void OnResourcesAllocated(const MesosFramework* framework, const Resources& r);
+  void OnResourcesAllocated(const MesosFramework* framework,
+                            const Resources& r);
   void OnResourcesFreed(const MesosFramework* framework, const Resources& r);
 
   // Walks `framework`'s outstanding offer in ascending machine order until
@@ -156,9 +155,10 @@ class MesosAllocator {
     dirty_.Insert(machine);
   }
 
+  static constexpr Duration kDecisionTime = Duration::FromMillis(1);
+  static constexpr Duration kMinRoundInterval = Duration::FromMillis(100);
+
   MesosSimulation& sim_;
-  Duration decision_time_;
-  Duration min_round_interval_;
   std::vector<MesosFramework*> frameworks_;
   std::vector<Resources> allocated_;  // per framework, for DRF
   std::vector<ResourceOffer> offers_;  // per framework, outstanding

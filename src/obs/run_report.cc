@@ -33,7 +33,7 @@ SchedulerReport SummarizeScheduler(const std::string& name,
   r.preemption_victims = m.PreemptionVictims();
   r.total_attempts = m.TotalAttempts();
   r.mean_attempts_per_job = m.MeanAttemptsPerJob();
-  r.audit_findings = AuditMetrics(name, m, end, policy).findings;
+  r.audit_findings = AuditMetrics(m, end, policy);
   return r;
 }
 
@@ -79,7 +79,8 @@ void AppendSchedulerJson(std::ostream& os, const SchedulerReport& r) {
 
 RunReport BuildRunReport(
     const std::string& architecture, const ClusterSimulation& sim,
-    const std::vector<std::pair<std::string, const SchedulerMetrics*>>& schedulers,
+    const std::vector<std::pair<std::string, const SchedulerMetrics*>>&
+        schedulers,
     const AuditPolicy& policy) {
   RunReport report;
   report.architecture = architecture;
@@ -98,7 +99,8 @@ RunReport BuildRunReport(
   const SimTime end = sim.EndTime();
   report.schedulers.reserve(schedulers.size());
   for (const auto& [name, metrics] : schedulers) {
-    report.schedulers.push_back(SummarizeScheduler(name, *metrics, end, policy));
+    report.schedulers.push_back(
+        SummarizeScheduler(name, *metrics, end, policy));
     if (!report.schedulers.back().audit_findings.empty()) {
       report.audit_compliant = false;
     }

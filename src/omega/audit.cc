@@ -1,7 +1,5 @@
 #include "src/omega/audit.h"
 
-#include <iomanip>
-#include <ostream>
 #include <sstream>
 
 namespace omega {
@@ -32,82 +30,36 @@ double OverallMeanWait(const SchedulerMetrics& m) {
 
 }  // namespace
 
-SchedulerAuditEntry AuditMetrics(const std::string& name,
-                                 const SchedulerMetrics& m, SimTime end,
-                                 const AuditPolicy& policy) {
-  SchedulerAuditEntry entry;
-  entry.scheduler = name;
-  entry.jobs_scheduled = TotalScheduled(m);
-  entry.jobs_abandoned = m.JobsAbandonedTotal();
-  entry.tasks_accepted = m.TasksAccepted();
-  entry.tasks_conflicted = m.TasksConflicted();
-  entry.busyness = m.Busyness(end).median;
-  entry.mean_wait_secs = OverallMeanWait(m);
-  entry.conflict_fraction = m.ConflictFraction(end).mean;
-
-  if (entry.mean_wait_secs > policy.wait_slo_secs) {
+std::vector<std::string> AuditMetrics(const SchedulerMetrics& m, SimTime end,
+                                      const AuditPolicy& policy) {
+  std::vector<std::string> findings;
+  const double mean_wait_secs = OverallMeanWait(m);
+  if (mean_wait_secs > policy.wait_slo_secs) {
     std::ostringstream os;
-    os << "wait-time SLO violated: mean " << entry.mean_wait_secs << "s > "
+    os << "wait-time SLO violated: mean " << mean_wait_secs << "s > "
        << policy.wait_slo_secs << "s";
-    entry.findings.push_back(os.str());
+    findings.push_back(os.str());
   }
-  if (entry.conflict_fraction > policy.max_conflict_fraction) {
+  const double conflict_fraction = m.ConflictFraction(end).mean;
+  if (conflict_fraction > policy.max_conflict_fraction) {
     std::ostringstream os;
-    os << "excessive conflict fraction: " << entry.conflict_fraction << " > "
+    os << "excessive conflict fraction: " << conflict_fraction << " > "
        << policy.max_conflict_fraction;
-    entry.findings.push_back(os.str());
+    findings.push_back(os.str());
   }
-  const int64_t total_jobs = entry.jobs_scheduled + entry.jobs_abandoned;
+  const int64_t abandoned = m.JobsAbandonedTotal();
+  const int64_t total_jobs = TotalScheduled(m) + abandoned;
   if (total_jobs > 0) {
     const double abandoned_fraction =
-        static_cast<double>(entry.jobs_abandoned) / static_cast<double>(total_jobs);
+        static_cast<double>(abandoned) / static_cast<double>(total_jobs);
     if (abandoned_fraction > policy.max_abandoned_fraction) {
       std::ostringstream os;
       os << "abandonment above threshold: " << abandoned_fraction * 100.0
          << "% of jobs";
-      entry.findings.push_back(os.str());
+      findings.push_back(os.str());
     }
   }
-  return entry;
-}
-
-SchedulerAuditEntry AuditScheduler(const QueueScheduler& scheduler, SimTime end,
-                                   const AuditPolicy& policy) {
-  return AuditMetrics(scheduler.name(), scheduler.metrics(), end, policy);
-}
-
-AuditReport AuditSchedulers(const std::vector<const QueueScheduler*>& schedulers,
-                            SimTime end, const AuditPolicy& policy) {
-  AuditReport report;
-  report.entries.reserve(schedulers.size());
-  for (const QueueScheduler* s : schedulers) {
-    report.entries.push_back(AuditScheduler(*s, end, policy));
-  }
-  return report;
-}
-
-bool AuditReport::Compliant() const {
-  for (const SchedulerAuditEntry& e : entries) {
-    if (!e.findings.empty()) {
-      return false;
-    }
-  }
-  return true;
-}
-
-void AuditReport::Print(std::ostream& os) const {
-  os << "post-facto policy audit (" << entries.size() << " schedulers): "
-     << (Compliant() ? "COMPLIANT" : "VIOLATIONS FOUND") << "\n";
-  for (const SchedulerAuditEntry& e : entries) {
-    os << "  " << std::left << std::setw(16) << e.scheduler << " scheduled="
-       << e.jobs_scheduled << " abandoned=" << e.jobs_abandoned
-       << " busyness=" << std::setprecision(3) << e.busyness
-       << " conflict_fraction=" << e.conflict_fraction
-       << " mean_wait=" << e.mean_wait_secs << "s\n";
-    for (const std::string& finding : e.findings) {
-      os << "    !! " << finding << "\n";
-    }
-  }
+  return findings;
 }
 
 }  // namespace omega

@@ -4,38 +4,17 @@
 // emergent, supported by per-scheduler configuration limits and by monitoring:
 // "compliance to cluster-wide policies can be audited post facto to eliminate
 // the need for checks in a scheduler's critical code path". This module is
-// that audit: after (or during) a run it summarizes each scheduler's behavior
-// and flags violations of the configured limits and of the shared SLO.
+// that audit: after (or during) a run it flags each scheduler's violations of
+// the configured limits and of the shared SLO.
 #pragma once
 
-#include <iosfwd>
 #include <string>
 #include <vector>
 
-#include "src/scheduler/queue_scheduler.h"
+#include "src/common/sim_time.h"
+#include "src/scheduler/metrics.h"
 
 namespace omega {
-
-struct SchedulerAuditEntry {
-  std::string scheduler;
-  int64_t jobs_scheduled = 0;
-  int64_t jobs_abandoned = 0;
-  int64_t tasks_accepted = 0;
-  int64_t tasks_conflicted = 0;
-  double busyness = 0.0;
-  double mean_wait_secs = 0.0;
-  double conflict_fraction = 0.0;
-  // Violations found (empty = compliant).
-  std::vector<std::string> findings;
-};
-
-struct AuditReport {
-  std::vector<SchedulerAuditEntry> entries;
-
-  bool Compliant() const;
-  // Renders a human-readable report table plus findings.
-  void Print(std::ostream& os) const;
-};
 
 struct AuditPolicy {
   // The shared wait-time SLO (30 s in the paper's evaluation).
@@ -47,20 +26,12 @@ struct AuditPolicy {
   double max_abandoned_fraction = 0.01;
 };
 
-// Audits one named metrics object against the policy at time `end`. Works for
-// any scheduling component that keeps SchedulerMetrics — Omega/monolithic
-// queue schedulers and Mesos frameworks alike.
-SchedulerAuditEntry AuditMetrics(const std::string& name,
-                                 const SchedulerMetrics& metrics, SimTime end,
-                                 const AuditPolicy& policy = {});
-
-// Audits one scheduler against the policy at time `end`.
-SchedulerAuditEntry AuditScheduler(const QueueScheduler& scheduler, SimTime end,
-                                   const AuditPolicy& policy = {});
-
-// Audits a set of schedulers (e.g. all schedulers of an OmegaSimulation).
-AuditReport AuditSchedulers(const std::vector<const QueueScheduler*>& schedulers,
-                            SimTime end, const AuditPolicy& policy = {});
+// Audits one scheduling component's metrics against the policy at time `end`
+// and returns the violations found, empty when it is compliant. Works for any
+// component that keeps SchedulerMetrics: Omega/monolithic queue schedulers
+// and Mesos frameworks alike. RunReport carries the findings per scheduler.
+std::vector<std::string> AuditMetrics(const SchedulerMetrics& metrics,
+                                      SimTime end,
+                                      const AuditPolicy& policy = {});
 
 }  // namespace omega
-

@@ -4,8 +4,9 @@
 
 namespace omega {
 
-OmegaScheduler::OmegaScheduler(ClusterSimulation& harness, SchedulerConfig config,
-                               Rng rng, std::unique_ptr<TaskPlacer> placer)
+OmegaScheduler::OmegaScheduler(ClusterSimulation& harness,
+                               SchedulerConfig config, Rng rng,
+                               std::unique_ptr<TaskPlacer> placer)
     : QueueScheduler(harness, std::move(config)),
       placer_(std::move(placer)),
       rng_(rng) {}
@@ -91,8 +92,13 @@ OmegaSimulation::OmegaSimulation(const ClusterConfig& config,
                                  PlacerFactory placer_factory)
     : ClusterSimulation(config, options, generator_options) {
   OMEGA_CHECK(num_batch_schedulers >= 1);
+  if (batch_config.enable_preemption || service_config.enable_preemption) {
+    TrackRunningTasks();  // victim selection reads the registry
+  }
   if (placer_factory == nullptr) {
-    placer_factory = [] { return std::make_unique<RandomizedFirstFitPlacer>(); };
+    placer_factory = [] {
+      return std::make_unique<RandomizedFirstFitPlacer>();
+    };
   }
   for (uint32_t i = 0; i < num_batch_schedulers; ++i) {
     SchedulerConfig cfg = batch_config;
@@ -138,7 +144,8 @@ double OmegaSimulation::MeanBatchWait() const {
   for (const auto& s : batch_schedulers_) {
     const int64_t n = s->metrics().JobsWaited(JobType::kBatch);
     if (n > 0) {  // MeanWait is NaN when no jobs waited; NaN * 0 poisons
-      weighted += s->metrics().MeanWait(JobType::kBatch) * static_cast<double>(n);
+      weighted +=
+          s->metrics().MeanWait(JobType::kBatch) * static_cast<double>(n);
       jobs += n;
     }
   }

@@ -24,7 +24,8 @@ ClusterSimulation::ClusterSimulation(const ClusterConfig& config,
                    return g;
                  }(),
                  options.seed),
-      rng_(options.seed ^ 0xabcdef1234567890ULL) {
+      rng_(options.seed ^ 0xabcdef1234567890ULL),
+      track_running_tasks_(options.machine_failure_rate_per_day > 0.0) {
   if (generator_options.generate_constraints) {
     MachineAttributeAssignment assignment;
     assignment.num_attribute_keys = generator_options.num_attribute_keys;
@@ -54,7 +55,7 @@ void ClusterSimulation::PlaceInitialFill() {
   // (EXPERIMENTS.md, "Sized initial fill").
   const size_t expected = size_t{8} * cell_.NumMachines();
   sim_->Reserve(sim_->PendingEvents() + expected);
-  if (!options_.track_running_tasks) {
+  if (!track_running_tasks_) {
     fill_resources_.reserve(fill_resources_.size() + expected);
   }
   for (MachineId m = 0; m < cell_.NumMachines(); ++m) {
@@ -72,7 +73,7 @@ void ClusterSimulation::PlaceInitialFill() {
       }
       cell_.Allocate(m, task.resources);
       const SimTime end = SimTime::Zero() + task.remaining;
-      if (options_.track_running_tasks) {
+      if (track_running_tasks_) {
         const TaskClaim claim{m, task.resources, 0};
         const uint64_t task_id =
             registry_.Add(m, task.resources, task.precedence);
@@ -156,13 +157,33 @@ void ClusterSimulation::Run() {
   sim_->RunUntil(EndTime());
 }
 
-void ClusterSimulation::PrepareRun() {
+void ClusterSimulation::PrepareRun() { Prepare(nullptr); }
+
+void ClusterSimulation::RunTrace(std::vector<Job> trace) {
+  Prepare(&trace);
+  sim_->RunUntil(EndTime());
+}
+
+void ClusterSimulation::Prepare(std::vector<Job>* trace) {
   PlaceInitialFill();
   OnSimulationStart();
-  ScheduleNextArrival(JobType::kBatch);
-  ScheduleNextArrival(JobType::kService);
+  if (trace == nullptr) {
+    ScheduleNextArrival(JobType::kBatch);
+    ScheduleNextArrival(JobType::kService);
+  } else {
+    for (Job& job : *trace) {
+      auto ptr = std::make_shared<Job>(std::move(job));
+      sim_->ScheduleAt(ptr->submit_time, [this, ptr] { InjectJob(ptr); });
+    }
+  }
   ScheduleUtilizationSample();
   ScheduleNextMachineFailure();
+}
+
+void ClusterSimulation::TrackRunningTasks() {
+  OMEGA_CHECK(sim_->PendingEvents() == 0)
+      << "TrackRunningTasks must be called before anything is scheduled";
+  track_running_tasks_ = true;
 }
 
 void ClusterSimulation::UseSharedSimulator(Simulator* sim) {
@@ -198,8 +219,6 @@ void ClusterSimulation::ScheduleNextMachineFailure() {
   if (options_.machine_failure_rate_per_day <= 0.0) {
     return;
   }
-  OMEGA_CHECK(options_.track_running_tasks)
-      << "machine failures require track_running_tasks";
   // Cluster-wide failures form a Poisson process with rate
   // machines * per-machine-rate.
   const double cluster_rate_per_sec = options_.machine_failure_rate_per_day *
@@ -213,6 +232,8 @@ void ClusterSimulation::ScheduleNextMachineFailure() {
 }
 
 void ClusterSimulation::FailMachine(MachineId machine) {
+  OMEGA_CHECK(track_running_tasks_)
+      << "machine failures need the running-task registry";
   if (downtime_reservation_.empty()) {
     downtime_reservation_.assign(cell_.NumMachines(), Resources::Zero());
     machine_down_.assign(cell_.NumMachines(), 0);
@@ -261,17 +282,6 @@ void ClusterSimulation::FailMachine(MachineId machine) {
   });
 }
 
-void ClusterSimulation::RunTrace(std::vector<Job> trace) {
-  PlaceInitialFill();
-  OnSimulationStart();
-  for (Job& job : trace) {
-    auto ptr = std::make_shared<Job>(std::move(job));
-    sim_->ScheduleAt(ptr->submit_time, [this, ptr] { InjectJob(ptr); });
-  }
-  ScheduleUtilizationSample();
-  sim_->RunUntil(EndTime());
-}
-
 void ClusterSimulation::StartTasks(
     const Job& job, std::span<const TaskClaim> claims,
     std::function<void(const TaskClaim&)> on_task_end) {
@@ -284,7 +294,7 @@ void ClusterSimulation::StartTasks(
       cohorts_.Create(job_id, std::move(on_task_end));
   Cohort& c = cohorts_.Get(cohort);
   c.member_claims.assign(claims.begin(), claims.end());
-  if (options_.track_running_tasks) {
+  if (track_running_tasks_) {
     c.member_tasks.reserve(claims.size());
   }
   for (const TaskClaim& claim : claims) {
@@ -296,7 +306,7 @@ void ClusterSimulation::StartTasks(
       trace_->TaskStart(sim_->Now(), job_id, claim.machine,
                         HarnessTraceTrack());
     }
-    if (options_.track_running_tasks) {
+    if (track_running_tasks_) {
       c.member_tasks.push_back(registry_.Add(claim.machine, claim.resources,
                                              job.precedence, cohort));
     }
@@ -347,8 +357,8 @@ void ClusterSimulation::KillTask(const RunningTask& task) {
 
 MachineId ClusterSimulation::PreemptAndPlace(const Job& job, Rng& rng,
                                              int* victims_evicted) {
-  OMEGA_CHECK(options_.track_running_tasks)
-      << "preemption requires SimOptions::track_running_tasks";
+  OMEGA_CHECK(track_running_tasks_)
+      << "preemption needs the running-task registry";
   const uint32_t num_machines = cell_.NumMachines();
   auto try_machine = [&](MachineId m) -> bool {
     if (!job.constraints.empty() &&

@@ -51,6 +51,7 @@ class ClusterSimulation {
 
   // Replay mode: instead of synthesizing arrivals, submit exactly these jobs
   // at their recorded submission times (high-fidelity trace replay, §5).
+  // Everything else, failure injection included, is set up as in Run().
   void RunTrace(std::vector<Job> trace);
 
   // Routes a newly submitted job to the appropriate scheduler.
@@ -130,7 +131,7 @@ class ClusterSimulation {
   void SetTraceScope(std::string scope) { trace_scope_ = std::move(scope); }
   const std::string& trace_scope() const { return trace_scope_; }
 
-  // --- preemption support (requires SimOptions::track_running_tasks) ---
+  // --- preemption support (needs the running-task registry) ---
 
   // Attempts to place one task of `job` by evicting running tasks of strictly
   // lower precedence. On success the victims are killed (their end events
@@ -167,10 +168,22 @@ class ClusterSimulation {
   virtual void OnMachineChanged(MachineId /*machine*/, bool /*wake*/) {}
 
   // Kills every running task on `machine` and reserves its capacity until
-  // repair. Protected so test harnesses can inject deterministic failures.
+  // repair. Needs the running-task registry. Protected so test harnesses can
+  // inject deterministic failures.
   void FailMachine(MachineId machine);
 
+  // Keeps the running-task registry that FailMachine and PreemptAndPlace
+  // read. It is on from construction when the options inject machine
+  // failures; OmegaSimulation turns it on for a preempting scheduler, and a
+  // test harness that kills tasks by hand calls this itself. Call before
+  // anything is scheduled.
+  void TrackRunningTasks();
+
  private:
+  // The one setup sequence of Run() and RunTrace(): initial fill,
+  // OnSimulationStart, arrivals (the generated streams, or `trace`'s jobs
+  // when it is non-null), utilization sampling, failure stream.
+  void Prepare(std::vector<Job>* trace);
   void PlaceInitialFill();
   void ScheduleNextArrival(JobType type);
   void ScheduleUtilizationSample();
@@ -208,6 +221,10 @@ class ClusterSimulation {
   // events.
   std::vector<Resources> fill_resources_;
 
+  // Whether registry_ records running tasks. Only a run that can kill a
+  // task needs it; the initial fill of a 100,000-machine cell cannot afford
+  // an entry per task otherwise.
+  bool track_running_tasks_;
   TaskRegistry registry_;
   CohortStore cohorts_;
   int64_t tasks_preempted_ = 0;

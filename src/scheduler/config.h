@@ -52,9 +52,10 @@ struct SchedulerConfig {
   std::optional<uint64_t> admission_limit;
 
   // If true, this scheduler may preempt running tasks of strictly lower
-  // precedence when its jobs do not otherwise fit (§3.4). Requires
-  // SimOptions::track_running_tasks. Off by default, like the paper's
-  // high-fidelity simulator.
+  // precedence when its jobs do not otherwise fit (§3.4). Read by Omega
+  // schedulers only; an OmegaSimulation with a preempting scheduler keeps
+  // the running-task registry that victim selection reads. Off by default,
+  // like the paper's high-fidelity simulator.
   bool enable_preemption = false;
 
   const DecisionTimes& TimesFor(JobType type) const {
@@ -80,15 +81,13 @@ struct SimOptions {
   FullnessPolicy fullness = FullnessPolicy::kExact;
   double headroom_fraction = 0.0;
 
-  // Maintain the running-task registry so schedulers with enable_preemption
-  // can select victims. Costs memory and a little time; off by default.
-  bool track_running_tasks = false;
-
   // Machine failure injection. The paper's simulators do not model machine
   // failures ("these only generate a small load on the scheduler"); this
   // lifts that simplification. Expected failures per machine per day; 0
-  // disables. Requires track_running_tasks (failures kill the tasks on the
-  // machine). Failed machines return empty after `machine_repair_time`.
+  // disables. A failure kills the tasks on its machine, so a positive rate
+  // keeps the running-task registry (DESIGN.md §10). Failed machines return
+  // empty after `machine_repair_time`. Generated and replayed runs inject
+  // failures alike.
   double machine_failure_rate_per_day = 0.0;
   Duration machine_repair_time = Duration::FromHours(1);
 };

@@ -6,14 +6,27 @@
 #include "src/common/logging.h"
 
 namespace omega {
+namespace {
 
-SchedulerMetrics::SchedulerMetrics(Duration day_length) : day_length_(day_length) {
-  OMEGA_CHECK(day_length.micros() > 0);
+constexpr int64_t kDayMicros = Duration::FromDays(1).micros();
+
+size_t DayIndex(SimTime t) {
+  return static_cast<size_t>(std::max<int64_t>(0, t.micros()) / kDayMicros);
 }
 
-size_t SchedulerMetrics::DayIndex(SimTime t) const {
-  return static_cast<size_t>(std::max<int64_t>(0, t.micros()) / day_length_.micros());
+// Day buckets up to `end`, the last one possibly partial; at least one.
+size_t NumDays(SimTime end) {
+  return std::max<size_t>(
+      1, static_cast<size_t>((end.micros() + kDayMicros - 1) / kDayMicros));
 }
+
+// Simulated span of `day` up to `end`, in microseconds; at least one.
+int64_t DaySpanMicros(size_t day, SimTime end) {
+  const int64_t day_start = static_cast<int64_t>(day) * kDayMicros;
+  return std::min(kDayMicros, std::max<int64_t>(1, end.micros() - day_start));
+}
+
+}  // namespace
 
 void SchedulerMetrics::EnsureDay(size_t day) {
   if (busy_secs_per_day_.size() <= day) {
@@ -33,7 +46,7 @@ void SchedulerMetrics::AddBusyInterval(SimTime start, SimTime end,
   SimTime cursor = start;
   while (cursor < end) {
     const size_t day = DayIndex(cursor);
-    const SimTime day_end = SimTime(static_cast<int64_t>(day + 1) * day_length_.micros());
+    const SimTime day_end = SimTime(static_cast<int64_t>(day + 1) * kDayMicros);
     const SimTime seg_end = std::min(day_end, end);
     EnsureDay(day);
     const double secs = (seg_end - cursor).ToSeconds();
@@ -77,7 +90,8 @@ void SchedulerMetrics::RecordJobAbandoned(JobType type) {
   }
 }
 
-void SchedulerMetrics::RecordTransaction(int accepted_tasks, int conflicted_tasks) {
+void SchedulerMetrics::RecordTransaction(int accepted_tasks,
+                                         int conflicted_tasks) {
   tasks_accepted_ += accepted_tasks;
   tasks_conflicted_ += conflicted_tasks;
 }
@@ -103,17 +117,13 @@ DailySummary SchedulerMetrics::Summarize(const std::vector<double>& values) {
 }
 
 std::vector<double> SchedulerMetrics::DailyBusyness(SimTime end) const {
-  const size_t days = std::max<size_t>(
-      1, static_cast<size_t>((end.micros() + day_length_.micros() - 1) /
-                             day_length_.micros()));
+  const size_t days = NumDays(end);
   std::vector<double> out;
   for (size_t day = 0; day < days; ++day) {
     const double busy =
         day < busy_secs_per_day_.size() ? busy_secs_per_day_[day] : 0.0;
     // The last day may be partial: normalize by the simulated span within it.
-    const int64_t day_start = static_cast<int64_t>(day) * day_length_.micros();
-    const int64_t span =
-        std::min(day_length_.micros(), std::max<int64_t>(1, end.micros() - day_start));
+    const int64_t span = DaySpanMicros(day, end);
     const double fraction = busy / (static_cast<double>(span) / 1e6);
     if (fraction > 1.0 && !clamp_warned_) {
       // Clamping hides double-counted busy intervals; surface the first one.
@@ -130,14 +140,10 @@ std::vector<double> SchedulerMetrics::DailyBusyness(SimTime end) const {
 }
 
 int64_t SchedulerMetrics::BusynessClampEvents(SimTime end) const {
-  const size_t days = std::max<size_t>(
-      1, static_cast<size_t>((end.micros() + day_length_.micros() - 1) /
-                             day_length_.micros()));
+  const size_t days = NumDays(end);
   int64_t clamps = 0;
   for (size_t day = 0; day < days && day < busy_secs_per_day_.size(); ++day) {
-    const int64_t day_start = static_cast<int64_t>(day) * day_length_.micros();
-    const int64_t span =
-        std::min(day_length_.micros(), std::max<int64_t>(1, end.micros() - day_start));
+    const int64_t span = DaySpanMicros(day, end);
     if (busy_secs_per_day_[day] > static_cast<double>(span) / 1e6) {
       ++clamps;
     }
@@ -146,15 +152,14 @@ int64_t SchedulerMetrics::BusynessClampEvents(SimTime end) const {
 }
 
 std::vector<double> SchedulerMetrics::DailyConflictFraction(SimTime end) const {
-  const size_t full_days = std::max<size_t>(
-      1, static_cast<size_t>((end.micros() + day_length_.micros() - 1) /
-                             day_length_.micros()));
+  const size_t full_days = NumDays(end);
   std::vector<double> out;
   for (size_t day = 0; day < full_days; ++day) {
     const double conflicts =
         day < conflicts_per_day_.size() ? conflicts_per_day_[day] : 0.0;
-    const double scheduled =
-        day < scheduled_jobs_per_day_.size() ? scheduled_jobs_per_day_[day] : 0.0;
+    const double scheduled = day < scheduled_jobs_per_day_.size()
+                                 ? scheduled_jobs_per_day_[day]
+                                 : 0.0;
     out.push_back(scheduled > 0.0 ? conflicts / scheduled : 0.0);
   }
   return out;
@@ -165,9 +170,7 @@ DailySummary SchedulerMetrics::Busyness(SimTime end) const {
 }
 
 DailySummary SchedulerMetrics::BusynessNoConflict(SimTime end) const {
-  const size_t full_days = std::max<size_t>(
-      1, static_cast<size_t>((end.micros() + day_length_.micros() - 1) /
-                             day_length_.micros()));
+  const size_t full_days = NumDays(end);
   std::vector<double> values;
   for (size_t day = 0; day < full_days; ++day) {
     const double busy =
@@ -175,9 +178,7 @@ DailySummary SchedulerMetrics::BusynessNoConflict(SimTime end) const {
     const double retry = day < conflict_retry_busy_secs_per_day_.size()
                              ? conflict_retry_busy_secs_per_day_[day]
                              : 0.0;
-    const int64_t day_start = static_cast<int64_t>(day) * day_length_.micros();
-    const int64_t span =
-        std::min(day_length_.micros(), std::max<int64_t>(1, end.micros() - day_start));
+    const int64_t span = DaySpanMicros(day, end);
     values.push_back(std::min(
         1.0, std::max(0.0, busy - retry) / (static_cast<double>(span) / 1e6)));
   }
@@ -189,7 +190,8 @@ DailySummary SchedulerMetrics::ConflictFraction(SimTime end) const {
 }
 
 double SchedulerMetrics::MeanWait(JobType type) const {
-  const auto& waits = type == JobType::kBatch ? wait_secs_batch_ : wait_secs_service_;
+  const auto& waits =
+      type == JobType::kBatch ? wait_secs_batch_ : wait_secs_service_;
   if (waits.empty()) {
     // No jobs waited: "no data", not a zero-second wait (see stats.h).
     // Aggregators that weight by JobsWaited() must guard the count.
@@ -203,21 +205,25 @@ double SchedulerMetrics::MeanWait(JobType type) const {
 }
 
 double SchedulerMetrics::WaitPercentile(JobType type, double q) const {
-  const auto& waits = type == JobType::kBatch ? wait_secs_batch_ : wait_secs_service_;
+  const auto& waits =
+      type == JobType::kBatch ? wait_secs_batch_ : wait_secs_service_;
   return Percentile(waits, q);
 }
 
 int64_t SchedulerMetrics::JobsWaited(JobType type) const {
-  return type == JobType::kBatch ? static_cast<int64_t>(wait_secs_batch_.size())
-                                 : static_cast<int64_t>(wait_secs_service_.size());
+  return static_cast<int64_t>(type == JobType::kBatch
+                                  ? wait_secs_batch_.size()
+                                  : wait_secs_service_.size());
 }
 
 int64_t SchedulerMetrics::JobsScheduled(JobType type) const {
-  return type == JobType::kBatch ? jobs_scheduled_batch_ : jobs_scheduled_service_;
+  return type == JobType::kBatch ? jobs_scheduled_batch_
+                                 : jobs_scheduled_service_;
 }
 
 int64_t SchedulerMetrics::JobsAbandoned(JobType type) const {
-  return type == JobType::kBatch ? jobs_abandoned_batch_ : jobs_abandoned_service_;
+  return type == JobType::kBatch ? jobs_abandoned_batch_
+                                 : jobs_abandoned_service_;
 }
 
 int64_t SchedulerMetrics::JobsAbandonedTotal() const {

@@ -25,10 +25,9 @@ struct DailySummary {
   double mean = 0.0;
 };
 
+// Busyness and conflict fractions are bucketed by simulated day.
 class SchedulerMetrics {
  public:
-  explicit SchedulerMetrics(Duration day_length = Duration::FromDays(1));
-
   // --- recording ---
 
   // Accounts a busy interval [start, end); split across day buckets.
@@ -79,7 +78,9 @@ class SchedulerMetrics {
   Duration TotalBusy() const { return total_busy_; }
 
   // Preemption accounting (separate from the optimistic-commit counters).
-  int64_t TasksPlacedByPreemption() const { return tasks_placed_by_preemption_; }
+  int64_t TasksPlacedByPreemption() const {
+    return tasks_placed_by_preemption_;
+  }
   int64_t PreemptionVictims() const { return preemption_victims_; }
 
   // Attempts-per-job distribution over successfully scheduled jobs (Fig. 14
@@ -99,11 +100,8 @@ class SchedulerMetrics {
   int64_t BusynessClampEvents(SimTime end) const;
 
  private:
-  size_t DayIndex(SimTime t) const;
   void EnsureDay(size_t day);
   static DailySummary Summarize(const std::vector<double>& values);
-
-  Duration day_length_;
 
   std::vector<double> busy_secs_per_day_;
   std::vector<double> conflict_retry_busy_secs_per_day_;

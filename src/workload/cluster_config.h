@@ -28,8 +28,6 @@ struct WorkloadParams {
   std::shared_ptr<const Distribution> task_duration_secs;
   std::shared_ptr<const Distribution> cpus_per_task;
   std::shared_ptr<const Distribution> mem_gb_per_task;
-
-  double ArrivalRatePerSec() const { return 1.0 / interarrival_mean_secs; }
 };
 
 // One machine shape in a heterogeneous cell.

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "src/omega/omega_scheduler.h"
 #include "src/workload/cluster_config.h"
 
@@ -26,16 +24,28 @@ std::vector<const QueueScheduler*> AllSchedulers(OmegaSimulation& sim) {
   return out;
 }
 
+bool HasFinding(const std::vector<std::string>& findings,
+                const std::string& text) {
+  for (const std::string& f : findings) {
+    if (f.find(text) != std::string::npos) {
+      return true;
+    }
+  }
+  return false;
+}
+
 TEST(AuditTest, HealthySystemIsCompliant) {
   OmegaSimulation sim(TestCluster(), ShortRun(), SchedulerConfig{},
                       SchedulerConfig{}, 2);
   sim.Run();
-  const AuditReport report = AuditSchedulers(AllSchedulers(sim), sim.EndTime());
-  EXPECT_TRUE(report.Compliant());
-  ASSERT_EQ(report.entries.size(), 3u);
-  for (const SchedulerAuditEntry& e : report.entries) {
-    EXPECT_GT(e.jobs_scheduled, 0);
-    EXPECT_TRUE(e.findings.empty());
+  const std::vector<const QueueScheduler*> schedulers = AllSchedulers(sim);
+  ASSERT_EQ(schedulers.size(), 3u);
+  for (const QueueScheduler* s : schedulers) {
+    SCOPED_TRACE(s->name());
+    EXPECT_GT(s->metrics().JobsScheduled(JobType::kBatch) +
+                  s->metrics().JobsScheduled(JobType::kService),
+              0);
+    EXPECT_TRUE(AuditMetrics(s->metrics(), sim.EndTime()).empty());
   }
 }
 
@@ -46,10 +56,10 @@ TEST(AuditTest, SaturatedSchedulerViolatesSlo) {
   slow.batch_times.t_job = Duration::FromSeconds(2.0);  // overload
   OmegaSimulation sim(cfg, ShortRun(2), slow, SchedulerConfig{});
   sim.Run();
-  const SchedulerAuditEntry entry =
-      AuditScheduler(sim.batch_scheduler(0), sim.EndTime());
-  EXPECT_FALSE(entry.findings.empty());
-  EXPECT_NE(entry.findings[0].find("SLO"), std::string::npos);
+  const std::vector<std::string> findings =
+      AuditMetrics(sim.batch_scheduler(0).metrics(), sim.EndTime());
+  ASSERT_FALSE(findings.empty());
+  EXPECT_NE(findings[0].find("SLO"), std::string::npos);
 }
 
 TEST(AuditTest, AbandonmentFlagged) {
@@ -63,26 +73,9 @@ TEST(AuditTest, AbandonmentFlagged) {
   sched.no_progress_backoff = Duration::FromSeconds(1);
   OmegaSimulation sim(cfg, ShortRun(3), sched, SchedulerConfig{});
   sim.Run();
-  const SchedulerAuditEntry entry =
-      AuditScheduler(sim.batch_scheduler(0), sim.EndTime());
-  bool flagged = false;
-  for (const std::string& f : entry.findings) {
-    if (f.find("abandonment") != std::string::npos) {
-      flagged = true;
-    }
-  }
-  EXPECT_TRUE(flagged);
-}
-
-TEST(AuditTest, ReportPrints) {
-  OmegaSimulation sim(TestCluster(), ShortRun(4), SchedulerConfig{},
-                      SchedulerConfig{});
-  sim.Run();
-  const AuditReport report = AuditSchedulers(AllSchedulers(sim), sim.EndTime());
-  std::ostringstream os;
-  report.Print(os);
-  EXPECT_NE(os.str().find("post-facto policy audit"), std::string::npos);
-  EXPECT_NE(os.str().find("COMPLIANT"), std::string::npos);
+  EXPECT_TRUE(HasFinding(
+      AuditMetrics(sim.batch_scheduler(0).metrics(), sim.EndTime()),
+      "abandonment"));
 }
 
 TEST(AuditTest, CustomPolicyThresholds) {
@@ -90,10 +83,13 @@ TEST(AuditTest, CustomPolicyThresholds) {
                       SchedulerConfig{});
   sim.Run();
   AuditPolicy strict;
-  strict.wait_slo_secs = 0.0;  // impossible SLO: everything violates
-  const AuditReport report =
-      AuditSchedulers(AllSchedulers(sim), sim.EndTime(), strict);
-  EXPECT_FALSE(report.Compliant());
+  strict.wait_slo_secs = 0.0;  // impossible SLO: any queueing violates
+  bool violated = false;
+  for (const QueueScheduler* s : AllSchedulers(sim)) {
+    violated |= HasFinding(AuditMetrics(s->metrics(), sim.EndTime(), strict),
+                           "wait-time SLO");
+  }
+  EXPECT_TRUE(violated);
 }
 
 }  // namespace

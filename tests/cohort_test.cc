@@ -23,9 +23,13 @@ namespace {
 // Harness-level cohort lifecycle edge cases.
 // ---------------------------------------------------------------------------
 
+// Kills tasks by hand, so it keeps the running-task registry.
 class HarnessSim final : public ClusterSimulation {
  public:
-  using ClusterSimulation::ClusterSimulation;
+  HarnessSim(const ClusterConfig& config, const SimOptions& options)
+      : ClusterSimulation(config, options) {
+    TrackRunningTasks();
+  }
   using ClusterSimulation::FailMachine;
   void SubmitJob(const JobPtr&) override {}
 };
@@ -33,7 +37,6 @@ class HarnessSim final : public ClusterSimulation {
 SimOptions TrackedOpts() {
   SimOptions o;
   o.horizon = Duration::FromHours(2);
-  o.track_running_tasks = true;
   return o;
 }
 

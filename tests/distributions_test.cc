@@ -55,7 +55,6 @@ INSTANTIATE_TEST_SUITE_P(
     Families, DistributionMeanTest,
     ::testing::Values(
         MeanCase{"constant", std::make_shared<ConstantDist>(3.5), 0.0},
-        MeanCase{"uniform", std::make_shared<UniformDist>(2.0, 10.0), 0.01},
         MeanCase{"exponential", std::make_shared<ExponentialDist>(7.0), 0.02},
         MeanCase{"lognormal_narrow", std::make_shared<LogNormalDist>(5.0, 0.5),
                  0.02},
@@ -111,28 +110,6 @@ TEST(LogNormalDistTest, MedianBelowMean) {
   }
   std::sort(samples.begin(), samples.end());
   EXPECT_LT(samples[samples.size() / 2], 10.0);
-}
-
-TEST(EmpiricalDistTest, SamplesFollowCdfPoints) {
-  EmpiricalDist d({{1.0, 0.25}, {2.0, 0.5}, {10.0, 1.0}});
-  Rng rng(5);
-  int below_2 = 0;
-  const int n = 100000;
-  for (int i = 0; i < n; ++i) {
-    const double x = d.Sample(rng);
-    EXPECT_GE(x, 1.0 - 1e-9);
-    EXPECT_LE(x, 10.0 + 1e-9);
-    if (x <= 2.0) {
-      ++below_2;
-    }
-  }
-  EXPECT_NEAR(static_cast<double>(below_2) / n, 0.5, 0.01);
-}
-
-TEST(EmpiricalDistTest, MeanOfPiecewiseLinear) {
-  // Uniform over [0, 10] expressed as an empirical CDF: mean 5.
-  EmpiricalDist d({{0.0, 0.0}, {10.0, 1.0}});
-  EXPECT_NEAR(d.Mean(), 5.0, 1e-9);
 }
 
 TEST(ClampedDistTest, RespectsBounds) {
@@ -347,18 +324,18 @@ TEST(DistributionDeathTest, MalformedParametersAbort) {
   EXPECT_DEATH(LogNormalDist(-3.0, 1.0), "log-normal mean");
   EXPECT_DEATH(LogNormalDist(1.0, -0.5), "log-normal sigma");
   EXPECT_DEATH(ExponentialDist(0.0), "exponential mean");
-  EXPECT_DEATH(UniformDist(2.0, 1.0), "uniform");
   EXPECT_DEATH(ClampedDist(std::make_shared<ConstantDist>(1.0), 3.0, 2.0),
                "clamp");
   EXPECT_DEATH(BoundedParetoDist(0.0, 10.0, 1.0), "bounded Pareto lo");
   EXPECT_DEATH(MixtureDist({{0.0, std::make_shared<ConstantDist>(1.0)}}),
                "mixture weight");
-  EXPECT_DEATH(EmpiricalDist({{1.0, 0.5}}), "empirical CDF ends");
 }
 
 TEST(DistributionDeathTest, LengthBiasedWithoutClosedFormAborts) {
-  const EmpiricalDist empirical({{1.0, 0.25}, {2.0, 0.5}, {10.0, 1.0}});
-  EXPECT_DEATH(empirical.LengthBiased(kCapSecs), "no closed-form");
+  const ExponentialDist exponential(5.0);
+  EXPECT_DEATH(exponential.LengthBiased(kCapSecs), "no closed-form");
+  const BoundedParetoDist pareto(1.0, 100.0, 1.5);
+  EXPECT_DEATH(pareto.LengthBiased(kCapSecs), "no closed-form");
   // Also inside a clamp or mixture: no silent fallback anywhere.
   const ClampedDist clamped(std::make_shared<ExponentialDist>(5.0), 1.0, 9.0);
   EXPECT_DEATH(clamped.LengthBiased(kCapSecs), "no closed-form");

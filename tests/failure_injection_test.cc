@@ -76,7 +76,6 @@ SimOptions FailureOpts(uint64_t seed, double rate_per_day) {
   SimOptions o;
   o.horizon = Duration::FromHours(6);
   o.seed = seed;
-  o.track_running_tasks = true;
   o.machine_failure_rate_per_day = rate_per_day;
   o.machine_repair_time = Duration::FromMinutes(30);
   return o;
@@ -175,12 +174,17 @@ TEST(FailureInjectionTest, KilledTasksEndEventsFreeNothing) {
   EXPECT_TRUE(sim.cell().CheckInvariants());
 }
 
-TEST(FailureInjectionDeathTest, RequiresRegistry) {
-  SimOptions opts = FailureOpts(6, 1.0);
-  opts.track_running_tasks = false;
-  OmegaSimulation sim(TestCluster(16), opts, SchedulerConfig{},
-                      SchedulerConfig{});
-  EXPECT_DEATH(sim.Run(), "track_running_tasks");
+// A positive failure rate is all it takes to keep the registry whose tasks
+// a failure kills; at rate 0 the run keeps none.
+TEST(FailureInjectionTest, FailureRateKeepsRegistry) {
+  OmegaSimulation failing(TestCluster(16), FailureOpts(6, 1.0),
+                          SchedulerConfig{}, SchedulerConfig{});
+  failing.PrepareRun();
+  EXPECT_GT(failing.task_registry().NumRunning(), 0u);
+  OmegaSimulation plain(TestCluster(16), FailureOpts(6, 0.0),
+                        SchedulerConfig{}, SchedulerConfig{});
+  plain.PrepareRun();
+  EXPECT_EQ(plain.task_registry().NumRunning(), 0u);
 }
 
 }  // namespace

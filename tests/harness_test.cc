@@ -16,6 +16,7 @@ class RecordingSimulation : public ClusterSimulation {
   RecordingSimulation(const ClusterConfig& config, const SimOptions& options)
       : ClusterSimulation(config, options) {}
 
+  using ClusterSimulation::TrackRunningTasks;
   void SubmitJob(const JobPtr& job) override { submitted.push_back(job); }
 
   std::vector<JobPtr> submitted;
@@ -110,12 +111,23 @@ TEST(HarnessTest, UtilizationSamplingInterval) {
 }
 
 TEST(HarnessTest, RegistryTracksRunningTasks) {
-  SimOptions opts = Opts(0.001, 7);
-  opts.track_running_tasks = true;
-  RecordingSimulation sim(TestCluster(64), opts);
+  RecordingSimulation sim(TestCluster(64), Opts(0.001, 7));
+  sim.TrackRunningTasks();
   sim.Run();
   // Every initial-fill task is registered until it ends.
   EXPECT_GT(sim.task_registry().NumRunning(), 0u);
+  // A run that can kill no task keeps no registry.
+  RecordingSimulation untracked(TestCluster(64), Opts(0.001, 7));
+  untracked.Run();
+  EXPECT_EQ(untracked.task_registry().NumRunning(), 0u);
+}
+
+// The registry can only be turned on before anything is scheduled: tasks
+// started earlier would be missing from it.
+TEST(HarnessDeathTest, TrackRunningTasksAfterSetupDies) {
+  RecordingSimulation sim(TestCluster(8), Opts(1, 7));
+  sim.PrepareRun();
+  EXPECT_DEATH(sim.TrackRunningTasks(), "before anything is scheduled");
 }
 
 // A simulation either keeps its own queue or runs on a shared one; a null
@@ -143,7 +155,6 @@ TEST(HarnessTest, RunToHorizonLeavesNoPendingEvents) {
   for (const bool track : {false, true}) {
     SCOPED_TRACE(track ? "registry on" : "registry off");
     SimOptions opts = Opts(1, 9);
-    opts.track_running_tasks = track;
     opts.utilization_sample_interval = Duration::FromMinutes(7);
     if (track) {
       opts.machine_failure_rate_per_day = 2.0;

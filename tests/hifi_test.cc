@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "src/workload/cluster_config.h"
-#include "src/workload/trace.h"
 
 namespace omega {
 namespace {
@@ -40,15 +39,6 @@ TEST(HifiTest, TraceCarriesConstraintsAndMapReduceSpecs) {
   EXPECT_GT(mapreduce, 0);
 }
 
-TEST(HifiTest, RoundTripTraceMatchesFile) {
-  const auto trace =
-      GenerateHifiTrace(TestCluster(), Duration::FromHours(2), 6);
-  const std::string path = ::testing::TempDir() + "/hifi_roundtrip.trace";
-  const auto replayed = RoundTripTrace(trace, path);
-  ASSERT_EQ(replayed.size(), trace.size());
-  std::remove(path.c_str());
-}
-
 TEST(HifiTest, ReplaySchedulesTrace) {
   auto sim = MakeHifiSimulation(TestCluster(), ShortRun(), SchedulerConfig{},
                                 SchedulerConfig{});
@@ -63,6 +53,21 @@ TEST(HifiTest, ReplaySchedulesTrace) {
         sim->batch_scheduler(i).metrics().JobsScheduled(JobType::kBatch);
   }
   EXPECT_GE(scheduled + sim->TotalJobsAbandoned(), submitted - 10);
+  EXPECT_TRUE(sim->cell().CheckInvariants());
+}
+
+// Replay sets up exactly as a generated run does, failure stream included:
+// the high-fidelity simulator is trace-driven (Table 2), and failure
+// injection must not depend on where the jobs come from.
+TEST(HifiTest, ReplayFailsMachines) {
+  SimOptions opts = ShortRun(9);
+  opts.machine_failure_rate_per_day = 5.0;
+  opts.machine_repair_time = Duration::FromMinutes(10);
+  auto sim = MakeHifiSimulation(TestCluster(64), opts, SchedulerConfig{},
+                                SchedulerConfig{});
+  sim->RunTrace(GenerateHifiTrace(TestCluster(64), opts.horizon, 9));
+  EXPECT_GT(sim->MachineFailures(), 0);
+  EXPECT_GT(sim->TasksKilledByFailures(), 0);
   EXPECT_TRUE(sim->cell().CheckInvariants());
 }
 

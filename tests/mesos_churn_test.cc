@@ -32,7 +32,6 @@ SimOptions ChurnOptions(uint64_t seed) {
   o.seed = seed;
   o.batch_rate_multiplier = 0.0;  // no generator arrivals
   o.service_rate_multiplier = 0.0;
-  o.track_running_tasks = true;
   o.machine_failure_rate_per_day = 100.0;
   o.machine_repair_time = Duration::FromSeconds(300);
   return o;
@@ -59,7 +58,8 @@ TEST(MesosChurnTest, KilledTasksDrainAllocatorAccounts) {
   // failure every ~minute, many tasks die mid-flight. All work — completed
   // or killed — is long over by the 2 h horizon.
   for (uint32_t i = 0; i < 30; ++i) {
-    const SimTime when = SimTime::Zero() + Duration::FromSeconds(30.0 * (i + 1));
+    const SimTime when =
+        SimTime::Zero() + Duration::FromSeconds(30.0 * (i + 1));
     JobPtr job = MakeBatchJob(/*id=*/1000 + i, when, /*tasks=*/8);
     sim.sim().ScheduleAt(when, [&sim, job] { sim.InjectJob(job); });
   }
@@ -87,7 +87,6 @@ TEST(MesosChurnTest, SustainedChurnKeepsSharesBounded) {
   SimOptions o;
   o.horizon = Duration::FromHours(4);
   o.seed = 12;
-  o.track_running_tasks = true;
   o.machine_failure_rate_per_day = 50.0;
   o.machine_repair_time = Duration::FromSeconds(600);
   MesosSimulation sim(cfg, o, SchedulerConfig{}, SchedulerConfig{});
@@ -111,7 +110,6 @@ TEST(MesosChurnTest, GangHoardingSurvivesChurn) {
   SimOptions o;
   o.horizon = Duration::FromHours(2);
   o.seed = 13;
-  o.track_running_tasks = true;
   o.machine_failure_rate_per_day = 50.0;
   o.machine_repair_time = Duration::FromSeconds(600);
   SchedulerConfig gang_batch;

@@ -161,7 +161,6 @@ DiffResult RunDiff(const FuzzCase& c, uint64_t seed) {
   opts.horizon = Duration::FromSeconds(c.horizon_hours * 3600.0);
   opts.seed = seed;
   if (c.failures) {
-    opts.track_running_tasks = true;
     opts.machine_failure_rate_per_day = 12.0;
     opts.machine_repair_time = Duration::FromMinutes(4);
   }

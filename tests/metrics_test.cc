@@ -13,7 +13,8 @@ const SimTime kDay7 = SimTime::Zero() + Duration::FromDays(7);
 TEST(MetricsTest, BusynessSingleDay) {
   SchedulerMetrics m;
   // Busy 6 hours of a 24-hour day.
-  m.AddBusyInterval(SimTime::FromSeconds(0), SimTime::Zero() + Duration::FromHours(6));
+  m.AddBusyInterval(SimTime::FromSeconds(0),
+                    SimTime::Zero() + Duration::FromHours(6));
   const auto daily = m.DailyBusyness(kDay1);
   ASSERT_EQ(daily.size(), 1u);
   EXPECT_NEAR(daily[0], 0.25, 1e-9);
@@ -61,13 +62,15 @@ TEST(MetricsTest, ConflictFractionPerDay) {
   m.RecordJobScheduled(SimTime::FromSeconds(10), JobType::kService, 4, 3);
   m.RecordJobScheduled(SimTime::FromSeconds(20), JobType::kService, 1, 0);
   // Day 1: one job, no conflicts.
-  m.RecordJobScheduled(kDay1 + Duration::FromSeconds(5), JobType::kService, 1, 0);
-  const auto daily = m.DailyConflictFraction(SimTime::Zero() + Duration::FromDays(2));
+  m.RecordJobScheduled(kDay1 + Duration::FromSeconds(5), JobType::kService, 1,
+                       0);
+  const auto daily =
+      m.DailyConflictFraction(SimTime::Zero() + Duration::FromDays(2));
   ASSERT_EQ(daily.size(), 2u);
   EXPECT_DOUBLE_EQ(daily[0], 1.5);
   EXPECT_DOUBLE_EQ(daily[1], 0.0);
-  EXPECT_DOUBLE_EQ(m.ConflictFraction(SimTime::Zero() + Duration::FromDays(2)).mean,
-                   0.75);
+  EXPECT_DOUBLE_EQ(
+      m.ConflictFraction(SimTime::Zero() + Duration::FromDays(2)).mean, 0.75);
 }
 
 TEST(MetricsTest, NoConflictBusynessSubtractsRetryWork) {
@@ -135,14 +138,15 @@ TEST(MetricsTest, PartialDayNormalizedByElapsedSpan) {
   m2.AddBusyInterval(SimTime::Zero(), SimTime::Zero() + Duration::FromHours(8));
   m2.AddBusyInterval(SimTime::Zero() + Duration::FromHours(24),
                      SimTime::Zero() + Duration::FromHours(36));
-  const auto daily2 = m2.DailyBusyness(SimTime::Zero() + Duration::FromHours(36));
+  const auto daily2 =
+      m2.DailyBusyness(SimTime::Zero() + Duration::FromHours(36));
   ASSERT_EQ(daily2.size(), 2u);
   EXPECT_NEAR(daily2[0], 8.0 / 24.0, 1e-9);
   EXPECT_NEAR(daily2[1], 1.0, 1e-9);
 }
 
 TEST(MetricsTest, BusynessCappedAtOne) {
-  SchedulerMetrics m(Duration::FromDays(1));
+  SchedulerMetrics m;
   // Two overlapping logical busy intervals (parallel attempts would be a bug,
   // but the metric itself must stay in [0, 1]).
   m.AddBusyInterval(SimTime::Zero(), SimTime::Zero() + Duration::FromHours(20));
@@ -160,7 +164,8 @@ TEST(MetricsTest, BusynessClampEventsCounted) {
   EXPECT_EQ(m.BusynessClampEvents(end), 1);
   // No double counting anywhere: no clamps.
   SchedulerMetrics clean;
-  clean.AddBusyInterval(SimTime::Zero(), SimTime::Zero() + Duration::FromHours(23));
+  clean.AddBusyInterval(SimTime::Zero(),
+                        SimTime::Zero() + Duration::FromHours(23));
   EXPECT_EQ(clean.BusynessClampEvents(kDay1), 0);
 }
 

@@ -165,14 +165,15 @@ TEST(ScoringPlacerTest, RespectsConstraints) {
 }
 
 TEST(ScoringPlacerTest, SpreadsAcrossFailureDomains) {
-  // 8 empty machines in 4 domains; 4 tasks should land in 4 distinct domains
-  // thanks to the spreading term (all machines tie on the fit term).
-  CellState cell(8, kMachine, FullnessPolicy::kExact, 0.0,
+  // 8 empty machines in 4 domains, under the production weights. A task adds
+  // 1/16 to its machine's fit term, less than the spreading term's weight, so
+  // 4 tasks land in 4 distinct domains; best fit alone would stack them on
+  // one machine.
+  constexpr Resources kLargeMachine{16.0, 64.0};
+  CellState cell(8, kLargeMachine, FullnessPolicy::kExact, 0.0,
                  /*machines_per_domain=*/2);
   cell.EnableAvailabilityIndex();
-  ScoringPlacer placer(ScoringPlacerOptions{.candidate_sample = 64,
-                                            .best_fit_weight = 1.0,
-                                            .spreading_weight = 1.0});
+  ScoringPlacer placer;
   Rng rng(9);
   const Job job = MakeJob(4, Resources{1.0, 1.0});
   std::vector<TaskClaim> claims;

@@ -69,7 +69,6 @@ SimOptions PreemptRun(uint64_t seed = 1) {
   SimOptions o;
   o.horizon = Duration::FromHours(2);
   o.seed = seed;
-  o.track_running_tasks = true;
   return o;
 }
 
@@ -201,16 +200,22 @@ TEST(PreemptionTest, PreemptionAccountedSeparatelyFromTransactions) {
   EXPECT_EQ(trace.CountOf(TraceEventType::kPreemption), sim.TasksPreempted());
 }
 
-TEST(PreemptionDeathTest, RequiresRegistry) {
+// A preempting scheduler is all it takes to keep the registry that victim
+// selection reads; without one the run keeps none.
+TEST(PreemptionTest, PreemptingSchedulerKeepsRegistry) {
   SchedulerConfig service;
   service.enable_preemption = true;
   SimOptions opts;
   opts.horizon = Duration::FromHours(1);
   opts.seed = 5;
-  opts.track_running_tasks = false;  // forgot to enable the registry
-  ClusterConfig cfg = SaturatedCell();
-  OmegaSimulation sim(cfg, opts, SchedulerConfig{}, service);
-  EXPECT_DEATH(sim.Run(), "track_running_tasks");
+  OmegaSimulation preempting(SaturatedCell(), opts, SchedulerConfig{},
+                             service);
+  preempting.PrepareRun();
+  EXPECT_GT(preempting.task_registry().NumRunning(), 0u);
+  OmegaSimulation plain(SaturatedCell(), opts, SchedulerConfig{},
+                        SchedulerConfig{});
+  plain.PrepareRun();
+  EXPECT_EQ(plain.task_registry().NumRunning(), 0u);
 }
 
 }  // namespace

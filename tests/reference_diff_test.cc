@@ -473,7 +473,6 @@ TEST(WholeRunReferenceDiffTest, MachineFailures) {
   // Failures kill cohort members mid-flight and reserve the machine until
   // repair; placement must see the same availability either way.
   SimOptions o = DiffRun(8, 6.0);
-  o.track_running_tasks = true;
   o.machine_failure_rate_per_day = 12.0;
   o.machine_repair_time = Duration::FromMinutes(30);
   DiffAgainstReferencePlacer(TestCluster(64), o, SchedulerConfig{},
@@ -504,7 +503,6 @@ TEST(WholeRunReferenceDiffTest, Preemption) {
   SchedulerConfig service = batch;
   service.enable_preemption = true;
   SimOptions o = DiffRun(9, 6.0);
-  o.track_running_tasks = true;
   DiffAgainstReferencePlacer(cfg, o, batch, service, 1,
                              [](OmegaSimulation& sim) {
                                EXPECT_GT(sim.TasksPreempted(), 0);
@@ -515,9 +513,17 @@ TEST(WholeRunReferenceDiffTest, Preemption) {
 // 4. Cohort lifecycles vs a per-task oracle.
 // ---------------------------------------------------------------------------
 
+// Kills tasks by hand (FailMachine, PreemptAndPlace) when `tracked`, which
+// turns the running-task registry on.
 class HarnessSim final : public ClusterSimulation {
  public:
-  using ClusterSimulation::ClusterSimulation;
+  HarnessSim(const ClusterConfig& config, const SimOptions& options,
+             bool tracked)
+      : ClusterSimulation(config, options) {
+    if (tracked) {
+      TrackRunningTasks();
+    }
+  }
   using ClusterSimulation::FailMachine;
   void SubmitJob(const JobPtr&) override {}
 };
@@ -534,9 +540,8 @@ struct EndCall {
 // registry's per-machine list (append, swap-remove) that fixes kill order.
 class LifecycleOracle {
  public:
-  LifecycleOracle(uint32_t machines, bool tracked, Duration repair)
+  LifecycleOracle(uint32_t machines, Duration repair)
       : cell_(machines, kCapacity),
-        tracked_(tracked),
         repair_(repair),
         on_machine_(machines),
         reservation_(machines),
@@ -551,9 +556,7 @@ class LifecycleOracle {
     for (const TaskClaim& c : claims) {
       tasks_.push_back(Task{job.id, c.machine, c.resources, job.precedence,
                             (now + job.task_duration).micros(), true});
-      if (tracked_) {
-        on_machine_[c.machine].push_back(tasks_.size() - 1);
-      }
+      on_machine_[c.machine].push_back(tasks_.size() - 1);
       ++live_;
     }
   }
@@ -668,17 +671,14 @@ class LifecycleOracle {
     Task& t = tasks_[i];
     t.alive = false;
     --live_;
-    if (tracked_) {
-      std::vector<size_t>& list = on_machine_[t.machine];
-      const auto pos = std::find(list.begin(), list.end(), i);
-      *pos = list.back();
-      list.pop_back();
-    }
+    std::vector<size_t>& list = on_machine_[t.machine];
+    const auto pos = std::find(list.begin(), list.end(), i);
+    *pos = list.back();
+    list.pop_back();
     cell_.Free(t.machine, t.resources);
   }
 
   ReferenceCell cell_;
-  bool tracked_;
   Duration repair_;
   std::vector<Task> tasks_;
   std::vector<std::vector<size_t>> on_machine_;
@@ -696,10 +696,9 @@ void RunLifecycle(bool tracked, uint64_t seed) {
   // beyond start order.
   const Duration repair = Duration::FromSeconds(3602);
   SimOptions options;
-  options.track_running_tasks = tracked;
   options.machine_repair_time = repair;
-  HarnessSim sim(TestCluster(kMachines), options);
-  LifecycleOracle oracle(kMachines, tracked, repair);
+  HarnessSim sim(TestCluster(kMachines), options, tracked);
+  LifecycleOracle oracle(kMachines, repair);
   std::vector<EndCall> seen;
   Rng rng(seed);
   Rng preempt_rng(seed ^ 0x5eed);
@@ -738,7 +737,8 @@ void RunLifecycle(bool tracked, uint64_t seed) {
       checkpoint(step);
       const uint64_t kind = rng.NextBounded(10);
       const auto m = static_cast<MachineId>(rng.NextBounded(kMachines));
-      if (kind < 6 || (!tracked && kind >= 8)) {
+      // Without the registry nothing can kill a task: cohorts only.
+      if (kind < 6 || !tracked) {
         // A cohort of up to six tasks over random machines, stacking allowed.
         Job job = dyadic_job(static_cast<int32_t>(rng.NextBounded(3)));
         std::vector<TaskClaim> claims;

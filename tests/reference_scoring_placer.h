@@ -74,8 +74,8 @@ class ReferenceScoringPlacer final : public TaskPlacer {
               usable.mem_gb > 0.0 ? after.mem_gb / usable.mem_gb : 0.0);
           const double spread =
               domains_used.Contains(cell.FailureDomain(m)) ? 0.0 : 1.0;
-          const double score = options_.best_fit_weight * fit +
-                               options_.spreading_weight * spread;
+          const double score = ScoringPlacer::kBestFitWeight * fit +
+                               ScoringPlacer::kSpreadingWeight * spread;
           if (score > best_score) {
             best_score = score;
             best = m;

@@ -129,7 +129,6 @@ TEST(RunReportTest, OmegaReportSeparatesPreemptionFromCommits) {
   cfg.service.task_duration_secs = std::make_shared<ConstantDist>(36000.0);
 
   SimOptions opts = ReportRun(1);
-  opts.track_running_tasks = true;
   SchedulerConfig batch;
   batch.max_attempts = 20;
   batch.no_progress_backoff = Duration::FromSeconds(5);
@@ -172,7 +171,8 @@ TEST(RunReportTest, OmegaReportSeparatesPreemptionFromCommits) {
 TEST(RunReportTest, HifiReportBuilds) {
   ClusterConfig cfg = TestCluster(16);
   SimOptions opts = ReportRun(3);
-  auto sim = MakeHifiSimulation(cfg, opts, SchedulerConfig{}, SchedulerConfig{});
+  auto sim =
+      MakeHifiSimulation(cfg, opts, SchedulerConfig{}, SchedulerConfig{});
   sim->RunTrace(GenerateHifiTrace(cfg, opts.horizon, opts.seed));
   const RunReport report = BuildRunReport("hifi", *sim);
   EXPECT_EQ(report.architecture, "hifi");

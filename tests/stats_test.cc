@@ -239,27 +239,6 @@ TEST(CdfTest, EvaluateMultiplePoints) {
   EXPECT_DOUBLE_EQ(fracs[2], 1.0);
 }
 
-TEST(HistogramTest, BucketAssignment) {
-  Histogram h(0.0, 10.0, 10);
-  h.Add(0.5);
-  h.Add(9.5);
-  h.Add(5.0);
-  EXPECT_EQ(h.TotalCount(), 3);
-  EXPECT_EQ(h.BucketCount(0), 1);
-  EXPECT_EQ(h.BucketCount(9), 1);
-  EXPECT_EQ(h.BucketCount(5), 1);
-  EXPECT_DOUBLE_EQ(h.BucketLow(5), 5.0);
-  EXPECT_DOUBLE_EQ(h.BucketHigh(5), 6.0);
-}
-
-TEST(HistogramTest, OutOfRangeClamped) {
-  Histogram h(0.0, 10.0, 5);
-  h.Add(-100.0);
-  h.Add(100.0);
-  EXPECT_EQ(h.BucketCount(0), 1);
-  EXPECT_EQ(h.BucketCount(4), 1);
-}
-
 // Property: Percentile agrees with a brute-force rank computation at the
 // order statistics themselves, across random data sets.
 class PercentilePropertyTest : public ::testing::TestWithParam<uint64_t> {};

@@ -27,8 +27,10 @@ TEST(TraceRecorderTest, TrackZeroIsClusterAndNamesDedup) {
 
 TEST(TraceRecorderTest, CountsAndArgSums) {
   TraceRecorder trace;
-  trace.TxnCommit(SimTime::FromSeconds(1), 0, 1, /*accepted=*/5, /*conflicted=*/2);
-  trace.TxnCommit(SimTime::FromSeconds(2), 0, 2, /*accepted=*/3, /*conflicted=*/0);
+  trace.TxnCommit(SimTime::FromSeconds(1), 0, 1, /*accepted=*/5,
+                  /*conflicted=*/2);
+  trace.TxnCommit(SimTime::FromSeconds(2), 0, 2, /*accepted=*/3,
+                  /*conflicted=*/0);
   trace.TaskStart(SimTime::FromSeconds(3), 1, 0);
   EXPECT_EQ(trace.TotalRecorded(), 3);
   EXPECT_EQ(trace.CountOf(TraceEventType::kTxnCommit), 2);
@@ -47,12 +49,14 @@ TEST(TraceRecorderTest, RingWrapKeepsNewestAndCountsSurvive) {
   }
   EXPECT_EQ(trace.TotalRecorded(), n);
   EXPECT_EQ(trace.Retained(), TraceRecorder::kSlabSize);
-  EXPECT_EQ(trace.Dropped(), n - static_cast<int64_t>(TraceRecorder::kSlabSize));
+  EXPECT_EQ(trace.Dropped(),
+            n - static_cast<int64_t>(TraceRecorder::kSlabSize));
   // The wrap-proof per-type count still reflects every append.
   EXPECT_EQ(trace.CountOf(TraceEventType::kTaskStart), n);
   // Retained window is the newest events, visited oldest-first.
   std::vector<int64_t> times;
-  trace.ForEachRetained([&](const TraceEvent& e) { times.push_back(e.time_us); });
+  trace.ForEachRetained(
+      [&](const TraceEvent& e) { times.push_back(e.time_us); });
   ASSERT_EQ(times.size(), TraceRecorder::kSlabSize);
   EXPECT_EQ(times.front(), n - static_cast<int64_t>(TraceRecorder::kSlabSize));
   EXPECT_EQ(times.back(), n - 1);
@@ -156,7 +160,8 @@ TEST(TraceRecorderTest, OmegaEventCountsReconcileWithMetrics) {
   }
   ASSERT_GT(conflicted, 0) << "config failed to generate commit conflicts";
 
-  EXPECT_EQ(trace.CountOf(TraceEventType::kJobSubmit), sim.JobsSubmittedTotal());
+  EXPECT_EQ(trace.CountOf(TraceEventType::kJobSubmit),
+            sim.JobsSubmittedTotal());
   EXPECT_EQ(trace.CountOf(TraceEventType::kAttemptBegin), attempts);
   EXPECT_EQ(trace.CountOf(TraceEventType::kClaimConflict), conflicted);
   EXPECT_EQ(trace.SumArg0(TraceEventType::kTxnCommit), accepted);
@@ -184,7 +189,6 @@ TEST(TraceRecorderTest, OmegaEventCountsReconcileWithMetrics) {
 
 TEST(TraceRecorderTest, MachineFailureEventsReconcile) {
   SimOptions o = TraceRun(13);
-  o.track_running_tasks = true;
   o.machine_failure_rate_per_day = 4.0;
   o.machine_repair_time = Duration::FromMinutes(30);
   TraceRecorder trace;
@@ -192,10 +196,12 @@ TEST(TraceRecorderTest, MachineFailureEventsReconcile) {
   sim.SetTraceRecorder(&trace);
   sim.Run();
   ASSERT_GT(sim.MachineFailures(), 0);
-  EXPECT_EQ(trace.CountOf(TraceEventType::kMachineFailure), sim.MachineFailures());
+  EXPECT_EQ(trace.CountOf(TraceEventType::kMachineFailure),
+            sim.MachineFailures());
   EXPECT_EQ(trace.SumArg0(TraceEventType::kMachineFailure),
             sim.TasksKilledByFailures());
-  EXPECT_LE(trace.CountOf(TraceEventType::kMachineRepair), sim.MachineFailures());
+  EXPECT_LE(trace.CountOf(TraceEventType::kMachineRepair),
+            sim.MachineFailures());
 }
 
 TEST(TraceRecorderTest, MesosEventCountsReconcileWithMetrics) {
