@@ -128,21 +128,25 @@ inline int CheckSmokeGolden(const SmokeGolden& golden,
   return 0;
 }
 
+// 64-bit FNV-1a: the offset basis, and one step folding the eight bytes of
+// `v` (least significant first) into `h`.
+inline constexpr uint64_t kFnv1aBasis = 0xcbf29ce484222325ULL;
+inline uint64_t Fnv1aMix(uint64_t h, uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h = (h ^ ((v >> (8 * i)) & 0xff)) * 0x100000001b3ULL;
+  }
+  return h;
+}
+
 // FNV-1a over every machine's allocation and sequence number, for a golden
 // line: aggregate metrics do not see where tasks were placed; this does.
 inline uint64_t CellFingerprint(const CellState& cell) {
-  auto mix = [](uint64_t h, uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h = (h ^ ((v >> (8 * i)) & 0xff)) * 0x100000001b3ULL;
-    }
-    return h;
-  };
-  uint64_t h = 0xcbf29ce484222325ULL;
+  uint64_t h = kFnv1aBasis;
   for (MachineId m = 0; m < cell.NumMachines(); ++m) {
     const Resources allocated = cell.Allocated(m);
-    h = mix(h, std::bit_cast<uint64_t>(allocated.cpus));
-    h = mix(h, std::bit_cast<uint64_t>(allocated.mem_gb));
-    h = mix(h, cell.Seqnum(m));
+    h = Fnv1aMix(h, std::bit_cast<uint64_t>(allocated.cpus));
+    h = Fnv1aMix(h, std::bit_cast<uint64_t>(allocated.mem_gb));
+    h = Fnv1aMix(h, cell.Seqnum(m));
   }
   return h;
 }
