@@ -146,7 +146,7 @@ std::string SmokeLine(const char* cluster, MapReducePolicy policy,
         Fnv1aMix(outcome_hash, std::bit_cast<uint64_t>(o.predicted_speedup));
   }
   const SchedulerMetrics& mm = sim->mr_scheduler().metrics();
-  const SchedulerMetrics& bm = sim->batch_scheduler().metrics();
+  const SchedulerMetrics& bm = sim->batch_scheduler(0).metrics();
   const SchedulerMetrics& sm = sim->service_scheduler().metrics();
   char buf[768];
   std::snprintf(

@@ -8,7 +8,9 @@ namespace omega {
 MapReduceScheduler::MapReduceScheduler(ClusterSimulation& harness,
                                        SchedulerConfig config, Rng rng,
                                        MapReducePolicyOptions policy)
-    : QueueScheduler(harness, std::move(config)), rng_(rng), policy_(policy) {}
+    : OmegaScheduler(harness, std::move(config), rng,
+                     std::make_unique<RandomizedFirstFitPlacer>()),
+      policy_(policy) {}
 
 void MapReduceScheduler::BeginAttempt(const JobPtr& job) {
   OMEGA_CHECK(job->mapreduce.has_value());
@@ -24,20 +26,7 @@ void MapReduceScheduler::BeginAttempt(const JobPtr& job) {
         job->id, job->mapreduce->requested_workers, workers,
         PredictSpeedup(*job->mapreduce, workers)});
   }
-
-  const uint32_t remaining = job->TasksRemaining();
-  const Duration decision = AccountAttemptStart(job, remaining);
-
-  // Workers are placed with ordinary optimistic transactions against the
-  // shared cell state, exactly like any other Omega scheduler.
-  auto claims = std::make_shared<std::vector<TaskClaim>>();
-  placer_.PlaceTasks(harness_.cell(), *job, remaining, rng_, claims.get());
-
-  harness_.sim().ScheduleAfter(decision, [this, job, claims] {
-    const CommitResult result = CommitAndStart(*job, *claims);
-    CompleteAttempt(job, static_cast<uint32_t>(result.accepted),
-                    result.conflicted > 0);
-  });
+  OmegaScheduler::BeginAttempt(job);
 }
 
 MapReduceSimulation::MapReduceSimulation(const ClusterConfig& config,
@@ -45,18 +34,12 @@ MapReduceSimulation::MapReduceSimulation(const ClusterConfig& config,
                                          const SchedulerConfig& batch_config,
                                          const SchedulerConfig& service_config,
                                          const MapReducePolicyOptions& policy)
-    : ClusterSimulation(config, options,
-                        [] {
-                          GeneratorOptions g;
-                          g.generate_mapreduce_specs = true;
-                          return g;
-                        }()) {
-  batch_scheduler_ = std::make_unique<OmegaScheduler>(
-      *this, batch_config, rng().Fork(),
-      std::make_unique<RandomizedFirstFitPlacer>());
-  service_scheduler_ = std::make_unique<OmegaScheduler>(
-      *this, service_config, rng().Fork(),
-      std::make_unique<RandomizedFirstFitPlacer>());
+    : OmegaSimulation(config, options, batch_config, service_config,
+                      /*num_batch_schedulers=*/1, [] {
+                        GeneratorOptions g;
+                        g.generate_mapreduce_specs = true;
+                        return g;
+                      }()) {
   SchedulerConfig mr_config = batch_config;
   mr_config.name = "mapreduce";
   mr_scheduler_ = std::make_unique<MapReduceScheduler>(*this, mr_config,
@@ -66,10 +49,8 @@ MapReduceSimulation::MapReduceSimulation(const ClusterConfig& config,
 void MapReduceSimulation::SubmitJob(const JobPtr& job) {
   if (job->mapreduce.has_value()) {
     mr_scheduler_->Submit(job);
-  } else if (job->type == JobType::kService) {
-    service_scheduler_->Submit(job);
   } else {
-    batch_scheduler_->Submit(job);
+    OmegaSimulation::SubmitJob(job);
   }
 }
 

@@ -1,11 +1,13 @@
 // Specialized MapReduce scheduler (§6).
 //
-// A scheduler that opportunistically uses idle cluster resources to speed up
-// MapReduce jobs: it observes overall utilization (possible because Omega
-// exposes the entire cell state to every scheduler), predicts the benefit of
-// scaling up each job with the performance model, apportions idle resources
-// per the configured policy, and places the chosen number of workers through
-// ordinary optimistic transactions.
+// One more Omega scheduler in an Omega cell. On its first look at a job it
+// observes overall utilization (possible because Omega exposes the entire
+// cell state to every scheduler), predicts the benefit of scaling the job up
+// with the performance model, and apportions idle resources per the
+// configured policy. It then places the chosen number of workers exactly as
+// OmegaScheduler does: randomized first fit against the shared cell state,
+// committed as an optimistic transaction under the configured conflict and
+// commit modes, with the resource limit and preemption honoured.
 #pragma once
 
 #include <memory>
@@ -13,7 +15,6 @@
 
 #include "src/mapreduce/policy.h"
 #include "src/omega/omega_scheduler.h"
-#include "src/scheduler/queue_scheduler.h"
 
 namespace omega {
 
@@ -28,7 +29,7 @@ struct MapReduceOutcome {
   double predicted_speedup = 1.0;
 };
 
-class MapReduceScheduler final : public QueueScheduler {
+class MapReduceScheduler final : public OmegaScheduler {
  public:
   MapReduceScheduler(ClusterSimulation& harness, SchedulerConfig config, Rng rng,
                      MapReducePolicyOptions policy);
@@ -39,16 +40,15 @@ class MapReduceScheduler final : public QueueScheduler {
   void BeginAttempt(const JobPtr& job) override;
 
  private:
-  RandomizedFirstFitPlacer placer_;
-  Rng rng_;
   MapReducePolicyOptions policy_;
   std::vector<MapReduceOutcome> outcomes_;
 };
 
-// Omega simulation with an additional specialized MapReduce scheduler. Batch
-// jobs carrying a MapReduceSpec are routed to it; everything else goes to the
-// regular batch/service schedulers.
-class MapReduceSimulation final : public ClusterSimulation {
+// An Omega cell (one batch and one service scheduler) plus the MapReduce
+// scheduler, with MapReduceSpecs attached to generated batch jobs. Jobs
+// carrying a MapReduceSpec go to the MapReduce scheduler; every other job is
+// routed as in OmegaSimulation.
+class MapReduceSimulation final : public OmegaSimulation {
  public:
   MapReduceSimulation(const ClusterConfig& config, const SimOptions& options,
                       const SchedulerConfig& batch_config,
@@ -58,14 +58,9 @@ class MapReduceSimulation final : public ClusterSimulation {
   void SubmitJob(const JobPtr& job) override;
 
   MapReduceScheduler& mr_scheduler() { return *mr_scheduler_; }
-  OmegaScheduler& batch_scheduler() { return *batch_scheduler_; }
-  OmegaScheduler& service_scheduler() { return *service_scheduler_; }
 
  private:
-  std::unique_ptr<OmegaScheduler> batch_scheduler_;
-  std::unique_ptr<OmegaScheduler> service_scheduler_;
   std::unique_ptr<MapReduceScheduler> mr_scheduler_;
 };
 
 }  // namespace omega
-

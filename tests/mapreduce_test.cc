@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 
 #include "src/common/stats.h"
 #include "src/mapreduce/perf_model.h"
@@ -230,12 +231,62 @@ TEST(MapReduceSimulationTest, MaxParallelismBeatsRelativeJobSize) {
   EXPECT_GT(max_par, 1.0);
 }
 
+TEST(MapReduceSimulationTest, GangJobNeverRunsSomeOfItsWorkers) {
+  // All-or-nothing commits gang-schedule a MapReduce job: a placement that
+  // found room for only some workers is discarded before commit, so a job
+  // starts either every worker the policy granted or none.
+  ClusterConfig cfg = TestCluster(64);
+  cfg.mapreduce_fraction = 0.5;
+  SchedulerConfig gang;
+  gang.commit_mode = CommitMode::kAllOrNothing;
+  SimOptions options = ShortRun();
+  options.horizon = Duration::FromHours(1);  // keeps the whole trace retained
+  MapReduceSimulation sim(cfg, options, gang, SchedulerConfig{},
+                          Policy(MapReducePolicy::kMaxParallelism));
+  TraceRecorder trace;
+  sim.SetTraceRecorder(&trace);
+  sim.Run();
+  ASSERT_EQ(trace.Dropped(), 0);
+  std::map<uint64_t, int64_t> started;
+  trace.ForEachRetained([&](const TraceEvent& e) {
+    if (e.type == TraceEventType::kTaskStart) {
+      ++started[e.job];
+    }
+  });
+  int64_t gangs_started = 0;
+  for (const MapReduceOutcome& o : sim.mr_scheduler().outcomes()) {
+    const int64_t n = started[o.job];
+    EXPECT_TRUE(n == 0 || n == o.granted_workers)
+        << "job " << o.job << " started " << n << " of "
+        << o.granted_workers << " workers";
+    gangs_started += n > 0 ? 1 : 0;
+  }
+  EXPECT_GT(gangs_started, 0);
+}
+
+TEST(MapReduceSimulationTest, HonoursResourceLimit) {
+  // The MapReduce scheduler runs with the batch config, so a zero resource
+  // limit keeps it from placing any worker, as it does the batch scheduler.
+  ClusterConfig cfg = TestCluster(64);
+  cfg.mapreduce_fraction = 0.5;
+  SchedulerConfig limited;
+  limited.resource_limit = Resources::Zero();
+  MapReduceSimulation sim(cfg, ShortRun(), limited, SchedulerConfig{},
+                          Policy(MapReducePolicy::kMaxParallelism));
+  sim.Run();
+  ASSERT_FALSE(sim.mr_scheduler().outcomes().empty());
+  EXPECT_EQ(sim.mr_scheduler().metrics().TasksAccepted(), 0);
+  EXPECT_EQ(sim.batch_scheduler(0).metrics().TasksAccepted(), 0);
+  EXPECT_GT(sim.service_scheduler().metrics().TasksAccepted(), 0);
+}
+
 TEST(MapReduceSimulationTest, AllOrNothingConflictTracesAtCommitGangAbort) {
   // Coarse-grained all-or-nothing commits: a MapReduce transaction conflicts
   // whenever a task end or another scheduler's commit touched one of its
   // machines since placement. Each such transaction is discarded whole and,
   // as for the Omega schedulers, traced as an at-commit gang abort on the
-  // MapReduce scheduler's own track.
+  // MapReduce scheduler's own track. (A placement that fell short is
+  // discarded before commit, a gang abort that is not at commit.)
   ClusterConfig cfg = TestCluster(64);
   cfg.mapreduce_fraction = 0.5;
   SchedulerConfig gang;
@@ -255,8 +306,8 @@ TEST(MapReduceSimulationTest, AllOrNothingConflictTracesAtCommitGangAbort) {
   const auto mr_track = static_cast<uint16_t>(it - names.begin());
   int64_t conflicted_txns = 0;
   int64_t claims_conflicted = 0;
-  int64_t aborts = 0;
-  int64_t claims_discarded = 0;
+  int64_t aborts_at_commit = 0;
+  int64_t claims_discarded_at_commit = 0;
   trace.ForEachRetained([&](const TraceEvent& e) {
     if (e.track != mr_track) {
       return;
@@ -265,15 +316,14 @@ TEST(MapReduceSimulationTest, AllOrNothingConflictTracesAtCommitGangAbort) {
       ++conflicted_txns;
       claims_conflicted += e.arg1;
     }
-    if (e.type == TraceEventType::kGangAbort) {
-      EXPECT_EQ(e.arg1, 1) << "MapReduce gang aborts happen at commit";
-      ++aborts;
-      claims_discarded += e.arg0;
+    if (e.type == TraceEventType::kGangAbort && e.arg1 == 1) {
+      ++aborts_at_commit;
+      claims_discarded_at_commit += e.arg0;
     }
   });
   EXPECT_GT(conflicted_txns, 0);
-  EXPECT_EQ(aborts, conflicted_txns);
-  EXPECT_EQ(claims_discarded, claims_conflicted);
+  EXPECT_EQ(aborts_at_commit, conflicted_txns);
+  EXPECT_EQ(claims_discarded_at_commit, claims_conflicted);
 }
 
 }  // namespace
