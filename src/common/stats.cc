@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
-#include <sstream>
 
 namespace omega {
 
@@ -198,32 +197,6 @@ std::vector<double> Cdf::Evaluate(const std::vector<double>& points) const {
     out.push_back(FractionAtOrBelow(p));
   }
   return out;
-}
-
-std::string Cdf::ToTable(const std::string& value_label, int num_points,
-                         bool log_spaced) const {
-  std::ostringstream os;
-  os << value_label << "\tCDF\n";
-  if (total_ == 0 || num_points < 2) {
-    return os.str();
-  }
-  double lo = MinValue();
-  double hi = MaxValue();
-  if (log_spaced) {
-    lo = std::max(lo, 1e-9);
-    hi = std::max(hi, lo * (1.0 + 1e-9));
-  }
-  for (int i = 0; i < num_points; ++i) {
-    const double frac = static_cast<double>(i) / (num_points - 1);
-    double x = 0.0;
-    if (log_spaced) {
-      x = lo * std::pow(hi / lo, frac);
-    } else {
-      x = lo + frac * (hi - lo);
-    }
-    os << x << "\t" << FractionAtOrBelow(x) << "\n";
-  }
-  return os.str();
 }
 
 }  // namespace omega

@@ -8,7 +8,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -75,11 +74,6 @@ class Cdf {
 
   // Evaluates the CDF at `points` x-values; returns fractions.
   std::vector<double> Evaluate(const std::vector<double>& points) const;
-
-  // Renders a fixed-width table of (x, F(x)) rows at logarithmically spaced
-  // points between min and max; used by the figure benches.
-  std::string ToTable(const std::string& value_label, int num_points = 12,
-                      bool log_spaced = true) const;
 
  private:
   // Sorts runs by value, coalesces duplicates, and rebuilds the inclusive

@@ -28,17 +28,13 @@ std::unique_ptr<OmegaSimulation> MakeHifiSimulation(
 }
 
 std::vector<Job> GenerateHifiTrace(const ClusterConfig& cluster,
-                                   Duration horizon, uint64_t seed,
-                                   const HifiOptions& hifi,
-                                   double batch_rate_multiplier,
-                                   double service_rate_multiplier) {
+                                   Duration horizon, uint64_t seed) {
+  const HifiOptions hifi;
   GeneratorOptions gen;
   gen.generate_constraints = true;
   gen.generate_mapreduce_specs = true;
   gen.num_attribute_keys = hifi.num_attribute_keys;
   gen.num_attribute_values = hifi.num_attribute_values;
-  gen.batch_rate_multiplier = batch_rate_multiplier;
-  gen.service_rate_multiplier = service_rate_multiplier;
   WorkloadGenerator generator(cluster, gen, seed);
   return generator.GenerateArrivals(horizon);
 }

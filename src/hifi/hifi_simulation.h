@@ -42,13 +42,11 @@ std::unique_ptr<OmegaSimulation> MakeHifiSimulation(
     const HifiOptions& hifi = {});
 
 // Materializes a synthetic trace for `cluster` over `horizon` (with placement
-// constraints and MapReduce specs attached) — the stand-in for a production
-// workload trace. Deterministic given `seed`.
+// constraints over the default HifiOptions attribute space and MapReduce
+// specs attached) — the stand-in for a production workload trace.
+// Deterministic given `seed`.
 std::vector<Job> GenerateHifiTrace(const ClusterConfig& cluster,
-                                   Duration horizon, uint64_t seed,
-                                   const HifiOptions& hifi = {},
-                                   double batch_rate_multiplier = 1.0,
-                                   double service_rate_multiplier = 1.0);
+                                   Duration horizon, uint64_t seed);
 
 }  // namespace omega
 

@@ -16,23 +16,13 @@ ClusterSimulation::ClusterSimulation(const ClusterConfig& config,
       sim_(owned_sim_.get()),
       cell_(BuildMachineCapacities(config), options.fullness,
             options.headroom_fraction, config.machines_per_failure_domain),
-      generator_(config,
-                 [&] {
-                   GeneratorOptions g = generator_options;
-                   g.batch_rate_multiplier = options.batch_rate_multiplier;
-                   g.service_rate_multiplier = options.service_rate_multiplier;
-                   return g;
-                 }(),
-                 options.seed),
+      generator_(config, generator_options, options.seed),
       rng_(options.seed ^ 0xabcdef1234567890ULL),
       track_running_tasks_(options.machine_failure_rate_per_day > 0.0) {
   if (generator_options.generate_constraints) {
-    MachineAttributeAssignment assignment;
-    assignment.num_attribute_keys = generator_options.num_attribute_keys;
-    assignment.num_attribute_values = generator_options.num_attribute_values;
-    assignment.seed = options.seed ^ 0x5151515151515151ULL;
     auto attributes =
-        GenerateMachineAttributes(config.num_machines, assignment);
+        GenerateMachineAttributes(config.num_machines, generator_options,
+                                  options.seed ^ 0x5151515151515151ULL);
     for (uint32_t m = 0; m < config.num_machines; ++m) {
       cell_.SetAttributes(m, std::move(attributes[m]));
     }

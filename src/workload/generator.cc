@@ -60,13 +60,7 @@ std::vector<Job> WorkloadGenerator::GenerateArrivals(Duration horizon) {
   for (JobType type : {JobType::kBatch, JobType::kService}) {
     const WorkloadParams& params =
         type == JobType::kBatch ? config_.batch : config_.service;
-    const double multiplier = type == JobType::kBatch
-                                  ? options_.batch_rate_multiplier
-                                  : options_.service_rate_multiplier;
-    if (multiplier <= 0.0) {
-      continue;
-    }
-    ExponentialDist interarrival(params.interarrival_mean_secs / multiplier);
+    ExponentialDist interarrival(params.interarrival_mean_secs);
     SimTime t = SimTime::Zero();
     while (true) {
       t = t + Duration::FromSeconds(interarrival.Sample(rng_));
@@ -166,14 +160,14 @@ void WorkloadGenerator::MaybeAttachMapReduceSpec(Job& job) {
 }
 
 std::vector<std::vector<int32_t>> GenerateMachineAttributes(
-    uint32_t num_machines, const MachineAttributeAssignment& assignment) {
-  Rng rng(assignment.seed);
+    uint32_t num_machines, const GeneratorOptions& options, uint64_t seed) {
+  Rng rng(seed);
   std::vector<std::vector<int32_t>> attributes(num_machines);
   for (uint32_t m = 0; m < num_machines; ++m) {
-    attributes[m].resize(assignment.num_attribute_keys);
-    for (int32_t k = 0; k < assignment.num_attribute_keys; ++k) {
+    attributes[m].resize(options.num_attribute_keys);
+    for (int32_t k = 0; k < options.num_attribute_keys; ++k) {
       attributes[m][k] =
-          static_cast<int32_t>(rng.NextBounded(assignment.num_attribute_values));
+          static_cast<int32_t>(rng.NextBounded(options.num_attribute_values));
     }
   }
   return attributes;

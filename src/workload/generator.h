@@ -18,16 +18,11 @@ namespace omega {
 
 // Options modulating generation for specific experiments.
 struct GeneratorOptions {
-  // Multiplies the batch / service job arrival rates (Figs. 8, 9 sweep the
-  // relative batch arrival rate).
-  double batch_rate_multiplier = 1.0;
-  double service_rate_multiplier = 1.0;
-
   // Attach placement constraints to jobs (high-fidelity simulator only;
   // the lightweight simulator ignores constraints, Table 2).
   bool generate_constraints = false;
-  // Number of distinct machine-attribute keys and values per key; must match
-  // the attribute space assigned to machines (AssignMachineAttributes).
+  // Number of distinct machine-attribute keys and values per key: the space
+  // constraints are drawn from and GenerateMachineAttributes assigns.
   int32_t num_attribute_keys = 8;
   int32_t num_attribute_values = 4;
 
@@ -42,8 +37,9 @@ class WorkloadGenerator {
   WorkloadGenerator(const ClusterConfig& config, GeneratorOptions options,
                     uint64_t seed);
 
-  // Generates the full arrival stream for `horizon` of simulated time,
-  // in submission-time order. Job ids are dense and unique across both types.
+  // Generates the full arrival stream for `horizon` of simulated time at the
+  // configured arrival rates, in submission-time order. Job ids are dense and
+  // unique across both types.
   std::vector<Job> GenerateArrivals(Duration horizon);
 
   // Generates one job of `type` submitted at `submit`.
@@ -82,18 +78,11 @@ class WorkloadGenerator {
   PiecewiseLaw standing_service_;
 };
 
-// Assigns attribute values and failure domains to machines, matching the
-// attribute space the generator draws constraints from. Deterministic given
+// Per-machine attribute vectors for `num_machines` machines, drawn from the
+// attribute space `options` draws constraints from. Deterministic given
 // `seed`.
-struct MachineAttributeAssignment {
-  int32_t num_attribute_keys = 8;
-  int32_t num_attribute_values = 4;
-  uint64_t seed = 42;
-};
-
-// Produces per-machine attribute vectors for `num_machines` machines.
 std::vector<std::vector<int32_t>> GenerateMachineAttributes(
-    uint32_t num_machines, const MachineAttributeAssignment& assignment);
+    uint32_t num_machines, const GeneratorOptions& options, uint64_t seed);
 
 }  // namespace omega
 

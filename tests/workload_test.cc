@@ -81,26 +81,6 @@ TEST(GeneratorTest, UniqueJobIds) {
   }
 }
 
-TEST(GeneratorTest, BatchRateMultiplierScalesArrivals) {
-  GeneratorOptions base;
-  GeneratorOptions scaled;
-  scaled.batch_rate_multiplier = 4.0;
-  WorkloadGenerator g1(TestCluster(), base, 11);
-  WorkloadGenerator g2(TestCluster(), scaled, 11);
-  auto count_batch = [](const std::vector<Job>& jobs) {
-    int64_t n = 0;
-    for (const Job& j : jobs) {
-      if (j.type == JobType::kBatch) {
-        ++n;
-      }
-    }
-    return n;
-  };
-  const auto n1 = count_batch(g1.GenerateArrivals(Duration::FromHours(24)));
-  const auto n2 = count_batch(g2.GenerateArrivals(Duration::FromHours(24)));
-  EXPECT_NEAR(static_cast<double>(n2) / static_cast<double>(n1), 4.0, 0.5);
-}
-
 TEST(GeneratorTest, InterarrivalMeanMatchesConfig) {
   const ClusterConfig cfg = TestCluster();
   WorkloadGenerator gen(cfg, {}, 13);
@@ -230,12 +210,11 @@ TEST(GeneratorTest, BatchStandingResidualMeanMatchesRenewalTheory) {
 }
 
 TEST(MachineAttributesTest, DeterministicAndInRange) {
-  MachineAttributeAssignment a;
+  GeneratorOptions a;
   a.num_attribute_keys = 5;
   a.num_attribute_values = 3;
-  a.seed = 77;
-  const auto attrs1 = GenerateMachineAttributes(100, a);
-  const auto attrs2 = GenerateMachineAttributes(100, a);
+  const auto attrs1 = GenerateMachineAttributes(100, a, 77);
+  const auto attrs2 = GenerateMachineAttributes(100, a, 77);
   EXPECT_EQ(attrs1, attrs2);
   ASSERT_EQ(attrs1.size(), 100u);
   for (const auto& machine : attrs1) {
