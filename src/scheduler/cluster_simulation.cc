@@ -77,13 +77,15 @@ void ClusterSimulation::PlaceInitialFill() {
         });
       } else {
         // A 16-byte capture fits std::function's inline buffer, so the end
-        // event allocates no closure.
+        // event allocates no closure. A task that outlives the horizon
+        // queues no end event and needs no record.
         const auto fill = static_cast<uint32_t>(fill_resources_.size());
-        fill_resources_.push_back(task.resources);
-        sim_->ScheduleAt(end, [this, m, fill] {
-          cell_.Free(m, fill_resources_[fill]);
-          OnMachineChanged(m, /*wake=*/true);
-        });
+        if (sim_->ScheduleAt(end, [this, m, fill] {
+              cell_.Free(m, fill_resources_[fill]);
+              OnMachineChanged(m, /*wake=*/true);
+            })) {
+          fill_resources_.push_back(task.resources);
+        }
       }
       misses = 0;
     }

@@ -125,10 +125,10 @@ std::vector<double> SchedulerMetrics::DailyBusyness(SimTime end) const {
     // The last day may be partial: normalize by the simulated span within it.
     const int64_t span = DaySpanMicros(day, end);
     const double fraction = busy / (static_cast<double>(span) / 1e6);
-    if (fraction > 1.0 && !clamp_warned_) {
-      // Clamping hides double-counted busy intervals; surface the first one.
-      // (An attempt running past the horizon legitimately clamps the final
-      // day — BusynessClampEvents() lets callers tell the cases apart.)
+    // Clamping an earlier day hides double-counted busy intervals; surface
+    // the first one. An attempt running past the horizon legitimately clamps
+    // the final day, which BusynessClampEvents() still counts.
+    if (fraction > 1.0 && day + 1 < days && !clamp_warned_) {
       clamp_warned_ = true;
       OMEGA_LOG(kWarning) << "daily busyness clamped: day " << day << " busy "
                           << busy << "s exceeds span "

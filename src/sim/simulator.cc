@@ -4,13 +4,14 @@
 
 namespace omega {
 
-void Simulator::ScheduleAt(SimTime when, std::function<void()> fn) {
+bool Simulator::ScheduleAt(SimTime when, std::function<void()> fn) {
   OMEGA_CHECK(when >= now_)
       << "scheduling into the past: " << when << " < " << now_;
   if (when > horizon_) {
-    return;
+    return false;
   }
   queue_.Push(when, std::move(fn));
+  return true;
 }
 
 void Simulator::ScheduleAfter(Duration delay, std::function<void()> fn) {

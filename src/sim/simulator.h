@@ -28,7 +28,8 @@ class Simulator {
   // Schedules `fn` to run at absolute time `when` (>= Now()). Events at the
   // same time run in the order they were scheduled. An event after the
   // horizon is dropped: it never runs and is not counted by PendingEvents().
-  void ScheduleAt(SimTime when, std::function<void()> fn);
+  // Returns whether the event was queued.
+  bool ScheduleAt(SimTime when, std::function<void()> fn);
 
   // Schedules `fn` to run `delay` after Now().
   void ScheduleAfter(Duration delay, std::function<void()> fn);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 namespace omega {
 namespace {
@@ -178,6 +179,30 @@ TEST(MetricsTest, BusynessClampOnPartialFinalDay) {
   const SimTime end = SimTime::Zero() + Duration::FromHours(6);
   EXPECT_EQ(m.BusynessClampEvents(end), 1);
   EXPECT_NEAR(m.DailyBusyness(end)[0], 1.0, 1e-9);
+}
+
+TEST(MetricsTest, ClampWarningOnlyForEarlierDays) {
+  // The final partial day's legitimate clamp stays silent ...
+  SchedulerMetrics final_day;
+  final_day.AddBusyInterval(
+      SimTime::Zero() + Duration::FromHours(24),
+      SimTime::Zero() + Duration::FromHours(30) + Duration::FromSeconds(30));
+  const SimTime end = SimTime::Zero() + Duration::FromHours(30);
+  testing::internal::CaptureStderr();
+  EXPECT_NEAR(final_day.DailyBusyness(end)[1], 1.0, 1e-9);
+  EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
+  EXPECT_EQ(final_day.BusynessClampEvents(end), 1);
+  // ... while a double-counted earlier day still warns.
+  SchedulerMetrics doubled;
+  doubled.AddBusyInterval(SimTime::Zero(),
+                          SimTime::Zero() + Duration::FromHours(20));
+  doubled.AddBusyInterval(SimTime::Zero(),
+                          SimTime::Zero() + Duration::FromHours(20));
+  testing::internal::CaptureStderr();
+  doubled.DailyBusyness(end);
+  EXPECT_NE(testing::internal::GetCapturedStderr().find(
+                "daily busyness clamped: day 0"),
+            std::string::npos);
 }
 
 TEST(MetricsTest, BusyIntervalSplitsAcrossMultipleDayBoundaries) {
