@@ -35,11 +35,8 @@ MapReduceSimulation::MapReduceSimulation(const ClusterConfig& config,
                                          const SchedulerConfig& service_config,
                                          const MapReducePolicyOptions& policy)
     : OmegaSimulation(config, options, batch_config, service_config,
-                      /*num_batch_schedulers=*/1, [] {
-                        GeneratorOptions g;
-                        g.generate_mapreduce_specs = true;
-                        return g;
-                      }()) {
+                      /*num_batch_schedulers=*/1,
+                      GeneratorOptions{.generate_mapreduce_specs = true}) {
   SchedulerConfig mr_config = batch_config;
   mr_config.name = "mapreduce";
   mr_scheduler_ = std::make_unique<MapReduceScheduler>(*this, mr_config,

@@ -23,31 +23,41 @@ struct DecisionTimes {
   }
 };
 
-// Per-scheduler configuration.
+// Per-scheduler configuration. Each field says which architectures read it:
+// the queue schedulers are the monolithic and statically partitioned ones
+// and the Omega schedulers (MapReduce and high-fidelity included); a Mesos
+// framework reads only the name, decision times, max_attempts and
+// commit_mode, and ignores the rest.
 struct SchedulerConfig {
+  // Trace track and report label. All architectures.
   std::string name = "scheduler";
 
   // Decision-time model per job type (multi-path monolithic schedulers use a
-  // fast path for batch; single-path uses identical values for both).
+  // fast path for batch; single-path uses identical values for both). All
+  // architectures.
   DecisionTimes batch_times;
   DecisionTimes service_times;
 
-  // Jobs are abandoned after this many scheduling attempts (§4: 1,000).
+  // Jobs are abandoned after this many scheduling attempts (§4: 1,000). All
+  // architectures.
   uint32_t max_attempts = 1000;
 
   // After an attempt that made no progress for lack of fitting resources
   // (no conflict — the cell is simply full for this job), the job is requeued
   // at the back and, if the queue is otherwise empty, retried only after this
-  // backoff. Conflicted attempts retry immediately, per §3.4.
+  // backoff. Conflicted attempts retry immediately, per §3.4. Queue
+  // schedulers only.
   Duration no_progress_backoff = Duration::FromSeconds(5);
 
-  // Omega transaction semantics (§3.4, §5.2).
+  // Omega transaction semantics (§3.4, §5.2). conflict_mode is read by Omega
+  // schedulers only (a monolithic scheduler cannot conflict); commit_mode by
+  // Omega schedulers and Mesos frameworks, where kAllOrNothing gang-schedules.
   ConflictMode conflict_mode = ConflictMode::kFineGrained;
   CommitMode commit_mode = CommitMode::kIncremental;
 
   // Optional caps supporting cluster-wide policies as emergent behavior
   // (§3.4): a limit on the total resources this scheduler may hold, and on
-  // the number of jobs it will admit to its queue.
+  // the number of jobs it will admit to its queue. Queue schedulers only.
   std::optional<Resources> resource_limit;
   std::optional<uint64_t> admission_limit;
 
