@@ -11,9 +11,10 @@
 // (e) is strictly worse than (d).
 //
 // Usage:
-//   fig10_surface                        full grid, 0.25 days (OMEGA_BENCH_DAYS)
+//   fig10_surface                        full grid, 0.25 days
+//                                        (OMEGA_BENCH_DAYS)
 //   fig10_surface --smoke-write <golden> regenerate the CI smoke golden
-//   fig10_surface --smoke-check <golden> short run, bit-exact diff vs the golden
+//   fig10_surface --smoke-check <golden> short run, bit-exact diff
 //
 // The smoke golden is the full grid at a short horizon: the only golden that
 // runs all five schemes, and Mesos with t_task(service) varied. The smoke
@@ -194,8 +195,9 @@ std::vector<std::string> RunSmoke() {
       runner.Run(points.size(), [&](const TrialContext& ctx) {
         const Row r = RunPoint(points[ctx.index], horizon, ctx.seed);
         char buf[256];
-        std::snprintf(buf, sizeof(buf), "%s-tjob%g-ttask%g %a %lld %lld %016llx",
-                      r.p.scheme, r.p.t_job, r.p.t_task, r.busyness,
+        std::snprintf(buf, sizeof(buf),
+                      "%s-tjob%g-ttask%g %a %lld %lld %016llx", r.p.scheme,
+                      r.p.t_job, r.p.t_task, r.busyness,
                       static_cast<long long>(r.scheduled),
                       static_cast<long long>(r.unscheduled),
                       static_cast<unsigned long long>(r.fingerprint));

@@ -25,12 +25,12 @@ SimOptions CellOptions(const SimOptions& options, uint64_t base_seed,
 }
 
 // Accumulated (accepted, conflicted) task claims across a cell's schedulers.
-std::pair<int64_t, int64_t> CellClaimCounters(FederatedCell& cell) {
-  int64_t accepted = cell.service_scheduler().metrics().TasksAccepted();
-  int64_t conflicted = cell.service_scheduler().metrics().TasksConflicted();
-  for (uint32_t i = 0; i < cell.NumBatchSchedulers(); ++i) {
-    accepted += cell.batch_scheduler(i).metrics().TasksAccepted();
-    conflicted += cell.batch_scheduler(i).metrics().TasksConflicted();
+std::pair<int64_t, int64_t> CellClaimCounters(const FederatedCell& cell) {
+  int64_t accepted = 0;
+  int64_t conflicted = 0;
+  for (const QueueScheduler* scheduler : cell.schedulers()) {
+    accepted += scheduler->metrics().TasksAccepted();
+    conflicted += scheduler->metrics().TasksConflicted();
   }
   return {accepted, conflicted};
 }
@@ -138,7 +138,7 @@ void FederationSim::ScheduleNextArrival(JobType type) {
 }
 
 CellSummary FederationSim::LiveSummary(uint32_t cell) const {
-  FederatedCell& c = *cells_[cell];
+  const FederatedCell& c = *cells_[cell];
   CellSummary s;
   s.cell = cell;
   const Resources available = c.cell().TotalAvailable();
@@ -149,9 +149,8 @@ CellSummary FederationSim::LiveSummary(uint32_t cell) const {
       capacity.mem_gb > 0.0 ? available.mem_gb / capacity.mem_gb : 0.0;
   const auto [accepted, conflicted] = CellClaimCounters(c);
   s.conflict_fraction = ConflictFraction(accepted, conflicted);
-  s.queued_jobs = static_cast<int64_t>(c.service_scheduler().QueueDepth());
-  for (uint32_t i = 0; i < c.NumBatchSchedulers(); ++i) {
-    s.queued_jobs += static_cast<int64_t>(c.batch_scheduler(i).QueueDepth());
+  for (const QueueScheduler* scheduler : c.schedulers()) {
+    s.queued_jobs += static_cast<int64_t>(scheduler->QueueDepth());
   }
   s.published_at = sim_.Now();
   s.received_at = sim_.Now();

@@ -10,50 +10,23 @@ namespace omega {
 // ---------------------------------------------------------------------------
 // MesosFramework
 
-MesosFramework::MesosFramework(MesosSimulation& sim, SchedulerConfig config,
-                               JobType type)
-    : sim_(sim), config_(std::move(config)), type_(type) {}
+MesosFramework::MesosFramework(MesosSimulation& sim, SchedulerConfig config)
+    : QueueScheduler(sim, std::move(config)), sim_(sim) {}
 
-void MesosFramework::Submit(const JobPtr& job) {
-  queue_.push_back(job);
+void MesosFramework::BeginAttempt(const JobPtr& job) {
+  // The waiting job occupies the framework: nothing else starts until its
+  // attempt completes.
+  waiting_ = job;
+  busy_ = true;
   sim_.allocator().Trigger();
 }
 
-uint16_t MesosFramework::TraceTrack() {
-  if (trace_track_ < 0) {
-    TraceRecorder* trace = sim_.trace();
-    // The cell's trace scope keeps same-named frameworks in different cells
-    // on distinct Perfetto tracks (empty for single-cell runs).
-    trace_track_ =
-        trace ? trace->RegisterTrack(sim_.trace_scope() + config_.name) : 0;
-  }
-  return static_cast<uint16_t>(trace_track_);
-}
-
 void MesosFramework::HandleOffer() {
-  OMEGA_CHECK(!busy_);
-  OMEGA_CHECK(!queue_.empty());
-  JobPtr job = std::move(queue_.front());
-  queue_.pop_front();
-  busy_ = true;
-
-  const SimTime now = sim_.sim().Now();
-  if (!job->first_attempt_time.has_value()) {
-    job->first_attempt_time = now;
-    metrics_.RecordJobWait(job->type, now - job->submit_time);
-  }
-  ++job->scheduling_attempts;
-
+  OMEGA_CHECK(IsPending());
+  const JobPtr job = std::move(waiting_);
+  waiting_ = nullptr;
   const uint32_t remaining = job->TasksRemaining();
-  Duration decision = config_.TimesFor(job->type).ForTasks(remaining);
-  if (decision.micros() <= 0) {
-    decision = Duration(1);
-  }
-  metrics_.AddBusyInterval(now, now + decision);
-  if (TraceRecorder* trace = sim_.trace()) {
-    trace->AttemptBegin(now, TraceTrack(), job->id, job->scheduling_attempts,
-                        remaining);
-  }
+  const Duration decision = AccountAttemptStart(job, remaining);
 
   // The framework only sees the offered resources — not the whole cell
   // ("restricted visibility", §3.3/§3.4). Place tasks greedily onto offer
@@ -103,12 +76,10 @@ void MesosFramework::FinishAttempt(const JobPtr& job,
   claims = std::move(accepted);
   metrics_.RecordTransaction(result.accepted, 0);
   if (TraceRecorder* trace = sim_.trace()) {
-    const SimTime when = sim_.sim().Now();
     if (!claims.empty()) {
-      trace->TxnCommit(when, TraceTrack(), job->id, result.accepted, 0);
+      trace->TxnCommit(sim_.sim().Now(), TraceTrack(), job->id,
+                       result.accepted, 0);
     }
-    trace->AttemptEnd(when, TraceTrack(), job->id, result.accepted,
-                      /*had_conflict=*/false);
   }
 
   Resources used;
@@ -146,25 +117,8 @@ void MesosFramework::FinishAttempt(const JobPtr& job,
   // were decremented in place while placing tasks, so they now hold exactly
   // the unused portions.
   sim_.allocator().ReturnOffer(this);
-
-  job->tasks_scheduled += static_cast<uint32_t>(result.accepted);
-  busy_ = false;
-
-  const SimTime now = sim_.sim().Now();
-  if (job->FullyScheduled()) {
-    metrics_.RecordJobScheduled(now, job->type, job->scheduling_attempts,
-                                job->conflicted_attempts);
-    sim_.OnJobFullyScheduled(job);
-  } else if (job->scheduling_attempts >= config_.max_attempts) {
-    job->abandoned = true;
-    metrics_.RecordJobAbandoned(job->type);
-    ReleaseHoard(job);  // break any hoarding deadlock
-    sim_.OnJobAbandoned(job);
-  } else {
-    // Keep trying: the job returns to the head of the queue and waits for the
-    // next offer (§4.2: "It nonetheless keeps trying").
-    queue_.push_front(job);
-  }
+  CompleteAttempt(job, static_cast<uint32_t>(result.accepted),
+                  /*had_conflict=*/false);
   sim_.allocator().Trigger();
 }
 
@@ -419,20 +373,19 @@ MesosSimulation::MesosSimulation(const ClusterConfig& config,
                                  const SchedulerConfig& batch_config,
                                  const SchedulerConfig& service_config)
     : ClusterSimulation(config, options), allocator_(*this) {
-  batch_ =
-      std::make_unique<MesosFramework>(*this, batch_config, JobType::kBatch);
-  service_ = std::make_unique<MesosFramework>(*this, service_config,
-                                              JobType::kService);
+  batch_ = std::make_unique<MesosFramework>(*this, batch_config);
+  service_ = std::make_unique<MesosFramework>(*this, service_config);
   allocator_.RegisterFramework(batch_.get());
   allocator_.RegisterFramework(service_.get());
 }
 
 void MesosSimulation::SubmitJob(const JobPtr& job) {
-  if (job->type == JobType::kBatch) {
-    batch_->Submit(job);
-  } else {
-    service_->Submit(job);
-  }
+  FrameworkFor(*job).Submit(job);
+  allocator_.Trigger();
+}
+
+void MesosSimulation::OnJobAbandoned(const JobPtr& job) {
+  FrameworkFor(*job).ReleaseHoard(job);
 }
 
 }  // namespace omega

@@ -9,7 +9,6 @@
 // its dominant share.
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -19,14 +18,17 @@
 #include "src/mesos/offer.h"
 #include "src/scheduler/cluster_simulation.h"
 #include "src/scheduler/config.h"
-#include "src/scheduler/metrics.h"
+#include "src/scheduler/queue_scheduler.h"
 
 namespace omega {
 
 class MesosSimulation;
 
-// A scheduler framework: receives offers, schedules its queued jobs onto the
-// offered resources, and returns what it does not use.
+// A scheduler framework: a QueueScheduler whose head job waits for an offer,
+// is scheduled onto the offered resources only, and returns what it does not
+// use. The framework takes part in no conflict (the offered resources are
+// locked for it), and a job that placed nothing keeps its place at the head
+// for the next offer (§4.2: "It nonetheless keeps trying").
 //
 // With `config.commit_mode == kAllOrNothing` the framework gang-schedules by
 // *hoarding* (§3.3): accepted resources are held idle until the whole job has
@@ -34,41 +36,35 @@ class MesosSimulation;
 // resources in the meantime and can deadlock against another hoarding
 // framework; the attempt limit eventually breaks the deadlock by abandoning
 // the job and releasing its hoard.
-class MesosFramework {
+class MesosFramework final : public QueueScheduler {
  public:
-  MesosFramework(MesosSimulation& sim, SchedulerConfig config, JobType type);
-
-  void Submit(const JobPtr& job);
+  MesosFramework(MesosSimulation& sim, SchedulerConfig config);
 
   // Allocator delivers an offer; the framework starts a scheduling attempt
-  // for its head job. Must only be called when IsPending().
+  // for the job waiting for it. Must only be called when IsPending().
   void HandleOffer();
 
-  // Pending = has queued work and is able to receive an offer.
-  bool IsPending() const { return !busy_ && !queue_.empty(); }
-  bool busy() const { return busy_; }
-  JobType type() const { return type_; }
-  const std::string& name() const { return config_.name; }
-  SchedulerMetrics& metrics() { return metrics_; }
-  const SchedulerMetrics& metrics() const { return metrics_; }
-  size_t QueueDepth() const { return queue_.size(); }
+  // Pending = a job is waiting for an offer.
+  bool IsPending() const { return waiting_ != nullptr; }
 
   // Resources currently hoarded for incomplete gang-scheduled jobs.
   Resources HoardedResources() const;
 
+  // Frees the claims hoarded for `job` (on abandonment); a no-op for a job
+  // that hoards nothing.
+  void ReleaseHoard(const JobPtr& job);
+
+ protected:
+  // Parks `job` as the one waiting for an offer and wakes the allocator.
+  void BeginAttempt(const JobPtr& job) override;
+  // The job stays at the head and waits for the next offer.
+  void RetryWithoutProgress(const JobPtr& job) override { BeginAttempt(job); }
+
  private:
   void FinishAttempt(const JobPtr& job, std::vector<TaskClaim> claims);
-  void ReleaseHoard(const JobPtr& job);
-  // Trace track for this framework, registered lazily under config_.name.
-  uint16_t TraceTrack();
 
   MesosSimulation& sim_;
-  SchedulerConfig config_;
-  JobType type_;
-  SchedulerMetrics metrics_;
-  std::deque<JobPtr> queue_;
-  bool busy_ = false;
-  int32_t trace_track_ = -1;  // lazily registered; -1 = not yet
+  JobPtr waiting_;  // the job waiting for an offer, if any
   // Gang scheduling by hoarding: claims held per incomplete job. Ordered
   // by JobId so HoardedResources() sums in a deterministic order (the
   // floating-point total feeds reported metrics; see det-unordered-iter
@@ -220,16 +216,15 @@ class MesosSimulation final : public ClusterSimulation {
                   const SchedulerConfig& batch_config,
                   const SchedulerConfig& service_config);
 
+  // Routes `job` to its framework, then wakes the allocator: a submit to a
+  // busy framework may still let a round go to the other one.
   void SubmitJob(const JobPtr& job) override;
+  // Releases the abandoned job's hoard, breaking any hoarding deadlock.
+  void OnJobAbandoned(const JobPtr& job) override;
 
   MesosFramework& batch_framework() { return *batch_; }
   MesosFramework& service_framework() { return *service_; }
   MesosAllocator& allocator() { return allocator_; }
-
-  int64_t TotalJobsAbandoned() const {
-    return batch_->metrics().JobsAbandonedTotal() +
-           service_->metrics().JobsAbandonedTotal();
-  }
 
  protected:
   void OnMachineChanged(MachineId machine, bool wake) override {
@@ -240,8 +235,11 @@ class MesosSimulation final : public ClusterSimulation {
   }
 
  private:
-  friend class MesosFramework;
   friend class MesosAllocator;
+
+  MesosFramework& FrameworkFor(const Job& job) {
+    return job.type == JobType::kBatch ? *batch_ : *service_;
+  }
 
   MesosAllocator allocator_;
   std::unique_ptr<MesosFramework> batch_;

@@ -4,8 +4,7 @@
 
 #include "src/common/json.h"
 #include "src/mesos/mesos_simulation.h"
-#include "src/omega/omega_scheduler.h"
-#include "src/scheduler/monolithic.h"
+#include "src/scheduler/queue_scheduler.h"
 
 namespace omega {
 namespace {
@@ -77,11 +76,9 @@ void AppendSchedulerJson(std::ostream& os, const SchedulerReport& r) {
 
 }  // namespace
 
-RunReport BuildRunReport(
-    const std::string& architecture, const ClusterSimulation& sim,
-    const std::vector<std::pair<std::string, const SchedulerMetrics*>>&
-        schedulers,
-    const AuditPolicy& policy) {
+RunReport BuildRunReport(const std::string& architecture,
+                         const ClusterSimulation& sim,
+                         const AuditPolicy& policy) {
   RunReport report;
   report.architecture = architecture;
   report.num_machines = sim.cell().NumMachines();
@@ -97,10 +94,10 @@ RunReport BuildRunReport(
   report.tasks_preempted = sim.TasksPreempted();
 
   const SimTime end = sim.EndTime();
-  report.schedulers.reserve(schedulers.size());
-  for (const auto& [name, metrics] : schedulers) {
-    report.schedulers.push_back(
-        SummarizeScheduler(name, *metrics, end, policy));
+  report.schedulers.reserve(sim.schedulers().size());
+  for (const QueueScheduler* scheduler : sim.schedulers()) {
+    report.schedulers.push_back(SummarizeScheduler(
+        scheduler->name(), scheduler->metrics(), end, policy));
     if (!report.schedulers.back().audit_findings.empty()) {
       report.audit_compliant = false;
     }
@@ -119,35 +116,14 @@ RunReport BuildRunReport(
   return report;
 }
 
-RunReport BuildRunReport(const std::string& architecture,
-                         MonolithicSimulation& sim, const AuditPolicy& policy) {
-  return BuildRunReport(
-      architecture, sim,
-      {{sim.scheduler().name(), &sim.scheduler().metrics()}}, policy);
-}
-
 RunReport BuildRunReport(const std::string& architecture, MesosSimulation& sim,
                          const AuditPolicy& policy) {
-  RunReport report = BuildRunReport(
-      architecture, sim,
-      {{sim.batch_framework().name(), &sim.batch_framework().metrics()},
-       {sim.service_framework().name(), &sim.service_framework().metrics()}},
-      policy);
+  RunReport report =
+      BuildRunReport(architecture, static_cast<const ClusterSimulation&>(sim),
+                     policy);
   report.offers.enabled = true;
   report.offers.counters = sim.allocator().counters();
   return report;
-}
-
-RunReport BuildRunReport(const std::string& architecture, OmegaSimulation& sim,
-                         const AuditPolicy& policy) {
-  std::vector<std::pair<std::string, const SchedulerMetrics*>> schedulers;
-  for (uint32_t i = 0; i < sim.NumBatchSchedulers(); ++i) {
-    schedulers.emplace_back(sim.batch_scheduler(i).name(),
-                            &sim.batch_scheduler(i).metrics());
-  }
-  schedulers.emplace_back(sim.service_scheduler().name(),
-                          &sim.service_scheduler().metrics());
-  return BuildRunReport(architecture, sim, schedulers, policy);
 }
 
 void RunReport::ToJson(std::ostream& os) const {

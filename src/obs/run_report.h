@@ -1,14 +1,15 @@
 // Unified end-of-run reports (the second half of the observability subsystem).
 //
-// Each simulated architecture exposes its results through slightly different
-// accessors (monolithic: one scheduler; Mesos: two frameworks; Omega/hifi: N
-// batch schedulers plus a service scheduler). A RunReport flattens all of
-// them into one architecture-agnostic document: per-scheduler metrics with
-// preemption accounting kept separate from the optimistic-commit counters,
-// the post-facto policy audit, the utilization series, failure-injection
-// counters, and — when a TraceRecorder was attached — a summary of the event
-// stream. ToJson renders the whole thing as a single JSON object so runs can
-// be diffed, archived, and consumed by scripts without scraping stdout.
+// Every simulated architecture lists its schedulers in
+// ClusterSimulation::schedulers() (monolithic: one scheduler; Mesos: two
+// frameworks; Omega/hifi: N batch schedulers plus a service scheduler). A
+// RunReport flattens them into one architecture-agnostic document:
+// per-scheduler metrics with preemption accounting kept separate from the
+// optimistic-commit counters, the post-facto policy audit, the utilization
+// series, failure-injection counters, and — when a TraceRecorder was
+// attached — a summary of the event stream. ToJson renders the whole thing
+// as a single JSON object so runs can be diffed, archived, and consumed by
+// scripts without scraping stdout.
 #pragma once
 
 #include <cstdint>
@@ -26,8 +27,6 @@
 namespace omega {
 
 class MesosSimulation;
-class MonolithicSimulation;
-class OmegaSimulation;
 
 // One scheduler's (or Mesos framework's) slice of the report.
 struct SchedulerReport {
@@ -105,21 +104,12 @@ struct RunReport {
   void ToJson(std::ostream& os) const;
 };
 
-// Architecture-agnostic core: summarizes `sim` plus the named per-scheduler
-// metrics. The convenience overloads below enumerate each architecture's
-// schedulers for you.
-RunReport BuildRunReport(
-    const std::string& architecture, const ClusterSimulation& sim,
-    const std::vector<std::pair<std::string, const SchedulerMetrics*>>& schedulers,
-    const AuditPolicy& policy = {});
-
+// Summarizes `sim` and each of its schedulers(), in construction order.
 RunReport BuildRunReport(const std::string& architecture,
-                         MonolithicSimulation& sim,
+                         const ClusterSimulation& sim,
                          const AuditPolicy& policy = {});
+// The same, plus the Mesos allocator's offer counters.
 RunReport BuildRunReport(const std::string& architecture, MesosSimulation& sim,
-                         const AuditPolicy& policy = {});
-// Covers the high-fidelity simulator too (it is an OmegaSimulation).
-RunReport BuildRunReport(const std::string& architecture, OmegaSimulation& sim,
                          const AuditPolicy& policy = {});
 
 }  // namespace omega

@@ -152,12 +152,4 @@ double OmegaSimulation::MeanBatchWait() const {
   return jobs > 0 ? weighted / static_cast<double>(jobs) : 0.0;
 }
 
-int64_t OmegaSimulation::TotalJobsAbandoned() const {
-  int64_t total = service_scheduler_->metrics().JobsAbandonedTotal();
-  for (const auto& s : batch_schedulers_) {
-    total += s->metrics().JobsAbandonedTotal();
-  }
-  return total;
-}
-
 }  // namespace omega

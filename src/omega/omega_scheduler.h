@@ -66,7 +66,6 @@ class OmegaSimulation : public ClusterSimulation {
   double MeanBatchBusyness() const;
   double MeanBatchConflictFraction() const;
   double MeanBatchWait() const;
-  int64_t TotalJobsAbandoned() const;
 
  private:
   std::vector<std::unique_ptr<OmegaScheduler>> batch_schedulers_;

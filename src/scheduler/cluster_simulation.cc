@@ -4,6 +4,7 @@
 
 #include "src/common/logging.h"
 #include "src/scheduler/placement.h"
+#include "src/scheduler/queue_scheduler.h"
 
 namespace omega {
 
@@ -196,6 +197,14 @@ void ClusterSimulation::InjectJob(const JobPtr& job) {
                       job->num_tasks, HarnessTraceTrack());
   }
   SubmitJob(job);
+}
+
+int64_t ClusterSimulation::TotalJobsAbandoned() const {
+  int64_t total = 0;
+  for (const QueueScheduler* scheduler : schedulers_) {
+    total += scheduler->metrics().JobsAbandonedTotal();
+  }
+  return total;
 }
 
 uint16_t ClusterSimulation::HarnessTraceTrack() {

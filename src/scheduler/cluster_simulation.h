@@ -24,6 +24,8 @@ namespace omega {
 
 using JobPtr = std::shared_ptr<Job>;
 
+class QueueScheduler;
+
 // A point of the cluster-utilization time series (Fig. 16).
 struct UtilizationSample {
   double time_hours = 0.0;
@@ -98,7 +100,13 @@ class ClusterSimulation {
   void StartTasks(const Job& job, std::span<const TaskClaim> claims,
                   std::function<void(const TaskClaim&)> on_task_end = nullptr);
 
+  // Every scheduler of this simulation, in construction order. Each
+  // QueueScheduler adds itself on construction, so reports and aggregates
+  // enumerate the schedulers here instead of per architecture.
+  const std::vector<QueueScheduler*>& schedulers() const { return schedulers_; }
+
   // Job accounting.
+  int64_t TotalJobsAbandoned() const;  // summed over schedulers()
   int64_t JobsSubmitted(JobType type) const {
     return type == JobType::kBatch ? batch_submitted_ : service_submitted_;
   }
@@ -180,6 +188,8 @@ class ClusterSimulation {
   void TrackRunningTasks();
 
  private:
+  friend class QueueScheduler;  // adds and removes itself in schedulers_
+
   // The one setup sequence of Run() and RunTrace(): initial fill,
   // OnSimulationStart, arrivals (the generated streams, or `trace`'s jobs
   // when it is non-null), utilization sampling, failure stream.
@@ -214,6 +224,7 @@ class ClusterSimulation {
   WorkloadGenerator generator_;
   Rng rng_;
 
+  std::vector<QueueScheduler*> schedulers_;
   int64_t batch_submitted_ = 0;
   int64_t service_submitted_ = 0;
   std::vector<UtilizationSample> utilization_series_;

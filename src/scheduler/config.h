@@ -23,11 +23,12 @@ struct DecisionTimes {
   }
 };
 
-// Per-scheduler configuration. Each field says which architectures read it:
-// the queue schedulers are the monolithic and statically partitioned ones
-// and the Omega schedulers (MapReduce and high-fidelity included); a Mesos
-// framework reads only the name, decision times, max_attempts and
-// commit_mode, and ignores the rest.
+// Per-scheduler configuration. Each field says which architectures read it.
+// Every scheduler is a queue scheduler: the monolithic and statically
+// partitioned ones, the Omega schedulers (MapReduce and high-fidelity
+// included) and the Mesos frameworks. A Mesos framework reads the name,
+// decision times, max_attempts, commit_mode and admission_limit; it ignores
+// no_progress_backoff, conflict_mode, resource_limit and enable_preemption.
 struct SchedulerConfig {
   // Trace track and report label. All architectures.
   std::string name = "scheduler";
@@ -45,8 +46,9 @@ struct SchedulerConfig {
   // After an attempt that made no progress for lack of fitting resources
   // (no conflict — the cell is simply full for this job), the job is requeued
   // at the back and, if the queue is otherwise empty, retried only after this
-  // backoff. Conflicted attempts retry immediately, per §3.4. Queue
-  // schedulers only.
+  // backoff. Conflicted attempts retry immediately, per §3.4. Monolithic and
+  // Omega schedulers; a Mesos framework keeps the job at the head of its
+  // queue for the next offer instead.
   Duration no_progress_backoff = Duration::FromSeconds(5);
 
   // Omega transaction semantics (§3.4, §5.2). conflict_mode is read by Omega
@@ -56,8 +58,9 @@ struct SchedulerConfig {
   CommitMode commit_mode = CommitMode::kIncremental;
 
   // Optional caps supporting cluster-wide policies as emergent behavior
-  // (§3.4): a limit on the total resources this scheduler may hold, and on
-  // the number of jobs it will admit to its queue. Queue schedulers only.
+  // (§3.4): a limit on the total resources this scheduler may hold
+  // (monolithic and Omega schedulers), and on the number of jobs it will
+  // admit to its queue (every scheduler, Mesos frameworks included).
   std::optional<Resources> resource_limit;
   std::optional<uint64_t> admission_limit;
 

@@ -8,7 +8,11 @@
 namespace omega {
 
 QueueScheduler::QueueScheduler(ClusterSimulation& harness, SchedulerConfig config)
-    : harness_(harness), config_(std::move(config)) {}
+    : harness_(harness), config_(std::move(config)) {
+  harness_.schedulers_.push_back(this);
+}
+
+QueueScheduler::~QueueScheduler() { std::erase(harness_.schedulers_, this); }
 
 void QueueScheduler::Submit(const JobPtr& job) {
   if (config_.admission_limit.has_value() &&
@@ -131,19 +135,18 @@ void QueueScheduler::CompleteAttempt(const JobPtr& job, uint32_t tasks_placed,
   if (TraceRecorder* trace = harness_.trace()) {
     trace->AttemptEnd(now, TraceTrack(), job->id, tasks_placed, had_conflict);
   }
+  busy_ = false;
   if (job->cancelled) {
     // Withdrawn by the submitter mid-attempt (federation spillover). Tasks
     // this attempt placed keep running, but the job neither retries nor
     // counts as scheduled/abandoned here — its remaining work was re-issued
     // elsewhere as a clone.
-    busy_ = false;
     TryStartNext();
     return;
   }
   if (job->FullyScheduled()) {
     metrics_.RecordJobScheduled(now, job->type, job->scheduling_attempts,
                                 job->conflicted_attempts);
-    busy_ = false;
     harness_.OnJobFullyScheduled(job);
     TryStartNext();
     return;
@@ -153,7 +156,6 @@ void QueueScheduler::CompleteAttempt(const JobPtr& job, uint32_t tasks_placed,
     // tasks unscheduled. Already-placed tasks keep running.
     job->abandoned = true;
     metrics_.RecordJobAbandoned(job->type);
-    busy_ = false;
     harness_.OnJobAbandoned(job);
     TryStartNext();
     return;
@@ -161,15 +163,14 @@ void QueueScheduler::CompleteAttempt(const JobPtr& job, uint32_t tasks_placed,
   if (had_conflict || tasks_placed > 0) {
     // Retry immediately: the job stays at the head of the queue and the next
     // attempt re-runs the scheduling algorithm for its remaining tasks.
-    busy_ = false;
     pending_conflict_retry_ = had_conflict;
     BeginAttempt(job);
     return;
   }
-  // No progress and no conflict: the cell currently has no room for this
-  // job's tasks. Requeue at the back so other jobs are not blocked, and if
-  // nothing else is queued, wait for the backoff before looking again.
-  busy_ = false;
+  RetryWithoutProgress(job);
+}
+
+void QueueScheduler::RetryWithoutProgress(const JobPtr& job) {
   queue_.push_back(job);
   if (queue_.size() == 1) {
     harness_.sim().ScheduleAfter(config_.no_progress_backoff,

@@ -1,10 +1,13 @@
 // A scheduler that processes one job at a time from a FIFO queue (§4,
 // "Our schedulers process one request at a time").
 //
-// Subclasses implement BeginAttempt() with the architecture-specific placement
-// and commit protocol; the base class owns the queue, busy-state machine,
-// retry/abandonment policy and metric accounting shared by the monolithic and
-// shared-state schedulers.
+// Every architecture's scheduler is one: the monolithic scheduler, the Omega
+// (shared-state) schedulers and the Mesos (two-level) frameworks. Subclasses
+// implement BeginAttempt() with the architecture-specific placement and commit
+// protocol, which differ in resource choice and interference only (Table 1);
+// the base class owns the queue, busy-state machine, retry/abandonment policy,
+// metric accounting and trace track they share. Each one lists itself in its
+// harness's schedulers().
 #pragma once
 
 #include <deque>
@@ -19,7 +22,7 @@ namespace omega {
 class QueueScheduler {
  public:
   QueueScheduler(ClusterSimulation& harness, SchedulerConfig config);
-  virtual ~QueueScheduler() = default;
+  virtual ~QueueScheduler();
   QueueScheduler(const QueueScheduler&) = delete;
   QueueScheduler& operator=(const QueueScheduler&) = delete;
 
@@ -40,8 +43,15 @@ class QueueScheduler {
   // CompleteAttempt() exactly once.
   virtual void BeginAttempt(const JobPtr& job) = 0;
 
+  // Called by CompleteAttempt when an attempt placed nothing and hit no
+  // conflict: the cell currently has no room for `job`. The default requeues
+  // it at the back so other jobs are not blocked, and if nothing else is
+  // queued, looks again only after the no-progress backoff.
+  virtual void RetryWithoutProgress(const JobPtr& job);
+
   // Shared epilogue: updates job bookkeeping and decides between completion,
-  // immediate retry (job stays at the head), and abandonment.
+  // immediate retry (job stays at the head), RetryWithoutProgress, and
+  // abandonment.
   // `tasks_placed` tasks were committed this attempt; `had_conflict` marks a
   // transaction that hit at least one conflict.
   void CompleteAttempt(const JobPtr& job, uint32_t tasks_placed, bool had_conflict);

@@ -105,7 +105,7 @@ TEST(MesosAllocatorTest, IdleFrameworkReceivesNoOffers) {
 TEST(MesosAllocatorDeathTest, UnregisteredFrameworkAborts) {
   MesosSimulation sim(QuietCluster(), Opts(5), SchedulerConfig{},
                       SchedulerConfig{});
-  MesosFramework stranger(sim, SchedulerConfig{}, JobType::kBatch);
+  MesosFramework stranger(sim, SchedulerConfig{});
   // DominantShare used to report 0.0 for a framework the allocator never
   // registered; it now fails like the accounting calls do.
   EXPECT_DEATH(sim.allocator().DominantShare(&stranger),

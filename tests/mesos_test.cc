@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "src/workload/cluster_config.h"
 
 namespace omega {
@@ -12,6 +15,25 @@ SimOptions ShortRun(uint64_t seed = 1) {
   o.horizon = Duration::FromHours(4);
   o.seed = seed;
   return o;
+}
+
+// An empty cell with no arrival streams: the tests submit every job.
+SimOptions Quiet() {
+  SimOptions o = ShortRun();
+  o.batch_rate_multiplier = 0.0;
+  o.service_rate_multiplier = 0.0;
+  return o;
+}
+
+JobPtr BatchJob(JobId id, Resources task_resources) {
+  auto job = std::make_shared<Job>();
+  job->id = id;
+  job->type = JobType::kBatch;
+  job->num_tasks = 1;
+  job->task_resources = task_resources;
+  job->task_duration = Duration::FromMinutes(30);
+  job->precedence = DefaultPrecedence(JobType::kBatch);
+  return job;
 }
 
 TEST(MesosTest, SchedulesWorkloadWhenDecisionsAreFast) {
@@ -98,6 +120,56 @@ TEST(MesosTest, DrfSharesTracked) {
   // Something actually ran through each framework.
   EXPECT_GT(sim.batch_framework().metrics().TasksAccepted(), 0);
   EXPECT_GT(sim.service_framework().metrics().TasksAccepted(), 0);
+}
+
+// A framework admits at most admission_limit queued jobs, like every queue
+// scheduler; the job waiting for an offer is not queued.
+TEST(MesosTest, HonoursAdmissionLimit) {
+  SchedulerConfig batch;
+  batch.admission_limit = 2;
+  MesosSimulation sim(TestCluster(8), Quiet(), batch, SchedulerConfig{});
+  std::vector<JobPtr> jobs;
+  for (JobId id = 1; id <= 5; ++id) {
+    jobs.push_back(BatchJob(id, Resources{1.0, 2.0}));
+  }
+  sim.sim().ScheduleAt(SimTime::FromSeconds(1), [&] {
+    for (const JobPtr& job : jobs) {
+      sim.SubmitJob(job);
+    }
+  });
+  sim.sim().RunUntil(SimTime::FromMinutes(10));
+  const SchedulerMetrics& m = sim.batch_framework().metrics();
+  EXPECT_EQ(m.JobsScheduled(JobType::kBatch), 3);
+  EXPECT_EQ(m.JobsAbandonedTotal(), 2);
+  EXPECT_TRUE(jobs[3]->abandoned);
+  EXPECT_TRUE(jobs[4]->abandoned);
+  EXPECT_EQ(jobs[3]->scheduling_attempts, 0u);
+}
+
+// §4.2: a framework whose job placed nothing "nonetheless keeps trying". The
+// job keeps its place at the head for the next offer, so the job queued
+// behind it waits until it is abandoned.
+TEST(MesosTest, JobThatPlacedNothingWaitsAtHead) {
+  SchedulerConfig batch;
+  batch.max_attempts = 5;
+  MesosSimulation sim(TestCluster(8), Quiet(), batch, SchedulerConfig{});
+  const JobPtr huge = BatchJob(1, Resources{1000.0, 1000.0});  // fits nowhere
+  const JobPtr small = BatchJob(2, Resources{1.0, 2.0});
+  const SimTime submit = SimTime::FromSeconds(1);
+  sim.sim().ScheduleAt(submit, [&] {
+    sim.SubmitJob(huge);
+    sim.SubmitJob(small);
+  });
+  sim.sim().RunUntil(SimTime::FromMinutes(10));
+  EXPECT_TRUE(huge->abandoned);
+  EXPECT_EQ(huge->scheduling_attempts, batch.max_attempts);
+  EXPECT_TRUE(small->FullyScheduled());
+  EXPECT_EQ(small->scheduling_attempts, 1u);
+  // Each of the huge job's attempts took at least its decision time.
+  const Duration attempt = batch.batch_times.ForTasks(1);
+  ASSERT_TRUE(small->first_attempt_time.has_value());
+  EXPECT_GE(*small->first_attempt_time,
+            submit + attempt * static_cast<double>(batch.max_attempts));
 }
 
 TEST(MesosTest, DeterministicAcrossRuns) {

@@ -6,12 +6,15 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "src/hifi/hifi_simulation.h"
+#include "src/mapreduce/mr_scheduler.h"
 #include "src/mesos/mesos_simulation.h"
 #include "src/trace/trace_recorder.h"
 #include "src/omega/omega_scheduler.h"
 #include "src/scheduler/monolithic.h"
+#include "src/scheduler/partitioned.h"
 #include "src/workload/cluster_config.h"
 
 namespace omega {
@@ -182,6 +185,41 @@ TEST(RunReportTest, HifiReportBuilds) {
     scheduled += s.jobs_scheduled_batch + s.jobs_scheduled_service;
   }
   EXPECT_GT(scheduled, 0);
+}
+
+std::vector<std::string> SchedulerNames(const RunReport& report) {
+  std::vector<std::string> names;
+  for (const SchedulerReport& s : report.schedulers) {
+    names.push_back(s.name);
+  }
+  return names;
+}
+
+// One builder covers every simulation: it reports each scheduler the
+// simulation constructed, in construction order.
+TEST(RunReportTest, ListsEveryScheduler) {
+  SchedulerConfig batch;
+  batch.name = "batch";
+  SchedulerConfig service;
+  service.name = "service";
+
+  PartitionedSimulation partitioned(TestCluster(16), ReportRun(), batch,
+                                    service);
+  partitioned.Run();
+  const RunReport p = BuildRunReport("partitioned", partitioned);
+  EXPECT_EQ(SchedulerNames(p),
+            (std::vector<std::string>{"batch", "service"}));
+  EXPECT_EQ(p.schedulers[0].total_attempts,
+            partitioned.batch_scheduler().metrics().TotalAttempts());
+
+  MapReduceSimulation mapreduce(TestCluster(16), ReportRun(), batch, service,
+                                MapReducePolicyOptions{});
+  mapreduce.Run();
+  const RunReport m = BuildRunReport("mapreduce", mapreduce);
+  EXPECT_EQ(SchedulerNames(m),
+            (std::vector<std::string>{"batch-0", "service", "mapreduce"}));
+  EXPECT_EQ(m.schedulers[2].total_attempts,
+            mapreduce.mr_scheduler().metrics().TotalAttempts());
 }
 
 TEST(RunReportTest, ToJsonEmitsWellFormedDocument) {
