@@ -13,6 +13,9 @@ namespace {
 // Same job-id mixer the Omega harness uses to shard batch work (§4.3).
 constexpr uint64_t kHashMult = 0x9e3779b97f4a7c15ULL;
 
+// Weight of the advertised conflict fraction in the routing score.
+constexpr double kConflictPenalty = 4.0;
+
 // Disables a cell's own arrival streams: every job in a federation enters
 // through the front door.
 SimOptions CellOptions(const SimOptions& options, uint64_t base_seed,
@@ -48,10 +51,8 @@ FederatedCell::FederatedCell(FederationSim& fed, uint32_t index,
                              Simulator& master, const ClusterConfig& config,
                              const SimOptions& options,
                              const SchedulerConfig& batch_config,
-                             const SchedulerConfig& service_config,
-                             uint32_t num_batch_schedulers)
-    : OmegaSimulation(config, options, batch_config, service_config,
-                      num_batch_schedulers),
+                             const SchedulerConfig& service_config)
+    : OmegaSimulation(config, options, batch_config, service_config),
       fed_(fed),
       index_(index) {
   // The base constructors schedule nothing, so the repoint is still legal.
@@ -78,16 +79,15 @@ FederationSim::FederationSim(const ClusterConfig& cell_config,
       sim_(EndTime()),
       generator_(cell_config, GeneratorOptions{},
                  SubstreamSeed(options.seed, fed_options.num_cells)),
-      arrival_rng_(SubstreamSeed(options.seed, fed_options.num_cells + 1)),
-      gossip_rng_(SubstreamSeed(options.seed, fed_options.num_cells + 2)) {
+      arrival_rng_(SubstreamSeed(options.seed, fed_options.num_cells + 1)) {
   OMEGA_CHECK(fed_options_.num_cells >= 1 && fed_options_.num_cells <= 64)
       << "tried-cell bookkeeping is a 64-bit mask";
   cells_.reserve(fed_options_.num_cells);
   for (uint32_t i = 0; i < fed_options_.num_cells; ++i) {
     cells_.push_back(std::make_unique<FederatedCell>(
         *this, i, sim_, cell_config_,
-        CellOptions(options_, options_.seed, i), batch_config, service_config,
-        fed_options_.num_batch_schedulers_per_cell));
+        CellOptions(options_, options_.seed, i), batch_config,
+        service_config));
   }
   delivered_.resize(fed_options_.num_cells);
   published_counters_.resize(fed_options_.num_cells, {0, 0});
@@ -179,22 +179,13 @@ void FederationSim::PublishSummary(uint32_t cell) {
   if (fed_options_.gossip_delay == Duration::Max()) {
     return;  // published into the void: the front door never learns of it
   }
-  Duration delay = fed_options_.gossip_delay;
-  if (fed_options_.gossip_jitter > Duration::Zero()) {
-    // Jitter draws from its own substream, so enabling it cannot perturb the
-    // arrival process or any cell's randomness.
-    delay = delay + fed_options_.gossip_jitter * gossip_rng_.NextDouble();
-  }
-  sim_.ScheduleAfter(delay, [this, summary]() mutable {
+  sim_.ScheduleAfter(fed_options_.gossip_delay, [this, summary]() mutable {
     summary.received_at = sim_.Now();
     metrics_.delivery_latency_secs.Add(
         (summary.received_at - summary.published_at).ToSeconds());
     ++metrics_.summaries_delivered;
-    // Jittered deliveries can arrive out of order; keep the freshest.
-    CellSummary& slot = delivered_[summary.cell];
-    if (!slot.valid || slot.published_at <= summary.published_at) {
-      slot = summary;
-    }
+    // A constant delay delivers a cell's summaries in publish order.
+    delivered_[summary.cell] = summary;
   });
 }
 
@@ -220,7 +211,7 @@ uint32_t FederationSim::ChooseCell(const Job& job, uint64_t tried_mask,
           std::min(summary.free_cpu_fraction, summary.free_mem_fraction);
       const double score =
           headroom /
-          (1.0 + fed_options_.conflict_penalty * summary.conflict_fraction);
+          (1.0 + kConflictPenalty * summary.conflict_fraction);
       // Strict > with ascending scan: ties break to the lowest cell index.
       if (score > best_score) {
         best_score = score;

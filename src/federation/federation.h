@@ -5,7 +5,7 @@
 // one level up, to a fleet of N independent Omega cells behind a front-door
 // submitter. The front door routes each arriving job using *stale* per-cell
 // summaries (free capacity, recent conflict rate, queue depth) that the cells
-// publish by periodic gossip with a configurable delivery delay and jitter;
+// publish by periodic gossip with a configurable delivery delay;
 // on rejection or timeout inside a cell, the job is withdrawn and spilled to
 // the next-best cell, paying an inter-cell transfer cost. Gossip publication,
 // gossip delivery, job transfer, and the pending-timeout watchdog are all
@@ -34,7 +34,7 @@ namespace omega {
 // How the front door picks a cell for a job.
 enum class FederationRouting : uint8_t {
   // Highest score among the cells the job has not tried yet, where
-  //   score = min(free_cpu, free_mem) / (1 + conflict_penalty * conflicts)
+  //   score = min(free_cpu, free_mem) / (1 + 4 * conflicts)
   // computed from the latest *delivered* summary (or the live state when
   // gossip_interval is zero). Ties break to the lowest cell index; cells with
   // no delivered summary yet fall back to the static hash below.
@@ -59,14 +59,14 @@ struct FederationOptions {
   SpilloverPolicy spillover = SpilloverPolicy::kNextBest;
 
   // Each cell publishes a summary every gossip_interval; the publication
-  // becomes visible to the front door gossip_delay (plus a uniform jitter in
-  // [0, gossip_jitter)) later. Zero interval disables gossip and gives the
-  // front door *live* summaries — the fresh-state limit. Duration::Max()
-  // delay means published-but-never-delivered — the no-shared-knowledge
-  // limit, which makes kLeastLoaded degrade exactly to the static hash.
+  // becomes visible to the front door gossip_delay later, so a cell's
+  // summaries arrive in publish order. Zero interval disables gossip and
+  // gives the front door *live* summaries — the fresh-state limit.
+  // Duration::Max() delay means published-but-never-delivered — the
+  // no-shared-knowledge limit, which makes kLeastLoaded degrade exactly to
+  // the static hash.
   Duration gossip_interval = Duration::FromSeconds(15);
   Duration gossip_delay = Duration::FromSeconds(1);
-  Duration gossip_jitter = Duration::Zero();
 
   // Inter-cell transfer cost: every routed job (front door -> cell, and
   // spilled cell -> cell) arrives this much after the routing decision.
@@ -78,11 +78,6 @@ struct FederationOptions {
   Duration pending_timeout = Duration::FromMinutes(10);
   // Maximum cell-to-cell hops per job (on top of the initial placement).
   uint32_t max_spills = 3;
-
-  // Weight of the advertised conflict fraction in the routing score.
-  double conflict_penalty = 4.0;
-
-  uint32_t num_batch_schedulers_per_cell = 1;
 };
 
 // One cell's gossiped self-description. `published_at` is when the cell
@@ -130,8 +125,8 @@ struct FederationMetrics {
 
 class FederationSim;
 
-// One member cell: a full OmegaSimulation (N batch schedulers + service
-// scheduler racing over the cell's shared state) whose events run on the
+// One member cell: a full OmegaSimulation (a batch and a service scheduler
+// racing over the cell's shared state) whose events run on the
 // federation's master queue and whose per-job terminal transitions are
 // reported back to the front door for spillover.
 class FederatedCell final : public OmegaSimulation {
@@ -140,8 +135,7 @@ class FederatedCell final : public OmegaSimulation {
   FederatedCell(FederationSim& fed, uint32_t index, Simulator& master,
                 const ClusterConfig& config, const SimOptions& options,
                 const SchedulerConfig& batch_config,
-                const SchedulerConfig& service_config,
-                uint32_t num_batch_schedulers);
+                const SchedulerConfig& service_config);
 
   void OnJobFullyScheduled(const JobPtr& job) override;
   void OnJobAbandoned(const JobPtr& job) override;
@@ -157,8 +151,8 @@ class FederatedCell final : public OmegaSimulation {
 // router, and the gossip machinery.
 //
 // Determinism: cell i draws its workload-independent randomness from
-// substream i of the base seed; the fleet arrival stream, the arrival
-// sampler, and gossip jitter use substreams N, N+1, and N+2. Cells are
+// substream i of the base seed; the fleet arrival stream and the arrival
+// sampler use substreams N and N+1. Cells are
 // prepared in index order on the master queue, so the full event interleaving
 // is a pure function of (options, fed_options, seed).
 class FederationSim {
@@ -245,8 +239,6 @@ class FederationSim {
   std::vector<std::unique_ptr<FederatedCell>> cells_;
   WorkloadGenerator generator_;  // fleet arrival stream (substream N)
   Rng arrival_rng_;              // interarrival gaps (substream N+1)
-  Rng gossip_rng_;               // gossip jitter only (substream N+2), so
-                                 // arrivals are independent of gossip config
 
   std::vector<CellSummary> delivered_;
   // Per-cell (accepted, conflicted) totals at the previous publication, for

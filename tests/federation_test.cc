@@ -35,7 +35,6 @@ FederationOptions BaseFed(uint32_t cells = 4) {
   f.num_cells = cells;
   f.gossip_interval = Duration::FromSeconds(15);
   f.gossip_delay = Duration::FromSeconds(1);
-  f.gossip_jitter = Duration::FromSeconds(2);
   f.pending_timeout = Duration::FromSeconds(120);
   f.max_spills = 2;
   return f;
@@ -189,7 +188,6 @@ TEST(FederationGossipTest, InfiniteDelayEqualsStaticPartitioning) {
 TEST(FederationGossipTest, GossipInertUnderStaticRouting) {
   FederationOptions flowing = BaseFed();
   flowing.routing = FederationRouting::kStaticHash;
-  flowing.gossip_jitter = Duration::Zero();
   FederationOptions starved = flowing;
   starved.gossip_delay = Duration::Max();
   FedResult a = RunFed(BaseOptions(13), flowing);
@@ -208,7 +206,6 @@ TEST(FederationGossipTest, GossipInertUnderStaticRouting) {
 TEST(FederationGossipTest, ZeroDelayAndLiveSummariesAreFresh) {
   FederationOptions zero_delay = BaseFed();
   zero_delay.gossip_delay = Duration::Zero();
-  zero_delay.gossip_jitter = Duration::Zero();
   const FedResult a = RunFed(BaseOptions(21), zero_delay);
   EXPECT_GT(a.delivered, 0);
   EXPECT_TRUE(SameBits(a.delivery_mean, 0.0));
