@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <utility>
 
 #include "src/common/logging.h"
 
@@ -23,8 +24,7 @@ void MesosFramework::BeginAttempt(const JobPtr& job) {
 
 void MesosFramework::HandleOffer() {
   OMEGA_CHECK(IsPending());
-  const JobPtr job = std::move(waiting_);
-  waiting_ = nullptr;
+  const JobPtr job = std::exchange(waiting_, nullptr);
   const uint32_t remaining = job->TasksRemaining();
   const Duration decision = AccountAttemptStart(job, remaining);
 

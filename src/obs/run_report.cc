@@ -4,6 +4,7 @@
 
 #include "src/common/json.h"
 #include "src/mesos/mesos_simulation.h"
+#include "src/scheduler/metrics.h"
 #include "src/scheduler/queue_scheduler.h"
 
 namespace omega {

@@ -22,7 +22,6 @@
 #include "src/trace/trace_recorder.h"
 #include "src/omega/audit.h"
 #include "src/scheduler/cluster_simulation.h"
-#include "src/scheduler/metrics.h"
 
 namespace omega {
 
