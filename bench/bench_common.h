@@ -8,6 +8,7 @@
 #include <fstream>
 #include <functional>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -46,18 +47,20 @@ inline std::vector<double> TjobSweep(int points = 7) {
   return LogSpace(0.01, 100.0, points);
 }
 
-// Writes the sweep's BENCH_<figure>.json and prints a one-line timing
-// summary (trials, threads, wall-clock, measured speedup vs serial).
+// Writes the sweep's BENCH_<figure>.json into $OMEGA_BENCH_JSON_DIR, when
+// set, and prints a one-line timing summary (trials, threads, wall-clock,
+// measured speedup vs serial).
 inline void FinishSweep(const SweepRunner& runner) {
-  const std::string path = runner.WriteJson();
+  const std::optional<std::string> path = runner.WriteJson();
+  std::string json_note = "no JSON written (OMEGA_BENCH_JSON_DIR unset)";
+  if (path) {
+    json_note = path->empty() ? "JSON write FAILED" : "wrote " + *path;
+  }
   const SweepReport& rep = runner.report();
   std::cout << "\nsweep: " << rep.trials << " trials on " << rep.threads
             << " thread(s) in " << FormatValue(rep.wall_seconds)
             << " s (speedup vs serial: " << FormatValue(rep.SpeedupVsSerial())
-            << "x); "
-            << (path.empty() ? std::string("JSON write FAILED")
-                             : "wrote " + path)
-            << "\n";
+            << "x); " << json_note << "\n";
 }
 
 // --- bit-exact smoke goldens ---

@@ -236,8 +236,7 @@ int FullRun() {
                    "partitioning, recovered partly by spillover");
   SweepRunner runner("fig_federation", kFedBaseSeed);
   const std::vector<Row> rows = RunGrid(kFullGrid, std::size(kFullGrid),
-                                        Duration::FromDays(kFullHorizonDays),
-                                        runner);
+                                        BenchHorizon(kFullHorizonDays), runner);
 
   TablePrinter table({"config", "confl frac", "cpu util", "util skew",
                       "sched p90 [s]", "spill p90 [s]", "submitted",

@@ -15,7 +15,6 @@
 //   fig_mega --smoke-check <golden> short run, bit-exact diff vs the golden
 //
 // The smoke modes are the golden harness in bench_common.h.
-#include <chrono>
 #include <cstdio>
 #include <iostream>
 #include <sstream>
@@ -23,10 +22,7 @@
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "src/cluster/cell_state.h"
 #include "src/omega/omega_scheduler.h"
-#include "src/scheduler/placement.h"
-#include "src/workload/job.h"
 
 namespace omega {
 namespace {
@@ -73,80 +69,6 @@ std::vector<Row> RunMegaSweep(Duration horizon, int trials,
   });
 }
 
-// --------------------------------------------------------------------------
-// Placement-stress probe: the worst case of the sequential constrained scan.
-//
-// The day-long trials above are not scan-bound — their no-fit sweeps are
-// short, chunked SoA passes (§11). The expensive regime is a
-// constraint-picky scan over a cell where raw fits pass everywhere
-// (the raw sweep stops at every machine) but only a sparse subset satisfies
-// the job's attribute constraint: first-fit then walks thousands of futile
-// raw-fit hits per placement. This probe measures exactly that — 100k empty
-// machines, one matching machine per ~16k — and records its wall-clock in
-// BENCH_fig_mega.json (stress_wall_seconds). The placement checksum is
-// pinned in the smoke golden.
-// --------------------------------------------------------------------------
-
-constexpr uint32_t kStressMachines = 100000;
-constexpr uint32_t kStressMatchStride = 16411;  // prime; ~6 matches per cell
-constexpr int kStressFullPlacements = 8192;
-constexpr int kStressSmokePlacements = 128;
-
-struct StressResult {
-  int64_t placed = 0;
-  uint64_t checksum = 0;  // FNV-1a over chosen machine ids
-  double wall_seconds = 0.0;
-};
-
-StressResult RunPlacementStress(int placements) {
-  CellState cell(kStressMachines, Resources{16.0, 64.0});
-  for (MachineId m = 0; m < kStressMachines; ++m) {
-    cell.SetAttributes(m, {m % kStressMatchStride == 7 ? 1 : 0});
-  }
-  RandomizedFirstFitPlacer placer(/*max_random_probes=*/0,
-                                  /*respect_constraints=*/true);
-  Job job;
-  job.task_resources = Resources{2.0, 8.0};
-  job.num_tasks = 1;
-  job.constraints.push_back(PlacementConstraint{
-      /*attribute_key=*/0, /*attribute_value=*/1, /*must_equal=*/true});
-  Rng rng(kMegaBaseSeed * 7919 + 17);
-  StressResult r;
-  r.checksum = 1469598103934665603ULL;
-  std::vector<TaskClaim> claims;
-  const auto t0 = std::chrono::steady_clock::now();
-  for (int i = 0; i < placements; ++i) {
-    claims.clear();
-    r.placed += placer.PlaceTasks(cell, job, 1, rng, &claims);
-    for (const TaskClaim& c : claims) {
-      r.checksum = (r.checksum ^ c.machine) * 1099511628211ULL;
-    }
-    // Nothing is allocated, so the cell stays in the long-futile-scan regime
-    // for every placement and the probe is a pure scan measurement.
-  }
-  const auto t1 = std::chrono::steady_clock::now();
-  r.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
-  return r;
-}
-
-std::string FormatStress(const StressResult& r) {
-  char buf[128];
-  std::snprintf(buf, sizeof(buf), "stress %lld %016llx",
-                static_cast<long long>(r.placed),
-                static_cast<unsigned long long>(r.checksum));
-  return buf;
-}
-
-void RecordStressMetrics(SweepRunner& runner, const StressResult& r) {
-  runner.report().AddMetric("stress_placements",
-                            static_cast<double>(r.placed));
-  runner.report().AddMetric("stress_wall_seconds", r.wall_seconds);
-  if (r.wall_seconds > 0.0) {
-    runner.report().AddMetric("stress_placements_per_second",
-                              static_cast<double>(r.placed) / r.wall_seconds);
-  }
-}
-
 std::string FormatTrial(const Row& r) {
   char buf[512];
   std::snprintf(buf, sizeof(buf), "%a %a %a %a %a %a %lld %lld", r.batch_wait,
@@ -162,17 +84,13 @@ std::vector<std::string> RunSmoke() {
   const std::vector<Row> rows = RunMegaSweep(
       Duration::FromDays(kSmokeHorizonDays), kSmokeTrials, runner);
   std::vector<std::string> lines;
-  lines.reserve(rows.size() + 1);
+  lines.reserve(rows.size());
   for (const Row& r : rows) {
     lines.push_back(FormatTrial(r));
   }
-  const StressResult stress = RunPlacementStress(kStressSmokePlacements);
-  lines.push_back(FormatStress(stress));
   std::cout << "fig_mega smoke: " << runner.report().trials << " trials on "
             << runner.report().threads << " thread(s) in "
-            << runner.report().wall_seconds << " s; stress probe "
-            << stress.placed << " placements in " << stress.wall_seconds
-            << " s\n";
+            << runner.report().wall_seconds << " s\n";
   return lines;
 }
 
@@ -183,9 +101,7 @@ SmokeGolden Golden() {
          << " base_seed=" << kMegaBaseSeed << "\n"
          << "# fields: batch_wait service_wait batch_busy service_busy "
             "conflict_fraction cpu_utilization submitted abandoned (hex "
-            "floats)\n"
-         << "# last line: constraint-sweep stress probe, `stress <placed> "
-            "<fnv1a-checksum-of-machine-ids>` (thread-count-invariant)\n";
+            "floats)\n";
   return SmokeGolden{"fig_mega", header.str(), RunSmoke};
 }
 
@@ -194,8 +110,8 @@ int FullRun() {
                    "bounded wall-clock at 8x cluster C's machines and "
                    "arrival rates; busyness/wait in the unsaturated regime");
   SweepRunner runner("fig_mega", kMegaBaseSeed);
-  const std::vector<Row> rows = RunMegaSweep(
-      Duration::FromDays(kFullHorizonDays), kFullTrials, runner);
+  const std::vector<Row> rows =
+      RunMegaSweep(BenchHorizon(kFullHorizonDays), kFullTrials, runner);
 
   TablePrinter table({"trial", "batch wait [s]", "service wait [s]",
                       "batch busy", "service busy", "svc confl frac",
@@ -218,16 +134,6 @@ int FullRun() {
   runner.report().AddMetric("batch_busy_mean", batch_busy.mean());
   runner.report().AddMetric("service_conflict_fraction_mean", conflict.mean());
 
-  const StressResult stress = RunPlacementStress(kStressFullPlacements);
-  RecordStressMetrics(runner, stress);
-  char stress_line[256];
-  std::snprintf(stress_line, sizeof(stress_line),
-                "stress probe: %lld constraint-sweep placements over %u "
-                "machines in %.3f s (checksum %016llx)\n",
-                static_cast<long long>(stress.placed), kStressMachines,
-                stress.wall_seconds,
-                static_cast<unsigned long long>(stress.checksum));
-  std::cout << stress_line;
   FinishSweep(runner);
   return 0;
 }

@@ -21,25 +21,6 @@ void RunningStats::Add(double x) {
   m2_ += delta * (x - mean_);
 }
 
-void RunningStats::Merge(const RunningStats& other) {
-  if (other.count_ == 0) {
-    return;
-  }
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  const double delta = other.mean_ - mean_;
-  const auto n1 = static_cast<double>(count_);
-  const auto n2 = static_cast<double>(other.count_);
-  const double n = n1 + n2;
-  mean_ += delta * n2 / n;
-  m2_ += other.m2_ + delta * delta * n1 * n2 / n;
-  count_ += other.count_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
 double RunningStats::variance() const {
   if (count_ < 2) {
     return 0.0;
@@ -86,15 +67,6 @@ void Cdf::AddN(double x, int64_t n) {
   }
   runs_.emplace_back(x, n);
   total_ += n;
-  sorted_ = false;
-}
-
-void Cdf::Merge(const Cdf& other) {
-  if (other.total_ == 0) {
-    return;
-  }
-  runs_.insert(runs_.end(), other.runs_.begin(), other.runs_.end());
-  total_ += other.total_;
   sorted_ = false;
 }
 
@@ -188,15 +160,6 @@ double Cdf::MeanValue() const {
     sum += value * static_cast<double>(n);
   }
   return sum / static_cast<double>(total_);
-}
-
-std::vector<double> Cdf::Evaluate(const std::vector<double>& points) const {
-  std::vector<double> out;
-  out.reserve(points.size());
-  for (double p : points) {
-    out.push_back(FractionAtOrBelow(p));
-  }
-  return out;
 }
 
 }  // namespace omega

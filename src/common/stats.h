@@ -17,7 +17,6 @@ namespace omega {
 class RunningStats {
  public:
   void Add(double x);
-  void Merge(const RunningStats& other);
 
   int64_t count() const { return count_; }
   double mean() const { return count_ > 0 ? mean_ : 0.0; }
@@ -56,9 +55,6 @@ class Cdf {
   void Add(double x) { AddN(x, 1); }
   // Adds `n` copies of x; n <= 0 is a no-op.
   void AddN(double x, int64_t n);
-  // Absorbs all samples of `other`. Used to fold per-trial CDFs from a
-  // parallel sweep into one distribution.
-  void Merge(const Cdf& other);
 
   size_t count() const { return static_cast<size_t>(total_); }
   bool empty() const { return total_ == 0; }
@@ -71,9 +67,6 @@ class Cdf {
   double MinValue() const;
   double MaxValue() const;
   double MeanValue() const;
-
-  // Evaluates the CDF at `points` x-values; returns fractions.
-  std::vector<double> Evaluate(const std::vector<double>& points) const;
 
  private:
   // Sorts runs by value, coalesces duplicates, and rebuilds the inclusive

@@ -105,13 +105,12 @@ std::string SweepReport::ToJson() const {
   return os.str();
 }
 
-std::string SweepReport::WriteJson() const {
-  std::string dir = ".";
-  if (const char* env = std::getenv("OMEGA_BENCH_JSON_DIR");
-      env != nullptr && env[0] != '\0') {
-    dir = env;
+std::optional<std::string> SweepReport::WriteJson() const {
+  const char* dir = std::getenv("OMEGA_BENCH_JSON_DIR");
+  if (dir == nullptr || dir[0] == '\0') {
+    return std::nullopt;
   }
-  const std::string path = dir + "/BENCH_" + name + ".json";
+  const std::string path = std::string(dir) + "/BENCH_" + name + ".json";
   std::ofstream out(path);
   if (!out) {
     return std::string();
@@ -150,22 +149,6 @@ void SweepRunner::Begin(size_t num_trials) {
     threads = std::max<size_t>(1, std::thread::hardware_concurrency());
   }
   report_.threads = std::min(threads, std::max<size_t>(1, num_trials));
-}
-
-RunningStats MergeTrialStats(const std::vector<RunningStats>& per_trial) {
-  RunningStats merged;
-  for (const RunningStats& s : per_trial) {
-    merged.Merge(s);
-  }
-  return merged;
-}
-
-Cdf MergeTrialCdfs(const std::vector<Cdf>& per_trial) {
-  Cdf merged;
-  for (const Cdf& c : per_trial) {
-    merged.Merge(c);
-  }
-  return merged;
 }
 
 }  // namespace omega

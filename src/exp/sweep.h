@@ -11,6 +11,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -19,7 +20,6 @@
 
 #include "src/common/parallel_for.h"
 #include "src/common/random.h"
-#include "src/common/stats.h"
 
 namespace omega {
 
@@ -67,10 +67,10 @@ struct SweepReport {
   void AddMetric(const std::string& key, double value);
 
   std::string ToJson() const;
-  // Writes ToJson() to <dir>/BENCH_<name>.json where <dir> is
-  // $OMEGA_BENCH_JSON_DIR (default "."). Returns the path written, or an
-  // empty string if the file could not be opened.
-  std::string WriteJson() const;
+  // Writes ToJson() to $OMEGA_BENCH_JSON_DIR/BENCH_<name>.json. Returns
+  // nullopt when the variable is unset or empty (nothing is written), else
+  // the path written, or an empty string if the file could not be opened.
+  std::optional<std::string> WriteJson() const;
 };
 
 // Runs a grid of independent trials in parallel, deterministically.
@@ -120,7 +120,7 @@ class SweepRunner {
   SweepReport& report() { return report_; }
 
   // Convenience: report().WriteJson().
-  std::string WriteJson() const { return report_.WriteJson(); }
+  std::optional<std::string> WriteJson() const { return report_.WriteJson(); }
 
  private:
   void Begin(size_t num_trials);
@@ -132,11 +132,6 @@ class SweepRunner {
   size_t max_threads_;
   SweepReport report_;
 };
-
-// Folds per-trial partial statistics in trial-index order, so the merged
-// result is independent of how trials were interleaved across threads.
-RunningStats MergeTrialStats(const std::vector<RunningStats>& per_trial);
-Cdf MergeTrialCdfs(const std::vector<Cdf>& per_trial);
 
 }  // namespace omega
 

@@ -16,6 +16,13 @@ constexpr uint64_t kHashMult = 0x9e3779b97f4a7c15ULL;
 // Weight of the advertised conflict fraction in the routing score.
 constexpr double kConflictPenalty = 4.0;
 
+// Inter-cell transfer cost: every routed job (front door -> cell, and
+// spilled cell -> cell) arrives this much after the routing decision.
+constexpr Duration kTransferDelay = Duration::FromMillis(50);
+
+// Maximum cell-to-cell hops per job (on top of the initial placement).
+constexpr uint32_t kMaxSpills = 3;
+
 // Disables a cell's own arrival streams: every job in a federation enters
 // through the front door.
 SimOptions CellOptions(const SimOptions& options, uint64_t base_seed,
@@ -91,7 +98,6 @@ FederationSim::FederationSim(const ClusterConfig& cell_config,
   }
   delivered_.resize(fed_options_.num_cells);
   published_counters_.resize(fed_options_.num_cells, {0, 0});
-  metrics_.routed_per_cell.resize(fed_options_.num_cells, 0);
 }
 
 void FederationSim::Run() {
@@ -259,11 +265,10 @@ void FederationSim::RouteNewJob(const JobPtr& job) {
 }
 
 void FederationSim::SendToCell(PendingJob& pending) {
-  ++metrics_.routed_per_cell[pending.cell];
-  sim_.ScheduleAfter(fed_options_.transfer_delay,
-                    [this, id = pending.job->id, epoch = pending.epoch] {
-                      DeliverJob(id, epoch);
-                    });
+  sim_.ScheduleAfter(kTransferDelay,
+                     [this, id = pending.job->id, epoch = pending.epoch] {
+                       DeliverJob(id, epoch);
+                     });
 }
 
 void FederationSim::DeliverJob(JobId id, uint32_t epoch) {
@@ -300,7 +305,7 @@ void FederationSim::SpillOrLose(PendingJob& pending, bool from_timeout) {
                                  ? ~uint64_t{0}
                                  : (uint64_t{1} << num_cells()) - 1;
   const bool can_spill = fed_options_.spillover == SpilloverPolicy::kNextBest &&
-                         pending.spills < fed_options_.max_spills &&
+                         pending.spills < kMaxSpills &&
                          (pending.tried_mask & all_cells) != all_cells;
   if (!can_spill) {
     ++metrics_.jobs_lost;
@@ -400,14 +405,6 @@ double FederationSim::CpuUtilizationSkew() const {
     hi = std::max(hi, u);
   }
   return hi - lo;
-}
-
-double FederationSim::CpuUtilizationStddev() const {
-  RunningStats stats;
-  for (const auto& cell : cells_) {
-    stats.Add(cell->cell().CpuUtilization());
-  }
-  return stats.stddev();
 }
 
 double FederationSim::FleetConflictFraction() const {

@@ -68,16 +68,10 @@ struct FederationOptions {
   Duration gossip_interval = Duration::FromSeconds(15);
   Duration gossip_delay = Duration::FromSeconds(1);
 
-  // Inter-cell transfer cost: every routed job (front door -> cell, and
-  // spilled cell -> cell) arrives this much after the routing decision.
-  Duration transfer_delay = Duration::FromMillis(50);
-
   // A job that has not fully scheduled within pending_timeout of arriving at
   // its cell is withdrawn and spilled (kNextBest only). Duration::Max()
   // disables the watchdog; rejections still spill.
   Duration pending_timeout = Duration::FromMinutes(10);
-  // Maximum cell-to-cell hops per job (on top of the initial placement).
-  uint32_t max_spills = 3;
 };
 
 // One cell's gossiped self-description. `published_at` is when the cell
@@ -120,7 +114,6 @@ struct FederationMetrics {
   // subset covers only jobs that hopped at least once.
   Cdf time_to_scheduled_secs;
   Cdf spillover_latency_secs;
-  std::vector<int64_t> routed_per_cell;  // deliveries, including spills
 };
 
 class FederationSim;
@@ -183,11 +176,6 @@ class FederationSim {
   // (what gossip snapshots at publication; what routing uses when
   // gossip_interval is zero). Conflict fraction is cumulative here.
   CellSummary LiveSummary(uint32_t cell) const;
-  // The latest gossip delivery for the cell (valid == false before the first
-  // one arrives).
-  const CellSummary& DeliveredSummary(uint32_t cell) const {
-    return delivered_[cell];
-  }
 
   // --- fleet-level aggregates (after Run()) ---
 
@@ -195,7 +183,6 @@ class FederationSim {
   int64_t TotalJobsAbandoned() const;  // sum over cells' scheduler metrics
   double MeanCellCpuUtilization() const;
   double CpuUtilizationSkew() const;  // max - min across cells
-  double CpuUtilizationStddev() const;
   // Mean over cells of the cumulative task-claim conflict fraction.
   double FleetConflictFraction() const;
 

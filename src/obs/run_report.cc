@@ -11,8 +11,7 @@ namespace omega {
 namespace {
 
 SchedulerReport SummarizeScheduler(const std::string& name,
-                                   const SchedulerMetrics& m, SimTime end,
-                                   const AuditPolicy& policy) {
+                                   const SchedulerMetrics& m, SimTime end) {
   SchedulerReport r;
   r.name = name;
   r.jobs_scheduled_batch = m.JobsScheduled(JobType::kBatch);
@@ -33,7 +32,7 @@ SchedulerReport SummarizeScheduler(const std::string& name,
   r.preemption_victims = m.PreemptionVictims();
   r.total_attempts = m.TotalAttempts();
   r.mean_attempts_per_job = m.MeanAttemptsPerJob();
-  r.audit_findings = AuditMetrics(m, end, policy);
+  r.audit_findings = AuditMetrics(m, end);
   return r;
 }
 
@@ -78,8 +77,7 @@ void AppendSchedulerJson(std::ostream& os, const SchedulerReport& r) {
 }  // namespace
 
 RunReport BuildRunReport(const std::string& architecture,
-                         const ClusterSimulation& sim,
-                         const AuditPolicy& policy) {
+                         const ClusterSimulation& sim) {
   RunReport report;
   report.architecture = architecture;
   report.num_machines = sim.cell().NumMachines();
@@ -97,8 +95,8 @@ RunReport BuildRunReport(const std::string& architecture,
   const SimTime end = sim.EndTime();
   report.schedulers.reserve(sim.schedulers().size());
   for (const QueueScheduler* scheduler : sim.schedulers()) {
-    report.schedulers.push_back(SummarizeScheduler(
-        scheduler->name(), scheduler->metrics(), end, policy));
+    report.schedulers.push_back(
+        SummarizeScheduler(scheduler->name(), scheduler->metrics(), end));
     if (!report.schedulers.back().audit_findings.empty()) {
       report.audit_compliant = false;
     }
@@ -117,11 +115,10 @@ RunReport BuildRunReport(const std::string& architecture,
   return report;
 }
 
-RunReport BuildRunReport(const std::string& architecture, MesosSimulation& sim,
-                         const AuditPolicy& policy) {
+RunReport BuildRunReport(const std::string& architecture,
+                         MesosSimulation& sim) {
   RunReport report =
-      BuildRunReport(architecture, static_cast<const ClusterSimulation&>(sim),
-                     policy);
+      BuildRunReport(architecture, static_cast<const ClusterSimulation&>(sim));
   report.offers.enabled = true;
   report.offers.counters = sim.allocator().counters();
   return report;

@@ -105,11 +105,9 @@ struct RunReport {
 
 // Summarizes `sim` and each of its schedulers(), in construction order.
 RunReport BuildRunReport(const std::string& architecture,
-                         const ClusterSimulation& sim,
-                         const AuditPolicy& policy = {});
+                         const ClusterSimulation& sim);
 // The same, plus the Mesos allocator's offer counters.
-RunReport BuildRunReport(const std::string& architecture, MesosSimulation& sim,
-                         const AuditPolicy& policy = {});
+RunReport BuildRunReport(const std::string& architecture, MesosSimulation& sim);
 
 }  // namespace omega
 

@@ -5,6 +5,14 @@
 namespace omega {
 namespace {
 
+// The shared wait-time SLO (30 s in the paper's evaluation).
+constexpr double kWaitSloSecs = 30.0;
+// Flag schedulers whose conflict fraction exceeds this (misbehaving or
+// misconfigured schedulers redo too much work).
+constexpr double kMaxConflictFraction = 2.0;
+// Flag schedulers that abandoned more than this fraction of their jobs.
+constexpr double kMaxAbandonedFraction = 0.01;
+
 int64_t TotalScheduled(const SchedulerMetrics& m) {
   return m.JobsScheduled(JobType::kBatch) + m.JobsScheduled(JobType::kService);
 }
@@ -30,21 +38,21 @@ double OverallMeanWait(const SchedulerMetrics& m) {
 
 }  // namespace
 
-std::vector<std::string> AuditMetrics(const SchedulerMetrics& m, SimTime end,
-                                      const AuditPolicy& policy) {
+std::vector<std::string> AuditMetrics(const SchedulerMetrics& m,
+                                      SimTime end) {
   std::vector<std::string> findings;
   const double mean_wait_secs = OverallMeanWait(m);
-  if (mean_wait_secs > policy.wait_slo_secs) {
+  if (mean_wait_secs > kWaitSloSecs) {
     std::ostringstream os;
     os << "wait-time SLO violated: mean " << mean_wait_secs << "s > "
-       << policy.wait_slo_secs << "s";
+       << kWaitSloSecs << "s";
     findings.push_back(os.str());
   }
   const double conflict_fraction = m.ConflictFraction(end).mean;
-  if (conflict_fraction > policy.max_conflict_fraction) {
+  if (conflict_fraction > kMaxConflictFraction) {
     std::ostringstream os;
     os << "excessive conflict fraction: " << conflict_fraction << " > "
-       << policy.max_conflict_fraction;
+       << kMaxConflictFraction;
     findings.push_back(os.str());
   }
   const int64_t abandoned = m.JobsAbandonedTotal();
@@ -52,7 +60,7 @@ std::vector<std::string> AuditMetrics(const SchedulerMetrics& m, SimTime end,
   if (total_jobs > 0) {
     const double abandoned_fraction =
         static_cast<double>(abandoned) / static_cast<double>(total_jobs);
-    if (abandoned_fraction > policy.max_abandoned_fraction) {
+    if (abandoned_fraction > kMaxAbandonedFraction) {
       std::ostringstream os;
       os << "abandonment above threshold: " << abandoned_fraction * 100.0
          << "% of jobs";

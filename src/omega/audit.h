@@ -16,22 +16,12 @@
 
 namespace omega {
 
-struct AuditPolicy {
-  // The shared wait-time SLO (30 s in the paper's evaluation).
-  double wait_slo_secs = 30.0;
-  // Flag schedulers whose conflict fraction exceeds this (misbehaving or
-  // misconfigured schedulers redo too much work).
-  double max_conflict_fraction = 2.0;
-  // Flag schedulers that abandoned more than this fraction of their jobs.
-  double max_abandoned_fraction = 0.01;
-};
-
-// Audits one scheduling component's metrics against the policy at time `end`
-// and returns the violations found, empty when it is compliant. Works for any
+// Audits one scheduling component's metrics at time `end` against the shared
+// wait-time SLO and the conflict and abandonment limits (audit.cc), and
+// returns the violations found, empty when it is compliant. Works for any
 // component that keeps SchedulerMetrics: Omega/monolithic queue schedulers
 // and Mesos frameworks alike. RunReport carries the findings per scheduler.
 std::vector<std::string> AuditMetrics(const SchedulerMetrics& metrics,
-                                      SimTime end,
-                                      const AuditPolicy& policy = {});
+                                      SimTime end);
 
 }  // namespace omega

@@ -159,7 +159,6 @@ void ClusterSimulation::RunTrace(std::vector<Job> trace) {
 
 void ClusterSimulation::Prepare(std::vector<Job>* trace) {
   PlaceInitialFill();
-  OnSimulationStart();
   if (trace == nullptr) {
     ScheduleNextArrival(JobType::kBatch);
     ScheduleNextArrival(JobType::kService);

@@ -164,10 +164,6 @@ class ClusterSimulation {
   }
 
  protected:
-  // Hook invoked after the initial fill and before arrivals start; subclasses
-  // may inspect the initial cell state.
-  virtual void OnSimulationStart() {}
-
   // Hook invoked after the harness changes `machine`'s allocation: task-end
   // frees (including initial-fill tasks), failure kills and downtime
   // reservations, repairs, and preemption. `wake` is set where resources
@@ -190,9 +186,9 @@ class ClusterSimulation {
  private:
   friend class QueueScheduler;  // adds and removes itself in schedulers_
 
-  // The one setup sequence of Run() and RunTrace(): initial fill,
-  // OnSimulationStart, arrivals (the generated streams, or `trace`'s jobs
-  // when it is non-null), utilization sampling, failure stream.
+  // The one setup sequence of Run() and RunTrace(): initial fill, arrivals
+  // (the generated streams, or `trace`'s jobs when it is non-null),
+  // utilization sampling, failure stream.
   void Prepare(std::vector<Job>* trace);
   void PlaceInitialFill();
   void ScheduleNextArrival(JobType type);

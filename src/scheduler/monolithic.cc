@@ -8,7 +8,7 @@ MonolithicScheduler::MonolithicScheduler(ClusterSimulation& harness,
                                          SchedulerConfig config, Rng rng,
                                          MachineRange range)
     : QueueScheduler(harness, std::move(config)),
-      placer_(/*max_random_probes=*/32, /*respect_constraints=*/false, range),
+      placer_(/*max_random_probes=*/32, range),
       rng_(rng) {}
 
 void MonolithicScheduler::BeginAttempt(const JobPtr& job) {

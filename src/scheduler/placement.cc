@@ -39,10 +39,6 @@ uint32_t RandomizedFirstFitPlacer::PlaceTasks(const CellState& cell,
     for (uint32_t probe = 0; probe < max_random_probes_; ++probe) {
       const MachineId m =
           range_.Nth(static_cast<uint32_t>(rng.NextBounded(num_machines)));
-      if (respect_constraints_ &&
-          !MachineSatisfiesConstraints(cell.Attributes(m), job)) {
-        continue;
-      }
       if (cell.CanFitWithPending(m, job.task_resources, pending.On(m))) {
         chosen = m;
         break;
@@ -51,10 +47,10 @@ uint32_t RandomizedFirstFitPlacer::PlaceTasks(const CellState& cell,
     // Phase 2: linear scan from a random offset; guarantees a fit is found
     // whenever one exists. FindFirstFit sweeps the contiguous per-resource
     // arrays and returns the first machine whose raw allocation fits; a
-    // machine it skips fails CanFit outright, so
-    // it would fail CanFitWithPending too (pending only shrinks
-    // availability). Candidates just need the constraint and pending
-    // re-checks, and a rejected candidate resumes the sweep at the next id.
+    // machine it skips fails CanFit outright, so it would fail
+    // CanFitWithPending too (pending only shrinks availability). Candidates
+    // just need the pending re-check, and a rejected candidate resumes the
+    // sweep at the next id.
     // The result is the first machine a per-machine CanFitWithPending loop
     // from `start` would accept, with the same RNG draws.
     if (chosen == kInvalidMachineId) {
@@ -71,11 +67,6 @@ uint32_t RandomizedFirstFitPlacer::PlaceTasks(const CellState& cell,
           continue;
         }
         i += hit - m;
-        if (respect_constraints_ &&
-            !MachineSatisfiesConstraints(cell.Attributes(hit), job)) {
-          ++i;
-          continue;
-        }
         if (cell.CanFitWithPending(hit, job.task_resources, pending.On(hit))) {
           chosen = hit;
           break;

@@ -55,18 +55,14 @@ class RandomizedFirstFitPlacer final : public TaskPlacer {
  public:
   // `max_random_probes` bounds the random phase before the linear fallback.
   explicit RandomizedFirstFitPlacer(uint32_t max_random_probes = 32,
-                                    bool respect_constraints = false,
                                     MachineRange range = {})
-      : max_random_probes_(max_random_probes),
-        respect_constraints_(respect_constraints),
-        range_(range) {}
+      : max_random_probes_(max_random_probes), range_(range) {}
 
   uint32_t PlaceTasks(const CellState& cell, const Job& job, uint32_t count,
                       Rng& rng, std::vector<TaskClaim>* claims) override;
 
  private:
   uint32_t max_random_probes_;
-  bool respect_constraints_;
   MachineRange range_;
   PendingClaims pending_scratch_;
 };

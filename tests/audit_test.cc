@@ -78,19 +78,5 @@ TEST(AuditTest, AbandonmentFlagged) {
       "abandonment"));
 }
 
-TEST(AuditTest, CustomPolicyThresholds) {
-  OmegaSimulation sim(TestCluster(), ShortRun(5), SchedulerConfig{},
-                      SchedulerConfig{});
-  sim.Run();
-  AuditPolicy strict;
-  strict.wait_slo_secs = 0.0;  // impossible SLO: any queueing violates
-  bool violated = false;
-  for (const QueueScheduler* s : AllSchedulers(sim)) {
-    violated |= HasFinding(AuditMetrics(s->metrics(), sim.EndTime(), strict),
-                           "wait-time SLO");
-  }
-  EXPECT_TRUE(violated);
-}
-
 }  // namespace
 }  // namespace omega

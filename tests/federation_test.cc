@@ -9,7 +9,6 @@
 
 #include "src/exp/sweep.h"
 #include "src/federation/federation.h"
-#include "src/obs/federation_report.h"
 #include "src/trace/trace_recorder.h"
 #include "src/workload/cluster_config.h"
 #include "tests/bitwise_eq.h"
@@ -36,7 +35,6 @@ FederationOptions BaseFed(uint32_t cells = 4) {
   f.gossip_interval = Duration::FromSeconds(15);
   f.gossip_delay = Duration::FromSeconds(1);
   f.pending_timeout = Duration::FromSeconds(120);
-  f.max_spills = 2;
   return f;
 }
 
@@ -229,7 +227,6 @@ TEST(FederationSpilloverTest, RejectionSpillsThenLoses) {
   SchedulerConfig closed_service = Sched("service");
   closed_service.admission_limit = 0;
   FederationOptions fed_opts = BaseFed(/*cells=*/2);
-  fed_opts.max_spills = 4;  // more budget than cells: the mask must stop it
   SimOptions options = BaseOptions(3, /*hours=*/0.1);
   FederationSim fed(TestCluster(8), options, closed_batch, closed_service,
                     fed_opts);
@@ -241,8 +238,9 @@ TEST(FederationSpilloverTest, RejectionSpillsThenLoses) {
   EXPECT_EQ(m.spills, m.spill_rejections);
   EXPECT_EQ(m.spill_timeouts, 0);
   // With two cells the tried-mask caps every job at one spill even though
-  // max_spills allows four; each lost job spilled exactly once. Jobs still in
-  // transfer flight at the horizon account for the slack in both bounds.
+  // the spill cap allows three; each lost job spilled exactly once. Jobs
+  // still in transfer flight at the horizon account for the slack in both
+  // bounds.
   EXPECT_GE(m.spills, m.jobs_lost);
   EXPECT_LE(m.spills, m.jobs_routed);
 }
@@ -279,18 +277,16 @@ TEST(FederationSpilloverTest, TimeoutSpillsCompleteElsewhere) {
 
 // A watchdog armed for an incarnation that has since spilled must be a no-op.
 // Every cell rejects every job synchronously at delivery, right after the
-// delivery armed its watchdog; the pending timeout is shorter than the
-// transfer delay, so each watchdog fires while the spilled clone is still in
-// flight under a newer epoch. None of them may spill the job again.
+// delivery armed its watchdog; the 10 ms pending timeout is shorter than the
+// 50 ms transfer delay, so each watchdog fires while the spilled clone is
+// still in flight under a newer epoch. None of them may spill the job again.
 TEST(FederationSpilloverTest, StaleWatchdogIsNoOpAfterSpill) {
   SchedulerConfig closed_batch = Sched("batch");
   closed_batch.admission_limit = 0;
   SchedulerConfig closed_service = Sched("service");
   closed_service.admission_limit = 0;
   FederationOptions fed_opts = BaseFed(/*cells=*/3);
-  fed_opts.transfer_delay = Duration::FromSeconds(30);
-  fed_opts.pending_timeout = Duration::FromSeconds(10);
-  fed_opts.max_spills = 4;
+  fed_opts.pending_timeout = Duration::FromMillis(10);
   FederationSim fed(TestCluster(8), BaseOptions(7, /*hours=*/0.1),
                     closed_batch, closed_service, fed_opts);
   fed.Run();
@@ -353,33 +349,6 @@ TEST(FederationTraceTest, TracksAreNamespacedPerCell) {
   const std::string trace = os.str();
   EXPECT_NE(trace.find("cell0/"), std::string::npos);
   EXPECT_NE(trace.find("cell1/"), std::string::npos);
-}
-
-// The federation report nests one RunReport per cell under a fleet section
-// and renders as one JSON object.
-TEST(FederationReportTest, BuildsAndSerializes) {
-  FederationSim fed(TestCluster(16), BaseOptions(6, /*hours=*/0.1),
-                    Sched("batch"), Sched("service"), BaseFed(/*cells=*/3));
-  fed.Run();
-  const FederationReport report = BuildFederationReport(fed);
-  EXPECT_EQ(report.fleet.num_cells, 3u);
-  ASSERT_EQ(report.cells.size(), 3u);
-  EXPECT_EQ(report.cells[0].architecture, "federation/cell0");
-  EXPECT_EQ(report.fleet.jobs_routed, fed.metrics().jobs_routed);
-  ASSERT_EQ(report.fleet.routed_per_cell.size(), 3u);
-  int64_t routed = 0;
-  for (int64_t per_cell : report.fleet.routed_per_cell) {
-    routed += per_cell;
-  }
-  EXPECT_EQ(routed, fed.metrics().jobs_routed + fed.metrics().spills);
-  std::ostringstream os;
-  report.ToJson(os);
-  const std::string json = os.str();
-  EXPECT_EQ(json.front(), '{');
-  EXPECT_EQ(json.back(), '}');
-  EXPECT_NE(json.find("\"fleet\""), std::string::npos);
-  EXPECT_NE(json.find("\"cells\""), std::string::npos);
-  EXPECT_NE(json.find("\"cpu_utilization_skew\""), std::string::npos);
 }
 
 }  // namespace

@@ -61,4 +61,33 @@ void CleanSweepTrial() {
   (void)rows;
 }
 
+// Init-statement pattern: a pointer declared before the `;` of an `if` or
+// `switch` condition is a frame local, like the plain `if (T* x = init)`
+// form, so calls through it inside a per-trial object stay per-trial.
+struct Recorder {
+  void Record() { count_ += 1; }
+  int count_ = 0;
+};
+
+struct TracedTrial {
+  Recorder* recorder() { return &recorder_; }
+  void Step(size_t i) {
+    if (Recorder* r = recorder(); r != nullptr && i > 0) {
+      r->Record();
+    }
+    switch (Recorder* s = recorder(); i) {
+      default:
+        s->Record();
+    }
+  }
+  Recorder recorder_;
+};
+
+void InitStatementLocals() {
+  ParallelFor(4, [&](size_t i) {
+    TracedTrial trial;
+    trial.Step(i);
+  });
+}
+
 }  // namespace omega

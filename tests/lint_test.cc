@@ -241,7 +241,9 @@ TEST(LintShardSafety, CallGraphEdgeCases) {
 }
 
 // shard_ok.cc also holds a SweepRunner trial that returns its row and writes
-// trial-local configs through `for (Config* c : {&batch, &service})`.
+// trial-local configs through `for (Config* c : {&batch, &service})`, and a
+// per-trial object that calls through pointers declared in `if (...; ...)`
+// and `switch (...; ...)` init-statements.
 TEST(LintShardSafety, ShardSlotsFrameLocalsAndPerTrialObjectsAreClean) {
   const auto findings = RunOn("shard");
   EXPECT_EQ(CountFile(findings, "src/shard_ok.cc"), 0);

@@ -116,23 +116,6 @@ TEST(ConstraintTest, MissingAttributeKey) {
   EXPECT_TRUE(MachineSatisfiesConstraints(m, job));
 }
 
-TEST(ConstraintTest, RandomizedFirstFitRespectsConstraintsWhenAsked) {
-  CellState cell(16, kMachine);
-  for (MachineId m = 0; m < 16; ++m) {
-    cell.SetAttributes(m, {static_cast<int32_t>(m % 4)});
-  }
-  Job job = MakeJob(8, Resources{0.5, 0.5});
-  job.constraints = {{0, 2, true}};
-  RandomizedFirstFitPlacer placer(/*max_random_probes=*/8,
-                                  /*respect_constraints=*/true);
-  Rng rng(6);
-  std::vector<TaskClaim> claims;
-  EXPECT_EQ(placer.PlaceTasks(cell, job, 8, rng, &claims), 8u);
-  for (const TaskClaim& c : claims) {
-    EXPECT_EQ(c.machine % 4, 2u);
-  }
-}
-
 TEST(ScoringPlacerTest, PicksTightestFeasibleMachine) {
   CellState cell(4, kMachine);
   cell.EnableAvailabilityIndex();
@@ -263,7 +246,7 @@ TEST(FallbackScanTest, PartitionedRangeStillScansOnlyItsPartition) {
       cell.Allocate(m, kMachine);
     }
   }
-  RandomizedFirstFitPlacer placer(/*max_random_probes=*/2, false,
+  RandomizedFirstFitPlacer placer(/*max_random_probes=*/2,
                                   MachineRange{100, 200});
   for (uint64_t seed = 1; seed <= 16; ++seed) {
     Rng rng(seed);

@@ -181,7 +181,6 @@ inline uint32_t ReferenceFirstFit(const ReferenceCell& cell, const Job& job,
                                   uint32_t count, Rng& rng,
                                   std::vector<TaskClaim>* claims,
                                   uint32_t max_random_probes = 32,
-                                  bool respect_constraints = false,
                                   MachineRange range = {}) {
   const uint32_t num_machines = range.SizeIn(cell.NumMachines());
   if (num_machines == 0 || count == 0) {
@@ -189,10 +188,6 @@ inline uint32_t ReferenceFirstFit(const ReferenceCell& cell, const Job& job,
   }
   std::vector<Resources> pending(cell.NumMachines());
   auto fits = [&](MachineId m) {
-    if (respect_constraints &&
-        !MachineSatisfiesConstraints(cell.machine(m).attributes, job)) {
-      return false;
-    }
     return cell.CanFitWithPending(m, job.task_resources, pending[m]);
   };
   uint32_t placed = 0;

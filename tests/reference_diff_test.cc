@@ -283,12 +283,6 @@ void RunPlacerDiff(uint32_t num_machines) {
   for (const double fill_fraction : {0.0, 0.5, 0.9, 0.97, 1.0}) {
     CellState cell(num_machines, kCapacity);
     ReferenceCell ref(num_machines, kCapacity);
-    for (MachineId m = 0; m < num_machines; ++m) {
-      const std::vector<int32_t> attrs{static_cast<int32_t>(m % 5),
-                                       static_cast<int32_t>(m % 3)};
-      cell.SetAttributes(m, attrs);
-      ref.SetAttributes(m, attrs);
-    }
     Rng fill(1234);
     const auto target =
         static_cast<uint32_t>(fill_fraction * num_machines * 4.0);
@@ -306,7 +300,6 @@ void RunPlacerDiff(uint32_t num_machines) {
     for (uint64_t seed = 1; seed <= 24; ++seed) {
       Rng pick(seed * 7919);
       const uint32_t probes = pick.NextBounded(2) == 0 ? 0 : 8;
-      const bool respect = pick.NextBounded(2) == 0;
       MachineRange range;
       if (pick.NextBounded(2) == 0) {
         range.begin =
@@ -319,16 +312,14 @@ void RunPlacerDiff(uint32_t num_machines) {
       job.id = seed;
       job.num_tasks = 8;
       job.task_resources = Resources{0.5, 2.0};
-      job.constraints = {{0, static_cast<int32_t>(pick.NextBounded(5)), true},
-                         {1, 0, false}};
-      RandomizedFirstFitPlacer placer(probes, respect, range);
+      RandomizedFirstFitPlacer placer(probes, range);
       Rng rng_a(seed);
       Rng rng_b(seed);
       std::vector<TaskClaim> got;
       std::vector<TaskClaim> want;
       const uint32_t na = placer.PlaceTasks(cell, job, 8, rng_a, &got);
       const uint32_t nb =
-          ReferenceFirstFit(ref, job, 8, rng_b, &want, probes, respect, range);
+          ReferenceFirstFit(ref, job, 8, rng_b, &want, probes, range);
       ASSERT_EQ(na, nb) << "fill " << fill_fraction << " seed " << seed;
       ExpectSameClaims(got, want, "placer");
       ASSERT_EQ(rng_a.Next(), rng_b.Next())

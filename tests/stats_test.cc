@@ -30,36 +30,6 @@ TEST(RunningStatsTest, EmptyIsZero) {
   EXPECT_EQ(s.variance(), 0.0);
 }
 
-TEST(RunningStatsTest, MergeMatchesSequential) {
-  Rng rng(1);
-  RunningStats a;
-  RunningStats b;
-  RunningStats all;
-  for (int i = 0; i < 1000; ++i) {
-    const double x = rng.NextRange(-10, 10);
-    (i % 2 == 0 ? a : b).Add(x);
-    all.Add(x);
-  }
-  a.Merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(a.min(), all.min());
-  EXPECT_DOUBLE_EQ(a.max(), all.max());
-}
-
-TEST(RunningStatsTest, MergeWithEmpty) {
-  RunningStats a;
-  a.Add(5.0);
-  RunningStats empty;
-  a.Merge(empty);
-  EXPECT_EQ(a.count(), 1);
-  RunningStats b;
-  b.Merge(a);
-  EXPECT_EQ(b.count(), 1);
-  EXPECT_DOUBLE_EQ(b.mean(), 5.0);
-}
-
 TEST(PercentileTest, KnownValues) {
   std::vector<double> v{1, 2, 3, 4, 5, 6, 7, 8, 9, 10};
   EXPECT_DOUBLE_EQ(Percentile(v, 0.0), 1.0);
@@ -190,27 +160,6 @@ TEST(CdfTest, DuplicateValuesAcrossAddsCoalesce) {
   EXPECT_DOUBLE_EQ(cdf.Quantile(1.0), 7.0);
 }
 
-TEST(CdfTest, MergeMatchesCombinedAdds) {
-  Cdf a;
-  Cdf b;
-  Cdf combined;
-  for (int i = 1; i <= 10; ++i) {
-    (i % 2 == 0 ? a : b).Add(i);
-    combined.Add(i);
-  }
-  a.Merge(b);
-  ASSERT_EQ(a.count(), combined.count());
-  for (double q : {0.0, 0.3, 0.5, 0.8, 1.0}) {
-    EXPECT_DOUBLE_EQ(a.Quantile(q), combined.Quantile(q));
-  }
-  Cdf empty;
-  a.Merge(empty);  // merging empty changes nothing
-  EXPECT_EQ(a.count(), combined.count());
-  empty.Merge(a);  // merging into empty copies everything
-  EXPECT_EQ(empty.count(), combined.count());
-  EXPECT_DOUBLE_EQ(empty.Quantile(0.5), combined.Quantile(0.5));
-}
-
 TEST(CdfTest, EmptyBehaviour) {
   Cdf cdf;
   EXPECT_TRUE(cdf.empty());
@@ -225,18 +174,6 @@ TEST(CdfTest, AddAfterQueryResorts) {
   EXPECT_DOUBLE_EQ(cdf.FractionAtOrBelow(5.0), 1.0);
   cdf.Add(1.0);
   EXPECT_DOUBLE_EQ(cdf.FractionAtOrBelow(1.0), 0.5);
-}
-
-TEST(CdfTest, EvaluateMultiplePoints) {
-  Cdf cdf;
-  for (int i = 1; i <= 10; ++i) {
-    cdf.Add(i);
-  }
-  const auto fracs = cdf.Evaluate({0.0, 5.0, 10.0});
-  ASSERT_EQ(fracs.size(), 3u);
-  EXPECT_DOUBLE_EQ(fracs[0], 0.0);
-  EXPECT_DOUBLE_EQ(fracs[1], 0.5);
-  EXPECT_DOUBLE_EQ(fracs[2], 1.0);
 }
 
 // Property: Percentile agrees with a brute-force rank computation at the

@@ -1,14 +1,16 @@
 // Tests for the deterministic parallel sweep engine: substream derivation,
-// trial-index ordering, thread-count invariance of a fig5-style sweep, merge
-// helpers, and the BENCH_<figure>.json output.
+// trial-index ordering, thread-count invariance of a fig5-style sweep, and
+// the BENCH_<figure>.json output.
 #include "src/exp/sweep.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <limits>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -16,6 +18,7 @@
 
 #include "bench/fig56_sweep.h"
 #include "src/common/random.h"
+#include "src/common/stats.h"
 #include "tests/bitwise_eq.h"
 
 namespace omega {
@@ -102,25 +105,6 @@ TEST(SweepRunnerTest, TrialExceptionSurfacesOnCaller) {
                             return 0;
                           }),
                std::runtime_error);
-}
-
-TEST(MergeHelpersTest, FoldInTrialIndexOrder) {
-  std::vector<RunningStats> stats(3);
-  std::vector<Cdf> cdfs(3);
-  for (int t = 0; t < 3; ++t) {
-    for (int i = 0; i < 5; ++i) {
-      stats[t].Add(t * 5 + i);
-      cdfs[t].Add(t * 5 + i);
-    }
-  }
-  const RunningStats merged = MergeTrialStats(stats);
-  EXPECT_EQ(merged.count(), 15);
-  EXPECT_DOUBLE_EQ(merged.mean(), 7.0);
-  EXPECT_DOUBLE_EQ(merged.min(), 0.0);
-  EXPECT_DOUBLE_EQ(merged.max(), 14.0);
-  const Cdf cdf = MergeTrialCdfs(cdfs);
-  EXPECT_EQ(cdf.count(), 15u);
-  EXPECT_DOUBLE_EQ(cdf.Quantile(0.5), 7.0);
 }
 
 // The acceptance bar for the sweep engine: a fig5-style sweep must produce
@@ -279,16 +263,36 @@ TEST(SweepReportTest, WriteJsonHonorsOutputDirEnv) {
   setenv("OMEGA_BENCH_JSON_DIR", dir.c_str(), 1);
   SweepRunner runner("test_write", 1, 1);
   runner.Run(2, [](const TrialContext& ctx) { return ctx.index; });
-  const std::string path = runner.WriteJson();
+  const std::optional<std::string> path = runner.WriteJson();
   unsetenv("OMEGA_BENCH_JSON_DIR");
-  ASSERT_FALSE(path.empty());
-  EXPECT_EQ(path.rfind(dir, 0), 0u) << path;
-  EXPECT_NE(path.find("BENCH_test_write.json"), std::string::npos) << path;
-  std::ifstream in(path);
+  ASSERT_TRUE(path.has_value());
+  ASSERT_FALSE(path->empty());
+  EXPECT_EQ(path->rfind(dir, 0), 0u) << *path;
+  EXPECT_NE(path->find("BENCH_test_write.json"), std::string::npos) << *path;
+  std::ifstream in(*path);
   ASSERT_TRUE(in.good());
   std::stringstream contents;
   contents << in.rdbuf();
   EXPECT_EQ(contents.str(), runner.report().ToJson());
+}
+
+// Without $OMEGA_BENCH_JSON_DIR a bench writes nothing: running one from the
+// repository root must not overwrite a tracked BENCH_*.json.
+TEST(SweepReportTest, WriteJsonWithoutOutputDirWritesNothing) {
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / "sweep_no_json_dir";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::filesystem::path cwd = std::filesystem::current_path();
+  std::filesystem::current_path(dir);
+  unsetenv("OMEGA_BENCH_JSON_DIR");
+  SweepRunner runner("test_no_dir", 1, 1);
+  runner.Run(2, [](const TrialContext& ctx) { return ctx.index; });
+  const std::optional<std::string> path = runner.WriteJson();
+  std::filesystem::current_path(cwd);
+  EXPECT_FALSE(path.has_value()) << *path;
+  EXPECT_TRUE(std::filesystem::is_empty(dir));
+  std::filesystem::remove_all(dir);
 }
 
 TEST(SweepRunnerTest, EnvGitShaOverridesCompiledProvenance) {

@@ -290,7 +290,7 @@ class Parser {
     int owner_func = -1;
     int call_index = -1;
     bool is_for = false;
-    bool is_cond = false;  // `if (...)` / `while (...)` condition
+    bool is_cond = false;  // `if` / `while` / `switch` condition
     size_t open_tok = 0;   // token index of the '('
     size_t colon = 0;  // token index of a range-for ':', 0 if none
     int arg_tokens = 0;
@@ -1028,7 +1028,8 @@ void Parser::HandleOpenParen(size_t i) {
   if (i > 0) {
     const Token& prev = t_[i - 1];
     frame.is_for = prev.text == "for";
-    frame.is_cond = prev.text == "if" || prev.text == "while";
+    frame.is_cond =
+        prev.text == "if" || prev.text == "while" || prev.text == "switch";
     if (func != -1 && prev.ident && !Keywords().count(prev.text)) {
       // `Foo x(...)` is a declaration when an identifier precedes the name;
       // `recv.M(...)`, `f(...)`, `ns::f(...)` are calls.
@@ -1296,9 +1297,15 @@ void Parser::Parse() {
     }
     if (s == ";") {
       if (!parens_.empty()) {
-        // classic-for header: analyze the init clause, keep scanning
+        // Classic-for header or `if (T* x = init; cond)` / `switch (...; v)`
+        // init-statement: analyze the clause as a declaration, keep
+        // scanning. A condition's clause starts after its '('.
         const int func = CurFunc();
         if (func != -1) {
+          if (parens_.back().is_cond) {
+            const size_t open = parens_.back().open_tok;
+            std::erase_if(stmt_, [open](size_t k) { return k <= open; });
+          }
           AnalyzeDeclStmt(&(*functions_)[func]);
         }
         stmt_.clear();
