@@ -169,9 +169,9 @@ class CellState {
   // tests/reference_cell.h states the same scan as a plain per-machine loop.
   // `end` is clamped to the cell.
   // Returns kInvalidMachineId if no machine in the range fits. Callers
-  // re-check candidates with constraints and pending claims: a machine this
-  // sweep skips fails those stricter checks too (pending only shrinks
-  // availability), so using it as a pre-filter changes no placement decision.
+  // re-check candidates against pending claims: a machine this sweep skips
+  // fails that stricter check too (pending only shrinks availability), so
+  // using it as a pre-filter changes no placement decision.
   MachineId FindFirstFit(MachineId begin, MachineId end,
                          const Resources& request) const;
 

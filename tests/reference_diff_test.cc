@@ -283,6 +283,12 @@ void RunPlacerDiff(uint32_t num_machines) {
   for (const double fill_fraction : {0.0, 0.5, 0.9, 0.97, 1.0}) {
     CellState cell(num_machines, kCapacity);
     ReferenceCell ref(num_machines, kCapacity);
+    for (MachineId m = 0; m < num_machines; ++m) {
+      const std::vector<int32_t> attrs{static_cast<int32_t>(m % 5),
+                                       static_cast<int32_t>(m % 3)};
+      cell.SetAttributes(m, attrs);
+      ref.SetAttributes(m, attrs);
+    }
     Rng fill(1234);
     const auto target =
         static_cast<uint32_t>(fill_fraction * num_machines * 4.0);
@@ -312,6 +318,10 @@ void RunPlacerDiff(uint32_t num_machines) {
       job.id = seed;
       job.num_tasks = 8;
       job.task_resources = Resources{0.5, 2.0};
+      // First fit ignores constraints; the reference does too, so a
+      // constraint check creeping into the placer shows up as a diff.
+      job.constraints = {{0, static_cast<int32_t>(pick.NextBounded(5)), true},
+                         {1, 0, false}};
       RandomizedFirstFitPlacer placer(probes, range);
       Rng rng_a(seed);
       Rng rng_b(seed);
